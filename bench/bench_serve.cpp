@@ -1,6 +1,6 @@
 // Serving-layer bench: sustained checkpoints/sec, per-checkpoint decision
 // latency (p50/p99, admission -> flags emitted), backlog depth, and the
-// stage-level time breakdown while a sharded StreamMonitor fleet multiplexes
+// stage-level time breakdown while a ShardedMonitor fleet multiplexes
 // concurrent jobs over per-shard pools.
 //
 //   ./bench_serve                         # NURD, both tuned configs, 1/4/16
@@ -8,8 +8,6 @@
 //                                         # the fleet-scaling sweep
 //   ./bench_serve --shards=4 --check      # pin flag-set identity vs the
 //                                         # first shard count in the list
-//   ./bench_serve --executor=lanes        # the serial-lane baseline the
-//                                         # task-DAG pipeline is compared to
 //   ./bench_serve --method=GBTR --rounds=10 --dataset=google
 //                 --json=BENCH_serve.json   # the CI smoke invocation
 //
@@ -18,7 +16,7 @@
 // (hash|least-loaded|affinity), --check (assert per-job records and the
 // flag set are identical across the --shards list; non-zero exit on drift),
 // --method (Table-3 name), --dataset=google|alibaba|both, --threads
-// (serving workers PER SHARD, 0 = hw), --executor=dag|lanes, --window,
+// (serving workers PER SHARD, 0 = hw), --window,
 // --rounds (override boosting rounds; 0 keeps the tuned config),
 // --service_rate + --shed_budget (enable the modeled per-shard backlog and
 // QoS-tiered load-shedding; sheds change flags, so --check refuses them),
@@ -90,7 +88,6 @@ int main(int argc, char** argv) {
   const auto dataset = bench::arg_string(argc, argv, "dataset", "both");
   const auto threads =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "threads", 0));
-  const auto executor = bench::arg_string(argc, argv, "executor", "dag");
   const auto window =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "window", 4));
   const auto rounds = bench::arg_long(argc, argv, "rounds", 0);
@@ -102,14 +99,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(bench::arg_long(argc, argv, "seed", 0));
   const auto json_path = bench::arg_string(argc, argv, "json", "");
 
-  if (executor != "dag" && executor != "lanes") {
-    std::fprintf(stderr, "unknown --executor=%s (dag|lanes)\n",
-                 executor.c_str());
-    return 2;
-  }
-  const auto executor_mode = executor == "dag"
-                                 ? serve::ExecutorMode::kDag
-                                 : serve::ExecutorMode::kSerialLanes;
   if (check && shed_budget > 0) {
     std::fprintf(stderr,
                  "--check with --shed_budget: sheds change flags by design; "
@@ -123,16 +112,15 @@ int main(int argc, char** argv) {
 
   std::printf(
       "bench_serve: %s, RefitPolicy::kIncremental, batch arrivals, "
-      "executor=%s, window=%zu, workers/shard=%zu (0 = hardware), "
+      "window=%zu, workers/shard=%zu (0 = hardware), "
       "placement=%s, kernel backend: %s\n",
-      method_name.c_str(), executor.c_str(), window, threads,
+      method_name.c_str(), window, threads,
       placement_name.c_str(), kernel::backend_name());
 
   bench::JsonWriter json;
   json.begin_object();
   json.key("bench").value("serve");
   json.key("method").value(method_name);
-  json.key("executor").value(executor);
   json.key("window").value(window);
   json.key("threads").value(threads);
   json.key("placement").value(placement_name);
@@ -169,7 +157,6 @@ int main(int argc, char** argv) {
         serve::ShardedMonitorConfig config;
         config.shards = shards;
         config.threads = threads;
-        config.executor = executor_mode;
         config.window = window;
         config.placement = serve::placement_by_name(placement_name);
         config.service_rate = service_rate;

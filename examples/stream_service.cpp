@@ -1,5 +1,5 @@
 // Serving-layer walkthrough: many jobs stream checkpoints concurrently
-// through one StreamMonitor, flags are delivered to a sink as they happen,
+// through a one-shard ShardedMonitor, flags are delivered to a sink as they happen,
 // and a live cluster simulation consumes them for relaunch decisions.
 //
 //   $ ./stream_service
@@ -12,7 +12,7 @@
 #include "core/registry.h"
 #include "eval/harness.h"
 #include "serve/cluster_sink.h"
-#include "serve/stream_monitor.h"
+#include "serve/shard_pool.h"
 #include "trace/generator.h"
 
 namespace {
@@ -43,15 +43,16 @@ int main(int argc, char** argv) {
   trace::GoogleLikeGenerator gen(gen_config);
   const auto jobs = gen.generate(n_jobs);
 
-  // 1. A StreamMonitor serves every job's checkpoint stream over a shared
-  //    pool; jobs arrive over continuous time (Poisson), and each job's
+  // 1. A one-shard ShardedMonitor serves every job's checkpoint stream over
+  //    one shared pool; jobs arrive over continuous time (Poisson), and each job's
   //    managed session maintains its models incrementally between
   //    checkpoints (RefitPolicy::kIncremental by default).
-  serve::StreamMonitorConfig config;
+  serve::ShardedMonitorConfig config;
+  config.shards = 1;
   config.threads = threads;
   config.arrivals = sched::poisson_arrivals(0.01);
   config.arrival_seed = 7;
-  serve::StreamMonitor monitor(jobs, method, core::google_tuned(), config);
+  serve::ShardedMonitor monitor(jobs, method, core::google_tuned(), config);
 
   // 2. Flags stream into a sink the moment a predictor emits them. Here:
   //    count them, and feed every one into a LIVE cluster simulation that
@@ -72,10 +73,10 @@ int main(int argc, char** argv) {
 
   std::printf("served %zu jobs (%zu checkpoints) over %zu workers: "
               "%.0f ckpt/s, p50 %.2f ms, p99 %.2f ms, peak backlog %zu\n",
-              served.stats.jobs, served.stats.checkpoints,
-              served.stats.lanes, served.stats.checkpoints_per_sec,
-              served.stats.p50_latency_ms, served.stats.p99_latency_ms,
-              served.stats.peak_backlog);
+              served.totals.jobs, served.totals.checkpoints,
+              served.totals.lanes, served.totals.checkpoints_per_sec,
+              served.totals.p50_latency_ms, served.totals.p99_latency_ms,
+              served.totals.peak_backlog);
   std::printf("flags streamed to the sink: %zu\n", streamed.load());
   std::printf("live cluster: %zu relaunches (%zu waited for a machine), "
               "mean JCT reduction %.1f%%\n",

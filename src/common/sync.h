@@ -56,15 +56,16 @@
 //       runner, on_retire and on_error callbacks all run with the registry
 //       lock RELEASED; pump loops hold it only between tasks.
 //   [mutex] serve/shard_engine.cpp::mutex_
-//       serve::ShardEngine (Impl) — the execution core one StreamMonitor
+//       serve::ShardEngine (Impl) — the execution core each ShardedMonitor
 //       shard runs on. Leaf. The FlagSink is deliberately invoked from the
 //       Flag stage BEFORE the event retires and OUTSIDE this lock, so a
 //       sink may call back into low_watermark() (which takes it) freely;
 //       the retired/wait_handoff hooks likewise run unlocked.
 //   [mutex] serve/cluster_sink.h::mutex_
 //       serve::LiveClusterFeed. The ONE nested acquisition in the codebase:
-//       sink()/finish() hold it while calling
-//       StreamMonitor::low_watermark(), i.e. LiveClusterFeed::mutex_ →
+//       sink() holds it while calling ShardedMonitor::low_watermark(),
+//       which takes each ShardEngine::mutex_ in turn, one at a time — so at
+//       most two locks are ever held, LiveClusterFeed::mutex_ →
 //       ShardEngine::mutex_ in that order, never the reverse (no engine
 //       holds its mutex while invoking the sink).
 //   [mutex] serve/shard_pool.cpp::mutex_

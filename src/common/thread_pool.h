@@ -61,7 +61,7 @@ class ThreadPool {
 
   /// Enqueues a detached task for the workers and returns immediately — the
   /// serving layer's dispatch primitive (completion tracking stays with the
-  /// caller; the StreamMonitor counts in-flight events itself). The task runs
+  /// caller; the serving engine counts in-flight events itself). The task runs
   /// with the nested-parallelism flag set, so parallel_for calls issued from
   /// inside it degrade to serial loops: a submitted task owns exactly one
   /// lane, and multi-job throughput comes from many tasks in flight, not

@@ -74,7 +74,7 @@ struct JobContext {
 /// predict_stragglers() with each checkpoint's view in ascending order.
 ///
 /// Thread-safety and ordering contract (relied on by eval::run_method and
-/// serve::StreamMonitor alike):
+/// serve::ShardedMonitor alike):
 ///   * an instance is NOT thread-safe — it is confined to one job and
 ///     driven by one thread at a time. Concurrency comes from many
 ///     instances on many jobs, never from sharing one;

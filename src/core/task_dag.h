@@ -1,7 +1,7 @@
 // The pipelined checkpoint executor: a dependency-graph scheduler over the
 // shared ThreadPool that overlaps the STAGES of different checkpoints of one
-// job, where the per-job serial lanes it replaces ran each checkpoint's
-// featurize → refit → predict → flag as one monolithic task.
+// job, instead of running each checkpoint's featurize → refit → predict →
+// flag as one monolithic task.
 //
 // Tasks are keyed by (job, checkpoint, stage) with the stage pipeline
 //

@@ -61,8 +61,8 @@ struct CheckpointScratch {
 /// checkpoint: candidates are the running tasks not yet flagged,
 /// predict_stragglers decides, flags are recorded permanently, the
 /// cumulative confusion is appended. run_job is a loop over this class, and
-/// the serving layer (serve::StreamMonitor) drives the SAME class from its
-/// event queue — which is what makes serving bit-identical to the batch
+/// the serving layer (serve::ShardedMonitor) drives the SAME class from its
+/// event plan — which is what makes serving bit-identical to the batch
 /// harness by construction rather than by parallel maintenance.
 ///
 /// step() is itself the composition of four STAGE methods — featurize,

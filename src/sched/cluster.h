@@ -128,7 +128,7 @@ ArrivalProcess batch_arrivals();
 /// Replays the given absolute arrival times verbatim (consumes no
 /// randomness; `times.size()` must equal the simulated job count). This is
 /// how the serving layer hands the SAME draws to both sides of a live run:
-/// the StreamMonitor draws its arrival offsets once, and the cluster engine
+/// the ShardedMonitor draws its arrival offsets once, and the cluster engine
 /// replays them instead of re-drawing.
 ArrivalProcess fixed_arrivals(std::vector<double> times);
 
@@ -266,7 +266,7 @@ struct ClusterResult {
 
 /// The event loop behind simulate_cluster, exposed incrementally so callers
 /// can interleave simulation with flag PRODUCTION — the serving layer
-/// (serve::StreamMonitor) posts each flag the moment its predictor emits it
+/// (serve::ShardedMonitor) posts each flag the moment its predictor emits it
 /// and advances the cluster behind the stream's low watermark, so relaunch
 /// decisions are driven live instead of from a precomputed flag table.
 ///

@@ -3,12 +3,17 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
+
 namespace nurd::serve {
 
 namespace {
 
 sched::ClusterConfig with_monitor_arrivals(sched::ClusterConfig config,
-                                           const StreamMonitor& monitor) {
+                                           const ShardedMonitor& monitor) {
+  NURD_CHECK(monitor.plan().deferred_events == 0,
+             "LiveClusterFeed needs a plan without quota deferrals: the "
+             "watermark is in admission time, the cluster in eligible time");
   const auto times = monitor.arrivals();
   config.arrivals =
       sched::fixed_arrivals(std::vector<double>(times.begin(), times.end()));
@@ -19,7 +24,7 @@ sched::ClusterConfig with_monitor_arrivals(sched::ClusterConfig config,
 
 LiveClusterFeed::LiveClusterFeed(std::span<const trace::Job> jobs,
                                  sched::ClusterConfig config,
-                                 const StreamMonitor& monitor,
+                                 const ShardedMonitor& monitor,
                                  std::uint64_t seed)
     : monitor_(&monitor),
       config_(with_monitor_arrivals(std::move(config), monitor)),
@@ -33,9 +38,10 @@ FlagSink LiveClusterFeed::sink() {
     // Safe to advance: the monitor's watermark still covers this flag's
     // event (its time leaves the in-flight set only after the sink returns),
     // and the engine stops strictly below the bound. low_watermark() takes
-    // the monitor's lock while we hold ours — the codebase's single nested
-    // acquisition, feed → monitor (documented in common/sync.h); the monitor
-    // never calls the sink with its lock held, so the order cannot invert.
+    // each engine's lock in turn while we hold ours — the codebase's single
+    // nested acquisition, feed → engine (documented in common/sync.h);
+    // engines never call the sink with their lock held, so the order cannot
+    // invert.
     engine_.advance_to(monitor_->low_watermark());
   };
 }

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <exception>
+#include <limits>
 #include <set>
-#include <tuple>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/sync.h"
@@ -17,23 +19,13 @@ namespace nurd::serve {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t) {
+  return std::chrono::duration<double>(Clock::now() - t).count();
+}
 }  // namespace
 
 struct ShardEngine::Impl {
-  // Per-job engine-local scheduling state (the session itself is the
-  // caller's). The pending/scheduled pair only serves kSerialLanes and the
-  // serialized loop, where a job is a serial lane drained by at most one
-  // task at a time.
-  struct Admitted {
-    double time = 0.0;
-    std::uint32_t checkpoint = 0;
-    Clock::time_point admitted_at;
-  };
-  struct LaneState {
-    std::deque<Admitted> pending;  ///< kSerialLanes / serialized only
-    bool scheduled = false;        ///< kSerialLanes / serialized only
-  };
-
   Impl(std::span<const trace::Job> jobs, std::span<JobSession> sessions,
        std::vector<EngineEvent> events, EngineConfig config,
        EngineHooks hooks)
@@ -44,7 +36,6 @@ struct ShardEngine::Impl {
         hooks_(std::move(hooks)) {
     NURD_CHECK(sessions_.size() == jobs_.size(),
                "one session per job, fleet-wide");
-    lanes_.resize(jobs_.size());
     shed_.resize(jobs_.size());
     event_time_.resize(jobs_.size());
     // The plan slice must preserve each job's checkpoint order (ascending,
@@ -84,32 +75,12 @@ struct ShardEngine::Impl {
                                    : *inflight_times_.begin();
   }
 
-  // Admits `ev` into its lane (caller holds no locks) and, when the lane is
-  // idle, starts a drain: submitted to `pool`, or run inline right here when
-  // serialized (pool == nullptr).
-  void admit(const EngineEvent& ev, ThreadPool* pool) NURD_EXCLUDES(mutex_) {
-    bool schedule = false;
-    {
-      MutexLock lock(mutex_);
-      while (!(inflight_ < cap_ || error_ != nullptr)) cv_.wait(mutex_);
-      if (error_) return;  // stop admitting; run() rethrows after the drain
-      LaneState& lane = lanes_[ev.job];
-      lane.pending.push_back({ev.time, ev.checkpoint, Clock::now()});
-      account_admit_locked(ev);
-      if (!lane.scheduled) {
-        lane.scheduled = true;
-        schedule = true;
-      }
-    }
-    if (!schedule) return;
-    if (pool) {
-      pool->submit([this, job = ev.job] { drain_lane(job); });
-    } else {
-      drain_lane(ev.job);
-    }
-  }
-
-  void account_admit_locked(const EngineEvent& ev) NURD_REQUIRES(mutex_) {
+  // Waits for a free in-flight slot and accounts the admit. Returns false
+  // once a stage error is recorded: admission stops and run() rethrows
+  // after the drain.
+  bool admit_locked(const EngineEvent& ev) NURD_REQUIRES(mutex_) {
+    while (!(inflight_ < cap_ || error_ != nullptr)) cv_.wait(mutex_);
+    if (error_) return false;
     ++inflight_;
     inflight_times_.insert(ev.time);
     peak_backlog_ = std::max(peak_backlog_, inflight_);
@@ -117,6 +88,7 @@ struct ShardEngine::Impl {
     next_ingest_time_ = next_event_ < events_.size()
                             ? events_[next_event_].time
                             : std::numeric_limits<double>::infinity();
+    return true;
   }
 
   bool is_shed(std::size_t job, std::size_t t) const {
@@ -124,13 +96,13 @@ struct ShardEngine::Impl {
   }
 
   // Executes ONE pipeline stage of checkpoint `t` of `job`, timing its body
-  // into the per-stage busy counters. Every execution mode funnels through
-  // here — the serialized loop and the serial lanes run the four stages back
-  // to back, the DAG runs them as separate tasks — so the stage breakdown is
-  // populated identically everywhere. The Flag stage is where decisions
-  // leave the engine: the sink runs here, OUTSIDE the engine mutex and
-  // BEFORE the event's time leaves the in-flight set, so low_watermark()
-  // cannot pass a flag that is still being delivered.
+  // into the per-stage busy counters. Both execution paths funnel through
+  // here — the serialized loop runs the four stages back to back, the DAG
+  // runs them as separate tasks — so the stage breakdown is populated
+  // identically everywhere. The Flag stage is where decisions leave the
+  // engine: the sink runs here, OUTSIDE the engine mutex and BEFORE the
+  // event's time leaves the in-flight set, so low_watermark() cannot pass a
+  // flag that is still being delivered.
   void run_stage(std::size_t job, std::size_t t, core::Stage stage)
       NURD_EXCLUDES(mutex_) {
     JobSession& session = sessions_[job];
@@ -172,73 +144,6 @@ struct ShardEngine::Impl {
         std::memory_order_relaxed);
   }
 
-  // Drains one job's lane (serialized and kSerialLanes modes): processes
-  // admitted checkpoints strictly in order — all four stages back to back —
-  // until the lane empties.
-  void drain_lane(std::size_t job) NURD_EXCLUDES(mutex_) {
-    LaneState& lane = lanes_[job];
-    JobSession& session = sessions_[job];
-    for (;;) {
-      Admitted ev;
-      {
-        MutexLock lock(mutex_);
-        if (lane.pending.empty() || error_) {
-          lane.scheduled = false;
-          if (error_) abandon_lane_locked(lane);
-          return;
-        }
-        ev = lane.pending.front();
-        lane.pending.pop_front();
-      }
-
-      try {
-        NURD_CHECK(session.run->next_checkpoint() == ev.checkpoint,
-                   "lane processed a checkpoint out of order");
-        for (std::size_t s = 0; s < core::kStageCount; ++s) {
-          run_stage(job, ev.checkpoint, static_cast<core::Stage>(s));
-        }
-      } catch (...) {
-        MutexLock lock(mutex_);
-        if (!error_) error_ = std::current_exception();
-        retire_locked(ev.time);
-        lane.scheduled = false;
-        abandon_lane_locked(lane);
-        return;
-      }
-
-      const double latency =
-          std::chrono::duration<double>(Clock::now() - ev.admitted_at)
-              .count();
-      {
-        MutexLock lock(mutex_);
-        latencies_.push_back({static_cast<std::uint32_t>(job), latency});
-        ++processed_;
-        retire_locked(ev.time);
-      }
-      if (hooks_.retired) hooks_.retired(job, ev.checkpoint);
-    }
-  }
-
-  // DAG-mode admission: the event accounting runs under the mutex, the
-  // executor admit OUTSIDE it (the executor's callbacks take mutex_
-  // themselves). A refused admit — the job was cancelled by an earlier stage
-  // error — retires the event immediately so the in-flight count still
-  // drains to zero.
-  void admit_dag(const EngineEvent& ev, core::TaskDag& dag)
-      NURD_EXCLUDES(mutex_) {
-    {
-      MutexLock lock(mutex_);
-      while (!(inflight_ < cap_ || error_ != nullptr)) cv_.wait(mutex_);
-      if (error_) return;  // stop admitting; run() rethrows after the drain
-      account_admit_locked(ev);
-      admitted_at_[ev.job][ev.checkpoint] = Clock::now();
-    }
-    if (!dag.admit(ev.job, ev.checkpoint)) {
-      MutexLock lock(mutex_);
-      retire_locked(ev.time);
-    }
-  }
-
   // Both _locked helpers require mutex_ held (compiler-enforced).
   void retire_locked(double time) NURD_REQUIRES(mutex_) {
     --inflight_;
@@ -246,11 +151,129 @@ struct ShardEngine::Impl {
     cv_.notify_all();
   }
 
-  // A failed lane abandons its backlog so run()'s in-flight count can still
-  // drain to zero (the first error is what gets rethrown).
-  void abandon_lane_locked(LaneState& lane) NURD_REQUIRES(mutex_) {
-    for (const auto& dropped : lane.pending) retire_locked(dropped.time);
-    lane.pending.clear();
+  void record_latency_locked(std::size_t job, double seconds)
+      NURD_REQUIRES(mutex_) {
+    latencies_.push_back({static_cast<std::uint32_t>(job), seconds});
+    ++processed_;
+  }
+
+  // Migration handshake: blocks until the source engine retired every
+  // checkpoint below the boundary. False = fleet abort; the caller then
+  // drops the job's remaining events.
+  bool handoff_ready(const EngineEvent& ev) const {
+    return ev.wait_boundary == kNoHandoff ||
+           (hooks_.wait_handoff &&
+            hooks_.wait_handoff(ev.job, ev.wait_boundary));
+  }
+
+  // workers == 1: the bit-parity reference. Each event is admitted and its
+  // four stages run back to back on this thread, in plan order. On a stage
+  // error the event retires, admission stops, and run() rethrows.
+  void run_serialized() NURD_EXCLUDES(mutex_) {
+    std::vector<std::uint8_t> dead(jobs_.size(), 0);
+    for (const EngineEvent& ev : events_) {
+      if (dead[ev.job]) continue;
+      if (!handoff_ready(ev)) {
+        dead[ev.job] = 1;
+        continue;
+      }
+      {
+        MutexLock lock(mutex_);
+        if (!admit_locked(ev)) break;
+      }
+      const auto admitted_at = Clock::now();
+      try {
+        for (std::size_t s = 0; s < core::kStageCount; ++s) {
+          run_stage(ev.job, ev.checkpoint, static_cast<core::Stage>(s));
+        }
+      } catch (...) {
+        MutexLock lock(mutex_);
+        error_ = std::current_exception();
+        retire_locked(ev.time);
+        break;
+      }
+      {
+        MutexLock lock(mutex_);
+        record_latency_locked(ev.job, seconds_since(admitted_at));
+        retire_locked(ev.time);
+      }
+      if (hooks_.retired) hooks_.retired(ev.job, ev.checkpoint);
+    }
+  }
+
+  // workers > 1: a private pool runs the stage work as pipelined TaskDag
+  // tasks and this thread only admits. The event accounting runs under the
+  // mutex, the executor admit OUTSIDE it (the executor's callbacks take
+  // mutex_ themselves). A refused admit — the job was cancelled by an
+  // earlier stage error — retires the event immediately so the in-flight
+  // count still drains to zero.
+  void run_dag(std::size_t workers) NURD_EXCLUDES(mutex_) {
+    {
+      MutexLock lock(mutex_);  // preamble, but the field is lock-annotated
+      admitted_at_.resize(jobs_.size());
+      for (const auto& fc : first_checkpoint_) {
+        admitted_at_[fc.first].resize(jobs_[fc.first].checkpoint_count());
+      }
+    }
+    // The dag is declared after the pool so it is destroyed FIRST (its
+    // pumps run on the pool).
+    ThreadPool pool(workers);
+    core::TaskDagConfig dag_config;
+    dag_config.workers = workers;
+    dag_config.window = config_.window;
+    dag_config.featurize_ahead = std::min<std::size_t>(2, config_.window);
+    core::TaskDag dag(
+        jobs_.size(), dag_config,
+        [this](const core::TaskKey& k) {
+          run_stage(k.job, k.checkpoint, k.stage);
+        },
+        [this](std::size_t job, std::size_t ckpt, bool completed) {
+          {
+            MutexLock lock(mutex_);
+            if (completed) {
+              record_latency_locked(job,
+                                    seconds_since(admitted_at_[job][ckpt]));
+            }
+            retire_locked(event_time_[job][ckpt]);
+          }
+          if (completed && hooks_.retired) hooks_.retired(job, ckpt);
+        },
+        [this](std::size_t, std::exception_ptr e) {
+          MutexLock lock(mutex_);
+          if (!error_) error_ = e;
+          cv_.notify_all();
+        });
+    // Migrated-in jobs start their pipeline at the handoff boundary; the
+    // executor treats everything below it as already complete.
+    for (const auto& fc : first_checkpoint_) {
+      if (fc.second > 0) dag.begin_job_at(fc.first, fc.second);
+    }
+    dag.start(pool);
+
+    // `dead` (handoff-abandoned jobs) is touched only on this thread.
+    std::vector<std::uint8_t> dead(jobs_.size(), 0);
+    for (const EngineEvent& ev : events_) {
+      if (dead[ev.job]) continue;
+      if (!handoff_ready(ev)) {
+        dead[ev.job] = 1;
+        continue;
+      }
+      {
+        MutexLock lock(mutex_);
+        if (!admit_locked(ev)) break;
+        admitted_at_[ev.job][ev.checkpoint] = Clock::now();
+      }
+      const bool accepted = dag.admit(ev.job, ev.checkpoint);
+      MutexLock lock(mutex_);
+      if (!accepted) retire_locked(ev.time);
+      if (error_) break;
+    }
+    dag.close();
+    {
+      MutexLock lock(mutex_);
+      while (inflight_ != 0) cv_.wait(mutex_);
+    }
+    dag.wait();
   }
 
   void run() NURD_EXCLUDES(mutex_) {
@@ -262,100 +285,13 @@ struct ShardEngine::Impl {
         config_.threads == 0 ? std::max(1u, hw) : config_.threads;
     cap_ = config_.max_inflight == 0 ? 4 * workers : config_.max_inflight;
 
-    const bool use_dag =
-        config_.executor == ExecutorMode::kDag && workers > 1;
-    if (use_dag) {
-      MutexLock lock(mutex_);  // preamble, but the field is lock-annotated
-      admitted_at_.resize(jobs_.size());
-      for (const auto& fc : first_checkpoint_) {
-        admitted_at_[fc.first].resize(jobs_[fc.first].checkpoint_count());
-      }
-    }
-
-    // Serialized (threads == 1): no pool — each event is admitted and its
-    // lane drained inline, in plan order. Concurrent: a private pool of
-    // `workers` runs the stage work — as pipelined DAG tasks (default) or as
-    // monolithic per-lane drains (kSerialLanes, the baseline) — and this
-    // thread only admits. The dag is declared after the pool so it is
-    // destroyed FIRST (its pumps run on the pool).
-    std::optional<ThreadPool> pool;
-    std::optional<core::TaskDag> dag;
-    if (workers > 1) pool.emplace(workers);
-    if (use_dag) {
-      core::TaskDagConfig dag_config;
-      dag_config.workers = workers;
-      dag_config.window = config_.window;
-      dag_config.featurize_ahead = std::min<std::size_t>(2, config_.window);
-      dag.emplace(
-          jobs_.size(), dag_config,
-          [this](const core::TaskKey& k) {
-            run_stage(k.job, k.checkpoint, k.stage);
-          },
-          [this](std::size_t job, std::size_t ckpt, bool completed) {
-            {
-              MutexLock lock(mutex_);
-              if (completed) {
-                latencies_.push_back(
-                    {static_cast<std::uint32_t>(job),
-                     std::chrono::duration<double>(Clock::now() -
-                                                   admitted_at_[job][ckpt])
-                         .count()});
-                ++processed_;
-              }
-              retire_locked(event_time_[job][ckpt]);
-            }
-            if (completed && hooks_.retired) hooks_.retired(job, ckpt);
-          },
-          [this](std::size_t, std::exception_ptr e) {
-            MutexLock lock(mutex_);
-            if (!error_) error_ = e;
-            cv_.notify_all();
-          });
-      // Migrated-in jobs start their pipeline at the handoff boundary; the
-      // executor treats everything below it as already complete.
-      for (const auto& fc : first_checkpoint_) {
-        if (fc.second > 0) dag->begin_job_at(fc.first, fc.second);
-      }
-      dag->start(*pool);
-    }
-
-    // `dead` (handoff-abandoned jobs) is touched only on this admission
-    // thread.
-    std::vector<std::uint8_t> dead(jobs_.size(), 0);
     const auto start = Clock::now();
-    for (const EngineEvent& ev : events_) {
-      if (dead[ev.job]) continue;
-      if (ev.wait_boundary != kNoHandoff) {
-        // Migration handshake: block until the source engine retired every
-        // checkpoint below the boundary (false = fleet abort).
-        if (!hooks_.wait_handoff ||
-            !hooks_.wait_handoff(ev.job, ev.wait_boundary)) {
-          dead[ev.job] = 1;
-          continue;
-        }
-      }
-      if (dag) {
-        admit_dag(ev, *dag);
-      } else {
-        admit(ev, pool ? &*pool : nullptr);
-      }
-      {
-        MutexLock lock(mutex_);
-        if (error_) break;
-      }
+    if (workers > 1) {
+      run_dag(workers);
+    } else {
+      run_serialized();
     }
-    if (dag) dag->close();
-    {
-      MutexLock lock(mutex_);
-      while (inflight_ != 0) cv_.wait(mutex_);
-    }
-    if (dag) dag->wait();
-    {
-      MutexLock lock(mutex_);
-      if (error_) std::rethrow_exception(error_);
-    }
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    const double wall = seconds_since(start);
 
     // Stats assembly holds mutex_: the drain above already guarantees every
     // writer is done (in-flight count zero, DAG pumps exited), but reading
@@ -364,6 +300,7 @@ struct ShardEngine::Impl {
     // argument about pool teardown order.
     {
       MutexLock lock(mutex_);
+      if (error_) std::rethrow_exception(error_);
       stats_.processed = processed_;
       stats_.flags = flags_;
       stats_.shed = shed_count_;
@@ -383,14 +320,12 @@ struct ShardEngine::Impl {
   // ---- owner state: written at construction or in run()'s preamble, before
   // any worker exists; read-only once stage tasks are in flight. Sessions
   // are driven without a lock — exactly one stage task of a job runs at a
-  // time (the DAG's refit chain / the serial lane). LaneState::pending /
-  // ::scheduled are only touched under mutex_ (see drain_lane).
+  // time (the DAG's edges / the serialized loop).
   std::span<const trace::Job> jobs_;
   std::span<JobSession> sessions_;
   std::vector<EngineEvent> events_;  ///< the plan slice, in admission order
   EngineConfig config_;
   EngineHooks hooks_;
-  std::vector<LaneState> lanes_;
   /// Per job: 1 where the checkpoint is shed (empty = none shed).
   std::vector<std::vector<std::uint8_t>> shed_;
   /// Per job: simulated event time per checkpoint (filled for plan events).
@@ -417,7 +352,7 @@ struct ShardEngine::Impl {
   std::vector<EngineStats::Latency> latencies_ NURD_GUARDED_BY(mutex_);
   std::exception_ptr error_ NURD_GUARDED_BY(mutex_);
 
-  /// DAG mode: admission wall-clock per (job, checkpoint), stamped under
+  /// DAG path: admission wall-clock per (job, checkpoint), stamped under
   /// mutex_ at admit and read under mutex_ at retire.
   std::vector<std::vector<Clock::time_point>> admitted_at_
       NURD_GUARDED_BY(mutex_);

@@ -1,19 +1,19 @@
-// The per-shard serving engine: the execution core StreamMonitor (one shard,
-// the whole fleet) and ShardedMonitor (N shards) share.
+// The per-shard serving engine: the execution core behind each shard of a
+// ShardedMonitor (serve/shard_pool.h).
 //
 // A ShardEngine owns NO policy. It is handed a finished plan — the job
 // sessions to drive, the admission-ordered event list (each event optionally
 // marked shed or handoff-gated) — and executes it: admits events under a
-// bounded in-flight window, runs the four pipeline stages per checkpoint on
-// its private ThreadPool (task-DAG pipelined by default, serial lanes or the
-// fully serialized inline loop otherwise), emits flags through the hook
-// sink, and reports wall-clock stats. Everything that DECIDES — arrival
-// draws, placement, tenant quotas, shed selection, drain boundaries — lives
-// in the frontends, computed in simulated time before execution starts, so
-// engine scheduling can never feed back into the decision plane. That
-// one-way split is what makes the serving layer's determinism contract
-// (flag-set identity at any shard count x thread count) hold by
-// construction rather than by testing alone.
+// bounded in-flight window, runs the four pipeline stages per checkpoint
+// (on its private ThreadPool through the task-DAG executor when it has more
+// than one worker, or inline on the calling thread, in event order, when it
+// has one), emits flags through the hook sink, and reports wall-clock stats.
+// Everything that DECIDES — arrival draws, placement, tenant quotas, shed
+// selection, drain boundaries — lives in the frontend, computed in
+// simulated time before execution starts, so engine scheduling can never
+// feed back into the decision plane. That one-way split is what makes the
+// serving layer's determinism contract (flag-set identity at any shard count
+// x thread count) hold by construction rather than by testing alone.
 //
 // Sessions are owned by the caller and handed in by span: in the sharded
 // fleet a job's session outlives the engine that started it — a drained
@@ -43,9 +43,9 @@ struct FlagDecision {
   std::size_t job = 0;         ///< job input index
   std::size_t task = 0;        ///< task id within the job
   std::size_t checkpoint = 0;  ///< checkpoint the predictor flagged at
-  double time = 0.0;           ///< simulated event time: arrival + τrun(cp)
-  std::size_t shard = 0;       ///< serving shard (0 outside ShardedMonitor)
-  std::size_t tenant = 0;      ///< tenant id (0 outside ShardedMonitor)
+  double time = 0.0;           ///< simulated admission time of the event
+  std::size_t shard = 0;       ///< serving shard
+  std::size_t tenant = 0;      ///< tenant id
 };
 
 /// Flag sink. Invoked from pool workers (inside the Flag stage) while run()
@@ -53,18 +53,6 @@ struct FlagDecision {
 /// different jobs may be concurrent — implementations synchronize (see
 /// serve::LiveClusterFeed).
 using FlagSink = std::function<void(const FlagDecision&)>;
-
-/// Which concurrent executor run() schedules stage work on. Irrelevant at
-/// threads == 1 (always the inline serialized loop).
-enum class ExecutorMode {
-  /// The task-DAG pipeline (core/task_dag.h): per-checkpoint stages with
-  /// explicit edges; stages of different checkpoints of one job overlap.
-  kDag,
-  /// The per-job serial lanes the DAG replaced — one monolithic step per
-  /// checkpoint, one drain task per job at a time. Kept as the baseline
-  /// bench_serve compares DAG tail latency against.
-  kSerialLanes,
-};
 
 /// A job's managed serving session: predictor + harness stepper + the
 /// per-checkpoint scratch ring the DAG stages hand off through (cell
@@ -100,19 +88,17 @@ struct EngineEvent {
 struct EngineConfig {
   /// Stage workers: 1 (default) = fully serialized on the calling thread in
   /// event order — the bit-parity reference; 0 = hardware concurrency;
-  /// N = a private pool of N workers.
+  /// N = a private pool of N workers running the task-DAG executor.
   std::size_t threads = 1;
   /// Admission bound: at most this many checkpoint events in flight
   /// (admitted, not yet retired). 0 = 4 workers' worth.
   std::size_t max_inflight = 0;
-  /// Concurrent executor (see ExecutorMode).
-  ExecutorMode executor = ExecutorMode::kDag;
   /// Per-job in-flight window of the DAG executor (>= 2 to overlap).
   std::size_t window = 4;
 };
 
-/// Frontend callbacks. Only `sink` is optional; the handoff hooks are
-/// needed (and installed) only by the sharded fleet.
+/// Frontend callbacks. `sink` may be null; ShardedMonitor always installs
+/// the handoff hooks.
 struct EngineHooks {
   /// Flag delivery (outside every engine lock, before the event retires).
   FlagSink sink;

@@ -76,7 +76,8 @@ struct ShardedMonitor::Impl {
   // Everything here runs in simulated time at construction, single-threaded:
   // the plan is a pure function of (jobs, arrival process, seeds, config).
   void build_plan() {
-    // 1. Arrival draw — same protocol as StreamMonitor: one draw, own seed.
+    // 1. Arrival draw: one draw, up front, from its own seed — the
+    // ingestion schedule never depends on serving dynamics.
     Rng rng(config_.arrival_seed);
     plan_.arrivals = config_.arrivals
                          ? config_.arrivals(jobs_.size(), rng)
@@ -249,18 +250,20 @@ struct ShardedMonitor::Impl {
     const unsigned hw = std::thread::hardware_concurrency();
     const std::size_t workers =
         config_.threads == 0 ? std::max(1u, hw) : config_.threads;
-    const bool use_dag =
-        config_.executor == ExecutorMode::kDag && workers > 1;
 
     // Fleet-wide sessions: a job's session survives handoffs — the
     // receiving engine resumes the same OnlineJobRun where the source
-    // stopped.
+    // stopped. The stepper is the run_job protocol itself, so serialized
+    // serving is bit-identical to the batch harness by construction. The
+    // DAG needs one scratch cell per in-flight checkpoint of a job (its
+    // window edge makes cell t % window reuse-safe); the serialized loop
+    // runs one checkpoint at a time and reuses a single cell.
     sessions_.resize(jobs_.size());
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       sessions_[j].predictor = method_.make();
       sessions_[j].run.emplace(jobs_[j], *sessions_[j].predictor,
                                config_.pct);
-      sessions_[j].ring.resize(use_dag ? config_.window : 1);
+      sessions_[j].ring.resize(workers > 1 ? config_.window : 1);
     }
 
     // Slice the plan per shard, in plan (admission) order. A job whose
@@ -299,11 +302,11 @@ struct ShardedMonitor::Impl {
     EngineConfig engine_config;
     engine_config.threads = workers;
     engine_config.max_inflight = config_.max_inflight;
-    engine_config.executor = config_.executor;
     engine_config.window = config_.window;
 
-    std::vector<std::unique_ptr<ShardEngine>> engines;
-    engines.reserve(config_.shards);
+    // Every engine exists before any driver thread starts, so sinks may
+    // read low_watermark() over all of them from the first flag on.
+    engines_.reserve(config_.shards);
     for (std::size_t s = 0; s < config_.shards; ++s) {
       EngineHooks hooks;
       if (config_.sink) {
@@ -320,7 +323,7 @@ struct ShardedMonitor::Impl {
       hooks.retired = [this](std::size_t job, std::size_t ckpt) {
         note_retired(job, ckpt);
       };
-      engines.push_back(std::make_unique<ShardEngine>(
+      engines_.push_back(std::make_unique<ShardEngine>(
           jobs_, std::span<JobSession>(sessions_), std::move(slices[s]),
           engine_config, std::move(hooks)));
     }
@@ -332,9 +335,9 @@ struct ShardedMonitor::Impl {
     std::vector<std::thread> drivers;
     drivers.reserve(config_.shards);
     for (std::size_t s = 0; s < config_.shards; ++s) {
-      drivers.emplace_back([this, &engines, s] {
+      drivers.emplace_back([this, s] {
         try {
-          engines[s]->run();
+          engines_[s]->run();
         } catch (...) {
           MutexLock lock(mutex_);
           if (!error_) error_ = std::current_exception();
@@ -353,12 +356,24 @@ struct ShardedMonitor::Impl {
                                       start)
             .count();
 
-    return assemble(engines, workers, wall);
+    return assemble(workers, wall);
   }
 
-  FleetResult assemble(
-      const std::vector<std::unique_ptr<ShardEngine>>& engines,
-      std::size_t workers, double wall) {
+  double low_watermark() const {
+    if (engines_.empty()) {
+      return plan_.events.empty() ? std::numeric_limits<double>::infinity()
+                                  : plan_.events.front().admission;
+    }
+    // Engines are read one at a time, and each one's watermark only rises,
+    // so the minimum is never above the fleet's true watermark.
+    double low = std::numeric_limits<double>::infinity();
+    for (const auto& engine : engines_) {
+      low = std::min(low, engine->low_watermark());
+    }
+    return low;
+  }
+
+  FleetResult assemble(std::size_t workers, double wall) {
     FleetResult result;
     result.runs.reserve(jobs_.size());
     for (auto& session : sessions_) {
@@ -378,7 +393,7 @@ struct ShardedMonitor::Impl {
     std::vector<std::vector<double>> tenant_latencies(
         config_.tenants.size());
     for (std::size_t s = 0; s < config_.shards; ++s) {
-      const EngineStats& es = engines[s]->stats();
+      const EngineStats& es = engines_[s]->stats();
       ShardStats stats;
       stats.shard = s;
       stats.jobs = static_cast<std::size_t>(
@@ -469,6 +484,9 @@ struct ShardedMonitor::Impl {
   ShardedMonitorConfig config_;
   ShardPlan plan_;
   std::vector<JobSession> sessions_;
+  /// One per shard; built in run() before any driver thread starts and
+  /// kept afterwards so low_watermark() stays answerable.
+  std::vector<std::unique_ptr<ShardEngine>> engines_;
   /// 1 where the job appears in some handoff (only those need cv wakeups).
   std::vector<std::uint8_t> handoff_job_;
   bool ran_ = false;
@@ -508,6 +526,10 @@ std::span<const double> ShardedMonitor::arrivals() const {
 void ShardedMonitor::set_sink(FlagSink sink) {
   NURD_CHECK(!impl_->ran_, "set_sink after run()");
   impl_->config_.sink = std::move(sink);
+}
+
+double ShardedMonitor::low_watermark() const {
+  return impl_->low_watermark();
 }
 
 FleetResult ShardedMonitor::run() { return impl_->run(); }

@@ -1,7 +1,20 @@
-// The sharded multi-tenant serving fleet: N StreamMonitor-class shards —
-// each a ShardEngine with its own ThreadPool and task-DAG executor — behind
-// a job-placement policy, per-tenant admission quotas, QoS-tiered
-// load-shedding, and graceful shard drain/rebalance.
+// The serving layer: many jobs' checkpoint streams served concurrently, the
+// regime the paper's Algorithm 1 is written for — a monitor watching MANY
+// jobs stream checkpoints against shared compute. ShardedMonitor is the one
+// serving frontend: N shards — each a ShardEngine with its own ThreadPool
+// and task-DAG executor — behind a job-placement policy, per-tenant
+// admission quotas, QoS-tiered load-shedding, and graceful shard
+// drain/rebalance. One shard with one worker is the serialized bit-parity
+// reference.
+//
+// Every job gets a managed session: a fresh registry predictor (created
+// with RefitPolicy::kIncremental by default — a serving session maintains
+// its models between checkpoints) plus an eval::OnlineJobRun stepper, the
+// exact per-checkpoint protocol run_job uses. Each checkpoint event
+// executes as four stage tasks — featurize → refit → predict → flag — and
+// every flag decision is pushed to a caller-provided FlagSink the moment
+// it is emitted (serve::LiveClusterFeed forwards them into a live cluster
+// simulation).
 //
 // Two planes, strictly one-way:
 //
@@ -21,9 +34,11 @@
 //
 //   * flag-set identity across shard count × thread count: with shedding
 //     off, the per-job records (and therefore the flag set) are
-//     bit-identical at shards ∈ {1, 2, 4} × workers ∈ {1, 4} — and equal to
+//     bit-identical at shards ∈ {1, 2, 4} × workers ∈ {1, 4} (and at 16
+//     workers or any DAG window on one shard) — and equal to
 //     eval::run_method — because each job's session runs the same
-//     per-checkpoint protocol wherever it is placed;
+//     per-checkpoint protocol wherever it is placed, and the executor
+//     decides only WHEN stage tasks run, never what they compute;
 //   * quotas never change decisions: GCRA deferral shifts an event's
 //     ADMISSION time, and per-tenant token times are monotone, so each
 //     job's checkpoint order is preserved — an over-quota tenant queues
@@ -40,13 +55,22 @@
 //     the source retired everything below the boundary — the flag set is
 //     bit-identical to the undrained run. Handoffs only ever leave drained
 //     shards and drained shards never reopen, so handoff waits cannot form
-//     a cycle.
+//     a cycle;
+//   * the wall-clock stats (latency percentiles, backlog, throughput) are
+//     run-dependent; everything else is reproducible from the seeds.
+//
+// Thread-safety: a ShardedMonitor is driven by one caller thread
+// (construct, run(), collect). The FlagSink is the one callback that
+// crosses threads: calls for a single job arrive in checkpoint order, calls
+// for different jobs arrive concurrently — the sink synchronizes
+// internally. low_watermark() is safe from sinks mid-run.
 //
 // Lock ordering (see common/sync.h): ShardedMonitor::mutex_ is taken by
 // engine callbacks (retired / wait_handoff) that hold no engine lock, and
 // never calls into engines while held — it nests with nothing.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -55,9 +79,10 @@
 #include <vector>
 
 #include "core/registry.h"
+#include "eval/harness.h"
 #include "sched/cluster.h"
 #include "serve/placement.h"
-#include "serve/stream_monitor.h"
+#include "serve/shard_engine.h"
 #include "trace/job.h"
 
 namespace nurd::serve {
@@ -102,9 +127,9 @@ struct ShardedMonitorConfig {
   std::size_t threads = 1;
   /// Per-shard admission bound (0 = 4 workers' worth).
   std::size_t max_inflight = 0;
-  /// Concurrent executor per shard.
-  ExecutorMode executor = ExecutorMode::kDag;
-  /// Per-job DAG window per shard.
+  /// Per-job DAG window per shard: at most this many checkpoints of ONE job
+  /// have stages in flight at once (the scratch-cell ring bound;
+  /// core/task_dag.h). At least 2 to overlap at all.
   std::size_t window = 4;
   /// Per-job arrival offsets (null = batch). Drawn once from arrival_seed.
   sched::ArrivalProcess arrivals;
@@ -167,6 +192,26 @@ struct ShardPlan {
   std::vector<Handoff> handoffs;
   std::size_t shed_events = 0;
   std::size_t deferred_events = 0;
+};
+
+/// Wall-clock serving statistics for one run().
+struct ServeStats {
+  std::size_t jobs = 0;
+  std::size_t checkpoints = 0;  ///< events processed
+  std::size_t flags = 0;        ///< decisions emitted
+  std::size_t lanes = 0;        ///< executor workers used
+  std::size_t peak_backlog = 0;  ///< max events in flight at once
+  double wall_seconds = 0.0;
+  double checkpoints_per_sec = 0.0;
+  /// Decision latency: admission of a checkpoint event to its checkpoint
+  /// retiring (queue wait + all four stages, flags emitted), per event.
+  double p50_latency_ms = 0.0;
+  double p99_latency_ms = 0.0;
+  /// Cumulative busy time per pipeline stage (featurize, refit, predict,
+  /// flag — indexed by core::Stage), summed across workers. Together with
+  /// wall_seconds this is the stage share of the run: with S workers,
+  /// sum(stage_seconds) / (S * wall_seconds) is executor utilization.
+  std::array<double, 4> stage_seconds{};
 };
 
 /// Per-shard wall-clock stats of one fleet run.
@@ -237,8 +282,18 @@ class ShardedMonitor {
   /// Arrival offsets as drawn (== plan().arrivals).
   std::span<const double> arrivals() const;
 
-  /// Installs (or replaces) the flag sink before run().
+  /// Installs (or replaces) the flag sink before run(). Exists because a
+  /// sink like LiveClusterFeed is constructed FROM the monitor (it replays
+  /// the monitor's arrival schedule), so it cannot be in the config yet.
   void set_sink(FlagSink sink);
+
+  /// Stream low watermark, in admission time: every checkpoint event
+  /// admitted strictly below it has been fully processed (its flags
+  /// emitted). Before run() it is the first planned admission time; during
+  /// and after run() it is the minimum over the shards' engines. Callable
+  /// from sinks mid-run; this is the bound LiveClusterFeed advances the
+  /// cluster engine to.
+  double low_watermark() const;
 
   /// Serves the whole plan. Call once.
   FleetResult run();

@@ -113,7 +113,7 @@ TEST(Replay, InterleavedCursorsStayIndependent) {
   nurd::AlignedVector<double> lat_scratch;
 
   // Round-robin at different rates: a advances every turn, b every second
-  // turn — the lanes of a StreamMonitor never advance in lockstep.
+  // turn — the jobs of a serving fleet never advance in lockstep.
   std::size_t turn = 0;
   while (a.has_next() || b.has_next()) {
     Replay* cursor = nullptr;

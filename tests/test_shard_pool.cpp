@@ -1,7 +1,7 @@
-// The sharded serving fleet's four contracts (serve/shard_pool.h):
-//   * flag-set identity: shards x workers never changes the per-job records
-//     (and the serialized 1x1 fleet is bit-identical to the batch harness),
-//     including across a mid-stream drain/rebalance;
+// The serving fleet's contracts (serve/shard_pool.h):
+//   * flag-set identity: shards x workers x DAG window never changes the
+//     per-job records (and the serialized 1x1 fleet is bit-identical to the
+//     batch harness), including across a mid-stream drain/rebalance;
 //   * placement is deterministic, covers only open shards, and each policy
 //     honors its own invariant (hash spread, least-loaded balance, tenant
 //     affinity);
@@ -10,20 +10,30 @@
 //     tolerance — and never change anybody's flags;
 //   * load-shedding engages under an over-budget spike, sheds only QoS
 //     classes below the floor, never a job's final checkpoint, and sheds
-//     the same checkpoints on every rerun.
+//     the same checkpoints on every rerun;
+//   * a stage error surfaces from run() on every execution path, without
+//     hanging;
+//   * the live cluster feed is a deterministic function of the flag set,
+//     identical to posting the same flags up front, at any shard x worker
+//     count.
 #include "serve/shard_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
+#include "core/task_dag.h"
 #include "eval/harness.h"
+#include "serve/cluster_sink.h"
 #include "serve/placement.h"
 #include "trace/generator.h"
 
@@ -97,24 +107,38 @@ struct RecordingSink {
 
 TEST(ShardedMonitor, SerializedFleetIsBitIdenticalToRunMethod) {
   const auto jobs = generated_jobs(4);
-  const auto method = core::predictor_by_name("GBTR", tuned(true));
-  const auto reference = eval::run_method(method, jobs);
+  // An outlier detector, the privileged method, and a warm-started learner —
+  // three very different predictor lifecycles through the same session code.
+  for (const auto* name : {"HBOS", "Wrangler", "GBTR"}) {
+    SCOPED_TRACE(name);
+    const auto method = core::predictor_by_name(name, tuned(true));
+    const auto reference = eval::run_method(method, jobs);
 
-  ShardedMonitorConfig config;
-  config.shards = 1;
-  config.threads = 1;
-  ShardedMonitor fleet(jobs, method, config);
-  const auto served = fleet.run();
+    ShardedMonitorConfig config;
+    config.shards = 1;
+    config.threads = 1;
+    ShardedMonitor fleet(jobs, method, config);
+    const auto served = fleet.run();
 
-  expect_runs_identical(served.runs, reference);
-  EXPECT_EQ(served.totals.jobs, jobs.size());
+    expect_runs_identical(served.runs, reference);
+    EXPECT_EQ(served.totals.jobs, jobs.size());
+  }
 }
 
 // The headline acceptance pin: identical per-job records AND flag set at
-// shards in {1, 2, 4} x workers in {1, 4}, for both tuned configs, under
-// Poisson arrivals and least-loaded placement (the policy with the most
-// plan-state coupling — if determinism broke anywhere it would break here).
+// shards in {1, 2, 4} x workers in {1, 4}, plus 16 workers and DAG windows
+// {1, 2, 8} on one shard (the window bounds how far the pipeline runs
+// ahead, never what it computes), for both tuned configs, under Poisson
+// arrivals and least-loaded placement (the policy with the most plan-state
+// coupling — if determinism broke anywhere it would break here). The
+// RecordingSink checks per-job checkpoint order on every delivery.
 TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
+  struct Shape {
+    std::size_t shards, workers, window;
+  };
+  const std::vector<Shape> shapes = {
+      {1, 1, 4}, {1, 4, 4}, {2, 1, 4},  {2, 4, 4}, {4, 1, 4},
+      {4, 4, 4}, {1, 16, 4}, {1, 4, 1}, {1, 4, 2}, {1, 4, 8}};
   const auto jobs = generated_jobs(6);
   for (const bool google : {true, false}) {
     SCOPED_TRACE(google ? "google_tuned" : "alibaba_tuned");
@@ -123,30 +147,30 @@ TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
 
     std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> flags0;
     bool first = true;
-    for (const std::size_t shards : {1u, 2u, 4u}) {
-      for (const std::size_t workers : {1u, 4u}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " workers=" + std::to_string(workers));
-        ShardedMonitorConfig config;
-        config.shards = shards;
-        config.threads = workers;
-        config.arrivals = sched::poisson_arrivals(3.0);
-        config.arrival_seed = 7;
-        config.placement = least_loaded_placement();
-        RecordingSink sink(jobs.size());
-        config.sink = sink.sink();
-        ShardedMonitor fleet(jobs, method, config);
-        const auto served = fleet.run();
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE("shards=" + std::to_string(shape.shards) +
+                   " workers=" + std::to_string(shape.workers) +
+                   " window=" + std::to_string(shape.window));
+      ShardedMonitorConfig config;
+      config.shards = shape.shards;
+      config.threads = shape.workers;
+      config.window = shape.window;
+      config.arrivals = sched::poisson_arrivals(3.0);
+      config.arrival_seed = 7;
+      config.placement = least_loaded_placement();
+      RecordingSink sink(jobs.size());
+      config.sink = sink.sink();
+      ShardedMonitor fleet(jobs, method, config);
+      const auto served = fleet.run();
 
-        expect_runs_identical(served.runs, reference);
-        if (first) {
-          flags0 = sink.flag_set();
-          first = false;
-        } else {
-          EXPECT_EQ(sink.flag_set(), flags0);
-        }
-        EXPECT_EQ(served.totals.lanes, shards * workers);
+      expect_runs_identical(served.runs, reference);
+      if (first) {
+        flags0 = sink.flag_set();
+        first = false;
+      } else {
+        EXPECT_EQ(sink.flag_set(), flags0);
       }
+      EXPECT_EQ(served.totals.lanes, shape.shards * shape.workers);
     }
   }
 }
@@ -389,6 +413,22 @@ TEST(ShardedMonitor, StatsCoverEveryCheckpoint) {
   const auto served = fleet.run();
 
   EXPECT_EQ(served.totals.checkpoints, total);
+  std::size_t flagged = 0;
+  for (const auto& run : served.runs) {
+    for (const auto at : run.flagged_at) {
+      if (at != eval::kNeverFlagged) ++flagged;
+    }
+  }
+  EXPECT_EQ(served.totals.flags, flagged);
+  EXPECT_EQ(served.totals.lanes, 6u);
+  EXPECT_GT(served.totals.checkpoints_per_sec, 0.0);
+  EXPECT_GE(served.totals.p99_latency_ms, served.totals.p50_latency_ms);
+  EXPECT_GE(served.totals.peak_backlog, 1u);
+  // Every stage body ran at least once, so every stage accumulated time.
+  for (std::size_t i = 0; i < core::kStageCount; ++i) {
+    EXPECT_GT(served.totals.stage_seconds[i], 0.0)
+        << core::stage_name(static_cast<core::Stage>(i));
+  }
   std::size_t per_shard = 0;
   std::size_t shard_jobs = 0;
   for (const auto& s : served.shards) {
@@ -409,6 +449,181 @@ TEST(ShardedMonitor, RunTwiceThrows) {
   ShardedMonitor fleet(jobs, method, config);
   fleet.run();
   EXPECT_THROW(fleet.run(), std::invalid_argument);
+}
+
+// ---- stage errors -----------------------------------------------------------
+
+struct RefitFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Forwards to a real predictor, except that its refit throws at one
+// checkpoint.
+class FailingRefit : public core::StragglerPredictor {
+ public:
+  FailingRefit(std::unique_ptr<core::StragglerPredictor> inner,
+               std::size_t fail_at)
+      : inner_(std::move(inner)), fail_at_(fail_at) {}
+
+  std::string name() const override { return inner_->name(); }
+  core::Privilege privilege() const override { return inner_->privilege(); }
+  void initialize(const core::JobContext& context) override {
+    inner_->initialize(context);
+  }
+  std::vector<std::size_t> predict_stragglers(
+      const trace::CheckpointView& view,
+      std::span<const std::size_t> candidates) override {
+    return inner_->predict_stragglers(view, candidates);
+  }
+  bool staged() const override { return inner_->staged(); }
+  void featurize_checkpoint(const trace::CheckpointView& view) override {
+    inner_->featurize_checkpoint(view);
+  }
+  void refit_checkpoint(const trace::CheckpointView& view,
+                        std::span<const std::size_t> candidates) override {
+    if (view.index() == fail_at_) throw RefitFailure("refit failed");
+    inner_->refit_checkpoint(view, candidates);
+  }
+
+ private:
+  std::unique_ptr<core::StragglerPredictor> inner_;
+  std::size_t fail_at_;
+};
+
+// A refit that throws mid-stream makes run() rethrow that error — after
+// draining, never hanging — on the inline serialized loop, the DAG, and a
+// multi-shard fleet.
+TEST(ShardedMonitor, StageErrorSurfacesFromRun) {
+  const auto jobs = generated_jobs(4, 8);
+  const auto inner = core::predictor_by_name("HBOS", tuned(true));
+  const core::NamedPredictor failing{
+      "HBOS-failing", [make = inner.make] {
+        return std::make_unique<FailingRefit>(make(), /*fail_at=*/2);
+      }};
+  for (const auto& [shards, workers] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{1, 1}, {1, 4},
+                                                        {4, 1}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards) +
+                 " workers=" + std::to_string(workers));
+    ShardedMonitorConfig config;
+    config.shards = shards;
+    config.threads = workers;
+    ShardedMonitor fleet(jobs, failing, config);
+    EXPECT_THROW(fleet.run(), RefitFailure);
+  }
+}
+
+// ---- live cluster feed ------------------------------------------------------
+
+sched::ClusterConfig small_pool_config() {
+  sched::ClusterConfig config;
+  config.machines = 4;
+  config.reclaim_releases = true;  // the regime where the pool binds
+  return config;
+}
+
+void expect_cluster_identical(const sched::ClusterResult& a,
+                              const sched::ClusterResult& b) {
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  for (std::size_t j = 0; j < a.jobs.size(); ++j) {
+    EXPECT_DOUBLE_EQ(a.jobs[j].mitigated_jct, b.jobs[j].mitigated_jct);
+    EXPECT_DOUBLE_EQ(a.jobs[j].completion, b.jobs[j].completion);
+    EXPECT_EQ(a.jobs[j].relaunched, b.jobs[j].relaunched);
+    EXPECT_EQ(a.jobs[j].waited, b.jobs[j].waited);
+    EXPECT_EQ(a.jobs[j].noop_flags, b.jobs[j].noop_flags);
+  }
+  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.relaunched, b.relaunched);
+  EXPECT_EQ(a.waited, b.waited);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.peak_waiting, b.peak_waiting);
+}
+
+// Reference for the live path: a live-mode engine fed every flag up front
+// (watermark never advanced until finish), which by the engine's
+// determinism contract must equal any interleaved advance schedule.
+sched::ClusterResult posted_upfront(std::span<const trace::Job> jobs,
+                                    const ShardedMonitor& monitor,
+                                    std::span<const eval::JobRunResult> runs,
+                                    std::uint64_t seed) {
+  auto config = small_pool_config();
+  const auto times = monitor.arrivals();
+  config.arrivals =
+      sched::fixed_arrivals(std::vector<double>(times.begin(), times.end()));
+  Rng rng(seed);
+  sched::ClusterEngine engine(jobs, config, rng);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (std::size_t i = 0; i < runs[j].flagged_at.size(); ++i) {
+      if (runs[j].flagged_at[i] != eval::kNeverFlagged) {
+        engine.post_flag(j, i, runs[j].flagged_at[i]);
+      }
+    }
+  }
+  return engine.finish();
+}
+
+ShardedMonitorConfig live_config(std::size_t shards, std::size_t workers,
+                                 std::uint64_t arrival_seed) {
+  ShardedMonitorConfig config;
+  config.shards = shards;
+  config.threads = workers;
+  config.arrivals = sched::poisson_arrivals(0.02);
+  config.arrival_seed = arrival_seed;
+  return config;
+}
+
+TEST(LiveClusterFeed, MatchesFlagsPostedUpfront) {
+  const auto jobs = generated_jobs(5, /*seed=*/7);
+  const auto method = core::predictor_by_name("HBOS", tuned(true));
+  const std::uint64_t seed = 29;
+
+  ShardedMonitor monitor(jobs, method, live_config(1, 1, 13));
+  LiveClusterFeed feed(jobs, small_pool_config(), monitor, seed);
+  monitor.set_sink(feed.sink());
+  const auto served = monitor.run();
+  const auto live = feed.finish();
+
+  const auto reference = posted_upfront(jobs, monitor, served.runs, seed);
+  expect_cluster_identical(live, reference);
+  EXPECT_GT(live.relaunched, 0u);  // the scenario actually exercises flags
+}
+
+TEST(LiveClusterFeed, ShardAndThreadCountDoNotChangeTheCluster) {
+  const auto jobs = generated_jobs(5, /*seed=*/9);
+  const auto method = core::predictor_by_name("HBOS", tuned(true));
+  const std::uint64_t seed = 31;
+
+  auto run_at = [&](std::size_t shards, std::size_t workers) {
+    ShardedMonitor monitor(jobs, method, live_config(shards, workers, 19));
+    LiveClusterFeed feed(jobs, small_pool_config(), monitor, seed);
+    monitor.set_sink(feed.sink());
+    monitor.run();
+    return feed.finish();
+  };
+
+  const auto serial = run_at(1, 1);
+  {
+    SCOPED_TRACE("1 shard x 4 workers");
+    expect_cluster_identical(serial, run_at(1, 4));
+  }
+  {
+    SCOPED_TRACE("4 shards x 1 worker");
+    expect_cluster_identical(serial, run_at(4, 1));
+  }
+}
+
+// The fleet's watermark runs in admission time and the cluster places flags
+// at eligible time; a quota deferral splits the two, so the feed refuses
+// such a plan at construction instead of failing mid-run.
+TEST(LiveClusterFeed, RejectsAPlanWithQuotaDeferrals) {
+  const auto jobs = generated_jobs(3, /*seed=*/10);
+  const auto method = core::predictor_by_name("HBOS", tuned(true));
+  auto config = live_config(1, 1, 23);
+  config.tenants = {TenantSpec{"metered", QoS::kBatch, 1e-4, 0.5}};
+  ShardedMonitor monitor(jobs, method, config);
+  ASSERT_GT(monitor.plan().deferred_events, 0u);
+  EXPECT_THROW(LiveClusterFeed(jobs, small_pool_config(), monitor, 1),
+               std::invalid_argument);
 }
 
 }  // namespace
