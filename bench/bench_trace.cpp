@@ -9,15 +9,16 @@
 //   * stored row-versions vs the T·n dense rows they replace;
 //   * trace-generation throughput, serial vs thread-pool fan-out, with a
 //     bit-identity spot check between the two runs;
-//   * replay throughput: walking every checkpoint view and touching every
-//     task's current row, in rows/s and effective GB/s.
+//   * replay throughput: one CheckpointView per job, rebound forward through
+//     every checkpoint, touching every task's current row, in rows/s and
+//     effective GB/s.
 #include <chrono>
 #include <iostream>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "trace/replay.h"
+#include "trace/checkpoint_view.h"
 
 namespace {
 
@@ -107,15 +108,14 @@ int main(int argc, char** argv) {
               << "x, outputs bit-identical: " << (identical ? "yes" : "NO")
               << "\n\n";
 
-    // --- Replay throughput -------------------------------------------------
+    // --- Checkpoint-walk (replay) throughput ------------------------------
     const auto start = Clock::now();
     double checksum = 0.0;
     std::size_t rows_read = 0;
     for (const auto& job : jobs) {
-      trace::Replay replay(job);
-      while (replay.has_next()) {
-        replay.advance();
-        const auto& view = replay.view();
+      trace::CheckpointView view(job.trace, 0);
+      for (std::size_t t = 0; t < job.checkpoint_count(); ++t) {
+        view.rebind(t);
         for (std::size_t i = 0; i < view.task_count(); ++i) {
           checksum += view.row(i)[0];
           ++rows_read;

@@ -54,8 +54,7 @@ void OnlineJobRun::featurize(std::size_t t, CheckpointScratch* scratch,
   ++featurized_through_;
   if (shed) return;  // cursor advances; no view bind, no block staging
   // Bind the checkpoint view into the cell — rebinding in place once bound,
-  // reusing the partition capacity, the same forward-only stream the old
-  // Replay cursor produced.
+  // reusing the partition capacity.
   if (scratch->view.has_value() && &scratch->view->store() == &job_->trace) {
     scratch->view->rebind(t);
   } else {

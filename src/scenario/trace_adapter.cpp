@@ -402,6 +402,8 @@ void save_foreign_csv(const std::string& path, const trace::Job& job,
     throw std::runtime_error("cannot open '" + path + "' for writing");
   }
   write_foreign_csv(out, job, map);
+  out.flush();
+  if (!out) throw std::runtime_error("write failed: " + path);
 }
 
 std::string shift_decimal_exponent(const std::string& value, int power10) {

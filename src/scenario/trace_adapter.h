@@ -145,8 +145,9 @@ IngestResult load_foreign_csv(const std::string& path, const ColumnMap& map,
 void write_foreign_csv(std::ostream& out, const trace::Job& job,
                        const ColumnMap& map);
 
-/// File-path convenience wrapper. Throws std::runtime_error if the path
-/// cannot be opened for writing.
+/// File-path convenience wrapper — how a generated job is persisted. Throws
+/// std::runtime_error if the path cannot be opened for writing or if any
+/// write (including the final flush) fails.
 void save_foreign_csv(const std::string& path, const trace::Job& job,
                       const ColumnMap& map);
 

@@ -106,8 +106,8 @@ class CheckpointView {
   }
 
   /// Re-points a columnar-backed view at checkpoint `t` of the same store,
-  /// reusing the partition vectors' capacity — the replay cursor's advance
-  /// path, which would otherwise reallocate the partition every step.
+  /// reusing the partition vectors' capacity — how a forward walk over a
+  /// job's checkpoints avoids reallocating the partition every step.
   void rebind(std::size_t t);
 
  private:

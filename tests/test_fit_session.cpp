@@ -23,7 +23,6 @@
 #include "ml/gbt.h"
 #include "ml/logistic.h"
 #include "trace/generator.h"
-#include "trace/replay.h"
 
 namespace nurd {
 namespace {
@@ -85,17 +84,17 @@ TEST(FitSession, IncrementalSnapshotIsBitwiseIdenticalToRebuild) {
   const auto jobs = small_jobs(1);
   const auto& job = jobs.front();
   FitSession session(RefitPolicy::kIncremental);
-  trace::Replay replay(job);
-  while (replay.has_next()) {
-    replay.advance();
-    session.observe(replay.view());
+  trace::CheckpointView view(job.trace, 0);
+  for (std::size_t t = 0; t < job.checkpoint_count(); ++t) {
+    view.rebind(t);
+    session.observe(view);
     Matrix ref;
-    replay.view().snapshot(&ref);
+    view.snapshot(&ref);
     const Matrix& snap = session.snapshot();
     ASSERT_EQ(snap.rows(), ref.rows());
     EXPECT_TRUE(std::equal(snap.flat().begin(), snap.flat().end(),
                            ref.flat().begin()))
-        << "checkpoint " << replay.current_index();
+        << "checkpoint " << t;
   }
 }
 

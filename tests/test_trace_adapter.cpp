@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -330,6 +331,23 @@ TEST(TraceAdapter, UnreadablePathFailsCleanly) {
       load_foreign_csv("/nonexistent/no-such-file.csv", tiny_map());
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.error.empty());
+}
+
+TEST(TraceAdapter, SaveReloadsBitIdenticalAndReportsWriteFailure) {
+  const auto job = make_google_job();
+  const auto map = google_task_events_columns(job.feature_count());
+  const std::string path = ::testing::TempDir() + "nurd_saved_job.csv";
+  save_foreign_csv(path, job, map);
+  const auto back = load_foreign_csv(path, map, "from-disk");
+  ASSERT_TRUE(back.ok) << back.error;
+  EXPECT_EQ(back.job.id, "from-disk");
+  EXPECT_TRUE(stores_bitwise_equal(job.trace, back.job.trace));
+  std::remove(path.c_str());
+
+  // A device that accepts the open but fails every write: the save must
+  // throw rather than leave a silently truncated file behind.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(save_foreign_csv("/dev/full", job, map), std::runtime_error);
 }
 
 }  // namespace

@@ -201,14 +201,47 @@ TEST(TraceStore, ColumnarBeatsMaterializedMemoryOnGeneratedJobs) {
   }
 }
 
+Job generated_job(std::size_t tasks) {
+  auto c = GoogleLikeGenerator::google_defaults();
+  c.min_tasks = tasks;
+  c.max_tasks = tasks;
+  GoogleLikeGenerator gen(c);
+  return gen.generate(1)[0];
+}
+
+// Walks every checkpoint with one rebound view: horizons rise, the finished
+// fraction never falls, and only finished latencies are revealed — so a
+// task running at the first checkpoint is hidden until it finishes.
 TEST(CheckpointViewTest, EnforcesOnlineDiscipline) {
-  const auto store = tiny_store();
-  const CheckpointView view(store, 1);
-  for (auto i : view.finished()) {
-    EXPECT_DOUBLE_EQ(view.revealed_latency(i), store.latency(i));
-  }
-  for (auto i : view.running()) {
-    EXPECT_THROW(view.revealed_latency(i), std::invalid_argument);
+  const auto tiny = tiny_store();
+  const auto job = generated_job(100);
+  for (const TraceStore* store : {&tiny, &job.trace}) {
+    CheckpointView view(*store, 0);
+    const auto last = store->checkpoint_count() - 1;
+    std::size_t late = store->task_count();
+    for (auto i : view.running()) {
+      if (store->latency(i) <= store->tau_run(last)) {
+        late = i;
+        break;
+      }
+    }
+    ASSERT_LT(late, store->task_count());
+    double prev_tau = -1.0;
+    double prev_fraction = -1.0;
+    for (std::size_t t = 0; t <= last; ++t) {
+      view.rebind(t);
+      EXPECT_GT(view.tau_run(), prev_tau);
+      EXPECT_GE(view.finished_fraction(), prev_fraction);
+      prev_tau = view.tau_run();
+      prev_fraction = view.finished_fraction();
+      for (auto i : view.finished()) {
+        EXPECT_DOUBLE_EQ(view.revealed_latency(i), store->latency(i));
+      }
+      for (auto i : view.running()) {
+        EXPECT_THROW(view.revealed_latency(i), std::invalid_argument);
+      }
+    }
+    EXPECT_DOUBLE_EQ(view.revealed_latency(late), store->latency(late));
   }
 }
 
@@ -252,10 +285,53 @@ TEST(CheckpointViewTest, RebindAdvancesWithoutLosingThePartition) {
   EXPECT_EQ(view.index(), 2u);
   EXPECT_EQ(vec(view.finished()), store.finished(2));
   EXPECT_EQ(vec(view.running()), store.running(2));
+  // Rows come straight from the store's version data — no copies.
+  for (std::size_t i = 0; i < store.task_count(); ++i) {
+    EXPECT_EQ(view.row(i).data(), store.row(2, i).data());
+  }
   // Dense-backed views are snapshot-bound and must not rebind.
   const Matrix snap = store.materialize(1);
   CheckpointView dense(store, 1, snap);
   EXPECT_THROW(dense.rebind(2), std::invalid_argument);
+}
+
+// The serving layer's pattern: many jobs' views rebound in an interleaved
+// order, sharing gather scratch. Each view must stay a pure function of (its
+// store, its checkpoint) — nothing may bleed across views through the shared
+// scratch or the rebind path.
+TEST(CheckpointViewTest, InterleavedRebindsStayIndependent) {
+  const Job jobs[] = {generated_job(60), generated_job(90)};
+  CheckpointView views[] = {{jobs[0].trace, 0}, {jobs[1].trace, 0}};
+  std::size_t next[] = {0, 0};
+  Matrix scratch;
+  nurd::AlignedVector<double> lat_scratch;
+  // Job 0 advances every turn and job 1 every second turn, until both end.
+  for (std::size_t turn = 0;; ++turn) {
+    const bool a_left = next[0] < jobs[0].checkpoint_count();
+    const bool b_left = next[1] < jobs[1].checkpoint_count();
+    if (!a_left && !b_left) break;
+    const std::size_t k = a_left && (turn % 2 == 0 || !b_left) ? 0 : 1;
+    const std::size_t t = next[k]++;
+    CheckpointView& view = views[k];
+    view.rebind(t);
+
+    const auto expected = jobs[k].checkpoint(t);
+    EXPECT_DOUBLE_EQ(view.tau_run(), expected.tau_run());
+    const auto fin = view.finished();
+    ASSERT_EQ(vec(fin), vec(expected.finished()));
+    ASSERT_EQ(vec(view.running()), vec(expected.running()));
+    view.gather_rows(fin, &scratch);
+    for (std::size_t r = 0; r < fin.size(); ++r) {
+      const auto row = expected.row(fin[r]);
+      for (std::size_t d = 0; d < view.feature_count(); ++d) {
+        ASSERT_EQ(scratch(r, d), row[d]) << "row bled across views";
+      }
+    }
+    view.finished_latencies(&lat_scratch);
+    for (std::size_t r = 0; r < fin.size(); ++r) {
+      ASSERT_EQ(lat_scratch[r], jobs[k].latency(fin[r]));
+    }
+  }
 }
 
 TEST(CheckpointViewTest, FinishedLatenciesInFinishedOrder) {
