@@ -6,48 +6,50 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "common/matrix.h"
-#include "common/stats.h"
 #include "kernel/kernel.h"
 
 namespace nurd {
 
-template <typename Range>
-void Histogram::init(const Range& values, std::size_t bins) {
-  const auto [mn, mx] = std::minmax_element(values.begin(), values.end());
-  lo_ = *mn;
-  hi_ = *mx;
+Histogram::Histogram(std::span<const double> values, std::size_t bins,
+                     std::span<std::uint32_t> codes) {
+  NURD_CHECK(!values.empty(), "histogram of empty sample");
+  NURD_CHECK(bins > 0, "histogram needs at least one bin");
+  NURD_CHECK(codes.empty() || codes.size() == values.size(),
+             "histogram code buffer must match the sample size");
+  // One scan for the range and finiteness: the first minimum and the last
+  // maximum, as std::minmax_element picks them.
+  double mn = values[0];
+  double mx = values[0];
+  bool finite = true;
+  for (const double v : values) {
+    finite &= std::isfinite(v);
+    if (v < mn) mn = v;
+    if (v >= mx) mx = v;
+  }
+  NURD_CHECK(finite, "histogram of a non-finite sample");
+  lo_ = mn;
+  hi_ = mx;
   n_ = values.size();
   if (hi_ - lo_ <= 0.0) {
     counts_.assign(1, n_);
     width_ = 1.0;
     hi_ = lo_ + 1.0;
+    std::fill(codes.begin(), codes.end(), 0u);
     return;
   }
   counts_.assign(bins, 0);
   width_ = (hi_ - lo_) / static_cast<double>(bins);
-  // Batched binning: gather the (possibly strided) range into contiguous
-  // scratch, one kernel bin_index call over the whole block, then count.
+  // One kernel bin_index call over the whole block, then count.
   // kernel::bin_index implements exactly bin_of's clamp-and-truncate, so
-  // build-time and query-time binning still cannot diverge.
-  std::vector<double> scratch(values.begin(), values.end());
-  std::vector<std::uint32_t> idx(scratch.size());
-  kernel::ops().bin_index(scratch.data(), scratch.size(), lo_, hi_, width_,
-                          counts_.size(), idx.data());
-  for (const auto b : idx) ++counts_[b];
-}
-
-Histogram::Histogram(std::span<const double> values, std::size_t bins) {
-  NURD_CHECK(!values.empty(), "histogram of empty sample");
-  NURD_CHECK(bins > 0, "histogram needs at least one bin");
-  init(values, bins);
-}
-
-Histogram::Histogram(const Matrix& x, std::size_t column, std::size_t bins) {
-  const ColView values = x.col_view(column);
-  NURD_CHECK(!values.empty(), "histogram of empty sample");
-  NURD_CHECK(bins > 0, "histogram needs at least one bin");
-  init(values, bins);
+  // build-time and query-time binning cannot diverge.
+  std::vector<std::uint32_t> own;
+  if (codes.empty()) {
+    own.resize(values.size());
+    codes = own;
+  }
+  kernel::ops().bin_index(values.data(), values.size(), lo_, hi_, width_,
+                          counts_.size(), codes.data());
+  for (const auto b : codes) ++counts_[b];
 }
 
 std::size_t Histogram::bin_of(double value) const {
@@ -57,8 +59,8 @@ std::size_t Histogram::bin_of(double value) const {
   return std::min(b, counts_.size() - 1);
 }
 
-double Histogram::density(double value, double epsilon) const {
-  const double d = static_cast<double>(counts_[bin_of(value)]) /
+double Histogram::bin_density(std::size_t b, double epsilon) const {
+  const double d = static_cast<double>(counts_[b]) /
                    (static_cast<double>(n_) * width_);
   return std::max(d, epsilon);
 }

@@ -27,14 +27,19 @@ double stddev(std::span<const double> v) { return std::sqrt(variance(v)); }
 double percentile(std::span<const double> v, double p) {
   NURD_CHECK(!v.empty(), "percentile of empty span");
   NURD_CHECK(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
-  std::vector<double> s(v.begin(), v.end());
-  std::sort(s.begin(), s.end());
-  if (s.size() == 1) return s[0];
-  const double pos = p / 100.0 * static_cast<double>(s.size() - 1);
+  if (v.size() == 1) return v[0];
+  const double pos = p / 100.0 * static_cast<double>(v.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(pos));
   const auto hi = static_cast<std::size_t>(std::ceil(pos));
   const double frac = pos - static_cast<double>(lo);
-  return s[lo] + (s[hi] - s[lo]) * frac;
+  // Only the order statistics at lo and hi are needed: select the lo-th, and
+  // the (lo+1)-th is then the smallest of the tail nth_element leaves after it.
+  std::vector<double> s(v.begin(), v.end());
+  std::nth_element(s.begin(), s.begin() + lo, s.end());
+  const double at_lo = s[lo];
+  const double at_hi =
+      hi == lo ? at_lo : *std::min_element(s.begin() + hi, s.end());
+  return at_lo + (at_hi - at_lo) * frac;
 }
 
 double min_value(std::span<const double> v) {

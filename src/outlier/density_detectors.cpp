@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/check.h"
 #include "common/histogram.h"
@@ -15,11 +17,20 @@ void HbosDetector::fit(const Matrix& x) {
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
   scores_.assign(n, 0.0);
+  // Bin each value once and take one log per bin: score[i] gains
+  // −log(bin_density(code[i])), which is −log(density(x(i, f))) bit for bit.
+  std::vector<double> column(n);
+  std::vector<std::uint32_t> codes(n);
+  std::vector<double> neg_log_density;
   for (std::size_t f = 0; f < d; ++f) {
-    const auto col = x.col_view(f);
-    const Histogram hist(x, f, bins_);
+    for (std::size_t i = 0; i < n; ++i) column[i] = x(i, f);
+    const Histogram hist(column, bins_, codes);
+    neg_log_density.resize(hist.bin_count());
+    for (std::size_t b = 0; b < hist.bin_count(); ++b) {
+      neg_log_density[b] = -std::log(hist.bin_density(b));
+    }
     for (std::size_t i = 0; i < n; ++i) {
-      scores_[i] += -std::log(hist.density(col[i]));
+      scores_[i] += neg_log_density[codes[i]];
     }
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
 
@@ -144,6 +145,34 @@ TEST(ContaminationThreshold, FlagsExpectedFraction) {
   // The highest scores are the flagged ones.
   EXPECT_EQ(labels[99], 1);
   EXPECT_EQ(labels[0], 0);
+}
+
+TEST(ContaminationThreshold, EqualsSortedQuantile) {
+  // The threshold is the numpy-linear 100·(1 − contamination) percentile of
+  // the scores, computed here from a fully sorted copy.
+  Rng rng(312);
+  for (std::size_t n = 1; n <= 300; n += 7) {
+    std::vector<double> scores(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      scores[i] = i % 3 == 0 ? std::floor(rng.uniform(0.0, 3.0))
+                             : rng.exponential(1.0);
+    }
+    std::vector<double> sorted = scores;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double c : {0.001, 0.05, 0.1, 0.5, 0.9}) {
+      double expected = sorted[0];
+      if (n > 1) {
+        const double pos =
+            100.0 * (1.0 - c) / 100.0 * static_cast<double>(n - 1);
+        const auto lo = static_cast<std::size_t>(std::floor(pos));
+        const auto hi = static_cast<std::size_t>(std::ceil(pos));
+        expected = sorted[lo] + (sorted[hi] - sorted[lo]) *
+                                    (pos - static_cast<double>(lo));
+      }
+      EXPECT_EQ(contamination_threshold(scores, c), expected)
+          << "n=" << n << " contamination=" << c;
+    }
+  }
 }
 
 TEST(ContaminationThreshold, RejectsBadInput) {

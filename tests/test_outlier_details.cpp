@@ -2,8 +2,11 @@
 // planted-outlier suite in test_outlier.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "common/histogram.h"
 #include "common/rng.h"
 #include "outlier/density_detectors.h"
 #include "outlier/knn_detectors.h"
@@ -67,6 +70,49 @@ TEST(HbosDetail, ScoreIsAdditiveAcrossIndependentFeatures) {
   HbosDetector det;
   det.fit(x);
   EXPECT_GT(det.scores()[101], det.scores()[100]);
+}
+
+// HBOS as the per-row formula: Σ_f −log(density(x(i, f))) over a histogram
+// of column f. HbosDetector bins once and reads a per-bin table instead; the
+// scores must not change by a single bit.
+std::vector<double> per_row_density_reference(const Matrix& x,
+                                              std::size_t bins) {
+  std::vector<double> ref(x.rows(), 0.0);
+  std::vector<double> col(x.rows());
+  for (std::size_t f = 0; f < x.cols(); ++f) {
+    for (std::size_t i = 0; i < x.rows(); ++i) col[i] = x(i, f);
+    const Histogram hist(col, bins);
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      ref[i] += -std::log(hist.density(x(i, f)));
+    }
+  }
+  return ref;
+}
+
+TEST(HbosDetail, ScoresBitwiseEqualPerRowDensityReference) {
+  Rng rng(204);
+  for (const std::size_t n : {1u, 2u, 17u, 257u}) {
+    // Columns: spread, constant, heavy duplicates, a long tail, and a clamp
+    // that puts many values exactly at the column max.
+    Matrix x(n, 5);
+    for (std::size_t i = 0; i < n; ++i) {
+      x(i, 0) = rng.normal();
+      x(i, 1) = 4.0;
+      x(i, 2) = std::floor(rng.uniform(0.0, 3.0));
+      x(i, 3) = rng.lognormal(0.0, 2.0);
+      x(i, 4) = std::min(rng.normal(), 0.25);
+    }
+    for (const std::size_t bins : {1u, 10u, 37u}) {
+      HbosDetector det(bins);
+      det.fit(x);
+      const auto ref = per_row_density_reference(x, bins);
+      ASSERT_EQ(det.scores().size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(det.scores()[i], ref[i])
+            << "n=" << n << " bins=" << bins << " row=" << i;
+      }
+    }
+  }
 }
 
 TEST(McdDetail, RobustToContaminationClump) {

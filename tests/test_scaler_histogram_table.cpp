@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "common/histogram.h"
+#include "common/rng.h"
 #include "common/scaler.h"
 #include "common/table.h"
 
@@ -94,6 +100,47 @@ TEST(Histogram, DensityFloorKeepsLogFinite) {
 
 TEST(Histogram, RejectsEmptyInput) {
   EXPECT_THROW(Histogram({}, 4), std::invalid_argument);
+}
+
+TEST(Histogram, RejectsNonFiniteSample) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using Sample = std::vector<double>;
+  EXPECT_THROW(Histogram(Sample{nan, 1.0, 2.0}, 4), std::invalid_argument);
+  EXPECT_THROW(Histogram(Sample{1.0, nan, 2.0}, 4), std::invalid_argument);
+  EXPECT_THROW(Histogram(Sample{1.0, inf}, 4), std::invalid_argument);
+}
+
+TEST(Histogram, CodesAreBinOfAndBinDensityIsDensity) {
+  Rng rng(313);
+  for (const std::size_t n : {1u, 2u, 9u, 100u}) {
+    for (const std::size_t bins : {1u, 3u, 10u, 37u}) {
+      std::vector<double> spread(n);
+      std::vector<double> duplicated(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        spread[i] = rng.normal();
+        duplicated[i] = std::floor(rng.uniform(0.0, 3.0));
+      }
+      const std::vector<double> constant(n, 2.5);
+      const std::vector<double>* samples[] = {&spread, &duplicated,
+                                              &constant};
+      for (const auto* v : samples) {
+        std::vector<std::uint32_t> codes(n, 99u);
+        const Histogram h(*v, bins, codes);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double x = (*v)[i];
+          EXPECT_EQ(codes[i], h.bin_of(x)) << "n=" << n << " bins=" << bins;
+          EXPECT_EQ(h.bin_density(h.bin_of(x)), h.density(x));
+        }
+        for (const double probe : {h.lo() - 1.0, h.hi(), h.hi() + 1.0}) {
+          EXPECT_EQ(h.bin_density(h.bin_of(probe)), h.density(probe));
+        }
+      }
+    }
+  }
+  const std::vector<double> v{0.0, 1.0, 2.0};
+  std::vector<std::uint32_t> short_codes(2);
+  EXPECT_THROW(Histogram(v, 4, short_codes), std::invalid_argument);
 }
 
 TEST(Histogram, AsciiHasOneLinePerBin) {

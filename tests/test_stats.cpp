@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace nurd {
 namespace {
@@ -43,6 +46,36 @@ TEST(Stats, PercentileRejectsEmptyAndBadP) {
   const std::vector<double> v{1.0};
   EXPECT_THROW(percentile(v, -1.0), std::invalid_argument);
   EXPECT_THROW(percentile(v, 101.0), std::invalid_argument);
+}
+
+// numpy-linear percentile read off a fully sorted copy: the definition that
+// percentile's selection must reproduce exactly.
+double sorted_percentile(std::vector<double> s, double p) {
+  std::sort(s.begin(), s.end());
+  if (s.size() == 1) return s[0];
+  const double pos = p / 100.0 * static_cast<double>(s.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  const auto hi = static_cast<std::size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo);
+  return s[lo] + (s[hi] - s[lo]) * frac;
+}
+
+TEST(Stats, PercentileEqualsSortedReference) {
+  Rng rng(311);
+  for (std::size_t n = 1; n <= 300; ++n) {
+    std::vector<double> spread(n);
+    std::vector<double> duplicated(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      spread[i] = rng.normal();
+      duplicated[i] = std::floor(rng.uniform(0.0, 4.0));
+    }
+    for (const double p : {0.0, 10.0, 50.0, 90.0, 99.9, 100.0}) {
+      EXPECT_EQ(percentile(spread, p), sorted_percentile(spread, p))
+          << "n=" << n << " p=" << p;
+      EXPECT_EQ(percentile(duplicated, p), sorted_percentile(duplicated, p))
+          << "n=" << n << " p=" << p << " (duplicates)";
+    }
+  }
 }
 
 TEST(Stats, MinMaxMedian) {
