@@ -5,12 +5,11 @@
 //   $ ./bench_refit [--jobs=16] [--dataset=google|alibaba|both]
 //                   [--min-tasks=100] [--max-tasks=400] [--checkpoints=10]
 //                   [--methods=NURD,NURD-NC,GBTR,Grabit] [--check=0]
-//                   [--backend=reference|avx2|auto] [--json=<path>]
+//                   [--backend=reference|avx2|auto]
 //
 // --backend pins the kernel-dispatch backend every refit runs under
 // (default: the library's env-resolved default); the active backend is
-// named in the output header so timings are attributable. --json writes the
-// per-method results machine-readably (the CI bench artifact).
+// named in the output header so timings are attributable.
 //
 // Defaults mirror the Table-3 evaluation protocol (the regime every warm
 // knob is tuned against); --min-tasks/--max-tasks/--checkpoints scale the
@@ -27,7 +26,9 @@
 //
 // --check=1 (the CI smoke mode) exits non-zero unless the late-checkpoint
 // ratio is >= 3 and |macro-F1 drift| <= 0.01 for every method on both tuned
-// configs — the acceptance bar for the incremental refit path.
+// configs — the acceptance bar for the incremental refit path. A check
+// that covered no (dataset, method) cell fails too, and an unknown
+// --dataset exits 2.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -128,7 +129,6 @@ int main(int argc, char** argv) {
   const auto methods =
       bench::split_csv(bench::arg_string(argc, argv, "methods",
                                   "NURD,NURD-NC,GBTR,Grabit"));
-  const auto json_path = bench::arg_string(argc, argv, "json", "");
 
   std::vector<bench::Dataset> datasets;
   if (which == "google" || which == "both") {
@@ -136,6 +136,11 @@ int main(int argc, char** argv) {
   }
   if (which == "alibaba" || which == "both") {
     datasets.push_back(bench::Dataset::kAlibaba);
+  }
+  if (datasets.empty()) {
+    std::fprintf(stderr, "unknown --dataset=%s (google|alibaba|both)\n",
+                 which.c_str());
+    return 2;
   }
 
   const auto make_scaled_jobs = [&](bench::Dataset dataset) {
@@ -153,14 +158,8 @@ int main(int argc, char** argv) {
     return trace::AlibabaLikeGenerator(config).generate(n_jobs);
   };
 
-  bench::JsonWriter json;
-  json.begin_object();
-  json.key("bench").value("refit");
-  json.key("jobs").value(n_jobs);
-  json.key("kernel_backend").value(kernel::backend_name());
-  json.key("datasets").begin_array();
-
   bool ok = true;
+  std::size_t cells = 0;
   for (const auto dataset : datasets) {
     const auto jobs = make_scaled_jobs(dataset);
     auto full_config = bench::tuned_config(dataset);
@@ -170,17 +169,12 @@ int main(int argc, char** argv) {
     std::printf("=== bench_refit — %s (%zu jobs, kernel backend: %s) ===\n",
                 bench::dataset_name(dataset), jobs.size(),
                 kernel::backend_name());
-    json.begin_object();
-    json.key("dataset").value(bench::dataset_name(dataset));
-    json.key("methods").begin_array();
     for (const auto& name : methods) {
-      const auto alloc_before = bench::alloc_stats();
       const auto full =
           run_policy(core::predictor_by_name(name, full_config), jobs);
-      const auto alloc_mid = bench::alloc_stats();
       const auto inc =
           run_policy(core::predictor_by_name(name, incremental_config), jobs);
-      const auto alloc_after = bench::alloc_stats();
+      ++cells;
 
       std::printf("--- %s ---\n", name.c_str());
       std::printf("  cp:   ");
@@ -205,24 +199,6 @@ int main(int argc, char** argv) {
           full.metrics.f1, inc.metrics.f1, drift,
           inc.metrics.tpr - full.metrics.tpr,
           inc.metrics.fpr - full.metrics.fpr);
-      std::printf(
-          "  allocations: full %zu (%.1f MiB), incremental %zu (%.1f MiB)\n",
-          alloc_mid.count - alloc_before.count,
-          static_cast<double>(alloc_mid.bytes - alloc_before.bytes) /
-              (1024.0 * 1024.0),
-          alloc_after.count - alloc_mid.count,
-          static_cast<double>(alloc_after.bytes - alloc_mid.bytes) /
-              (1024.0 * 1024.0));
-
-      json.begin_object();
-      json.key("method").value(name);
-      json.key("late_checkpoint_ms_full").value(1e3 * late_full);
-      json.key("late_checkpoint_ms_incremental").value(1e3 * late_inc);
-      json.key("late_checkpoint_ratio").value(ratio);
-      json.key("macro_f1_full").value(full.metrics.f1);
-      json.key("macro_f1_incremental").value(inc.metrics.f1);
-      json.key("macro_f1_drift").value(drift);
-      json.end_object();
 
       if (ratio < 3.0) {
         std::printf("  [check] FAIL: late-checkpoint ratio %.2fx < 3x\n",
@@ -234,16 +210,12 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    json.end_array();
-    json.end_object();
     std::printf("\n");
   }
-  json.end_array();
-  json.key("peak_rss_bytes").value(bench::peak_rss_bytes());
-  json.key("check_ok").value(ok);
-  json.end_object();
-  if (!json_path.empty() && !json.write_file(json_path)) return 1;
-  bench::print_resource_report("bench_refit");
+  if (check && cells == 0) {
+    std::printf("bench_refit --check: FAILED (no cell was checked)\n");
+    return 1;
+  }
   if (check && !ok) {
     std::printf("bench_refit --check: FAILED\n");
     return 1;

@@ -142,8 +142,6 @@ const KernelOps* table_of(Backend b) {
       return &kReferenceOps;
     case Backend::kAvx2:
       return detail::avx2_ops();
-    case Backend::kNeon:
-      return detail::neon_ops();
   }
   return nullptr;
 }
@@ -161,12 +159,9 @@ void init_from_env() {
       chosen = &kReferenceOps;
     } else if (std::strcmp(env, "auto") == 0) {
       chosen = table_of(best_available());
-    } else if (std::strcmp(env, "avx2") == 0 ||
-               std::strcmp(env, "neon") == 0) {
-      const Backend want =
-          std::strcmp(env, "avx2") == 0 ? Backend::kAvx2 : Backend::kNeon;
-      if (backend_available(want)) {
-        chosen = table_of(want);
+    } else if (std::strcmp(env, "avx2") == 0) {
+      if (backend_available(Backend::kAvx2)) {
+        chosen = table_of(Backend::kAvx2);
       } else {
         std::fprintf(stderr,
                      "nurd: NURD_KERNEL_BACKEND=%s not available on this "
@@ -176,7 +171,7 @@ void init_from_env() {
     } else {
       std::fprintf(stderr,
                    "nurd: unknown NURD_KERNEL_BACKEND=%s (want reference, "
-                   "avx2, neon, or auto); using reference\n",
+                   "avx2, or auto); using reference\n",
                    env);
     }
   }
@@ -210,15 +205,12 @@ bool backend_available(Backend b) {
       return t != nullptr;
 #endif
     }
-    case Backend::kNeon:
-      return detail::neon_ops() != nullptr;
   }
   return false;
 }
 
 Backend best_available() {
   if (backend_available(Backend::kAvx2)) return Backend::kAvx2;
-  if (backend_available(Backend::kNeon)) return Backend::kNeon;
   return Backend::kReference;
 }
 
@@ -234,7 +226,6 @@ void set_backend(Backend b) {
 Backend active_backend() {
   const KernelOps* p = active_table();
   if (p == detail::avx2_ops() && p != nullptr) return Backend::kAvx2;
-  if (p == detail::neon_ops() && p != nullptr) return Backend::kNeon;
   return Backend::kReference;
 }
 

@@ -20,13 +20,9 @@
 //     sums and sigmoid uses a vector exp, so results are tolerance-bound,
 //     not bit-equal. tests/test_kernel.cpp holds the AVX2 backend to those
 //     tolerances per primitive and end-to-end over all Table-3 methods.
-//   * kNeon — compile-time stub for aarch64 builds; currently forwards to
-//     the reference implementations so the dispatch plumbing (env override,
-//     bench columns, CI matrix) is exercised on ARM before tuned NEON
-//     kernels land.
 //
 // Selection: nurd::kernel::set_backend() programmatically, or the
-// NURD_KERNEL_BACKEND environment variable (reference | avx2 | neon | auto),
+// NURD_KERNEL_BACKEND environment variable (reference | avx2 | auto),
 // read once on first use. `auto` picks best_available(). Unset defaults to
 // reference — determinism first; benches and the CI matrix leg opt into
 // acceleration explicitly.
@@ -48,7 +44,6 @@ inline constexpr std::size_t kHistBinStride = 4;
 enum class Backend {
   kReference,  ///< scalar, bit-exact golden path (default)
   kAvx2,       ///< AVX2, runtime-detected, tolerance-bound reductions
-  kNeon,       ///< aarch64 stub (forwards to reference for now)
 };
 
 /// One backend's implementation of every primitive. All pointers may be
@@ -56,7 +51,7 @@ enum class Backend {
 /// alignment (common/aligned.h) is a throughput bonus, never a requirement.
 /// n == 0 is valid everywhere and touches no memory.
 struct KernelOps {
-  const char* name;  ///< "reference" | "avx2" | "neon"
+  const char* name;  ///< "reference" | "avx2"
 
   // ---- reductions (reference: sequential from `init` in index order) ----
   /// init + Σ a[i]·b[i]
@@ -123,10 +118,10 @@ const KernelOps& ops();
 const KernelOps& reference_ops();
 
 /// True when `b` can run on this build + CPU (kReference: always; kAvx2:
-/// x86-64 build and CPUID reports AVX2; kNeon: aarch64 build).
+/// x86-64 build and CPUID reports AVX2; any value outside the enum: never).
 bool backend_available(Backend b);
 
-/// The fastest available backend (avx2 > neon > reference).
+/// The fastest available backend (avx2 > reference).
 Backend best_available();
 
 /// Switches the process-global dispatch table. NURD_CHECK-fails when `b` is
@@ -141,10 +136,9 @@ Backend active_backend();
 const char* backend_name();
 
 namespace detail {
-/// Per-backend tables; nullptr when compiled out of this build. Runtime
+/// The AVX2 table; nullptr when compiled out of this build. Runtime
 /// availability is still gated by backend_available().
 const KernelOps* avx2_ops();
-const KernelOps* neon_ops();
 }  // namespace detail
 
 }  // namespace nurd::kernel

@@ -10,7 +10,7 @@
 // shift_rotation), the arrival factories, or the cluster engine
 // (sched/cluster.h: machine_classes / machine_mtbf / preemption_rate);
 // ScenarioSpec composes them declaratively and scenario_zoo() registers the
-// named scenarios bench_scenarios sweeps.
+// named scenarios.
 //
 // Scenarios are dataset-agnostic: time-like quantities are expressed in
 // units of the job set's MEAN COMPLETION TIME (arrival load = jobs per mean
@@ -23,8 +23,8 @@
 // seed, reps). make_jobs inherits the generator's serial-prefix fork
 // contract, evaluate_scenario inherits run_method's and
 // simulate_cluster_replicated's — outcomes are bit-identical at any thread
-// count, which is exactly what bench_scenarios --check and
-// tests/test_scenario.cpp pin.
+// count, which is exactly what tests/test_scenario.cpp pins (its
+// ScenarioGateSlow cases at the robustness table's own inputs).
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,5 @@
 #include "serve/placement.h"
 
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -61,15 +60,6 @@ PlacementPolicy tenant_affinity_placement() {
                                static_cast<std::uint64_t>(ctx.tenant + 1)));
     return open[h % open.size()];
   };
-}
-
-PlacementPolicy placement_by_name(const std::string& name) {
-  if (name == "hash") return hash_placement();
-  if (name == "least-loaded") return least_loaded_placement();
-  if (name == "affinity") return tenant_affinity_placement();
-  NURD_CHECK(false, "unknown placement policy (hash | least-loaded | "
-                    "affinity)");
-  return {};
 }
 
 }  // namespace nurd::serve

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
 
 namespace nurd::serve {
 
@@ -56,9 +55,5 @@ PlacementPolicy least_loaded_placement();
 /// open shards — every job of a tenant lands on the same shard while it is
 /// open, keeping a tenant's flag traffic on one engine.
 PlacementPolicy tenant_affinity_placement();
-
-/// Resolves a policy by name ("hash", "least-loaded", "affinity") — the
-/// bench/CLI entry point. Throws on unknown names.
-PlacementPolicy placement_by_name(const std::string& name);
 
 }  // namespace nurd::serve

@@ -22,7 +22,7 @@
 //
 // Memory per job is O(n·d + Σ_t |changed_t|·d) — bounded above by
 // O(n·d + Σ_t |running_t|·d) since frozen tasks never change — instead of
-// O(T·n·d). bench/bench_trace.cpp measures the ratio.
+// O(T·n·d). tests/test_trace_store.cpp checks the ratio on generated jobs.
 //
 // Build protocol: construct with the true latency vector, call
 // append_checkpoint() once per horizon in ascending τ order, then
@@ -143,7 +143,8 @@ class TraceStore {
 
   /// Bytes the seed's fully-materialized representation of the same trace
   /// would occupy: T dense n×d matrices plus per-checkpoint partition index
-  /// vectors. The "before" of bench_trace's before/after comparison.
+  /// vectors. The reference tests/test_trace_store.cpp holds memory_bytes()
+  /// against.
   std::size_t materialized_bytes() const;
 
  private:

@@ -379,13 +379,17 @@ TEST(KernelDispatch, SetBackendSwitchesTableAndName) {
 }
 
 TEST(KernelDispatch, UnavailableBackendIsRejected) {
-  // x86 builds have no NEON table; aarch64 builds have no AVX2 table. One of
-  // the two must be unavailable on any build, and selecting it must throw.
-  const Backend missing = detail::neon_ops() == nullptr
-                              ? Backend::kNeon
-                              : Backend::kAvx2;
-  if (backend_available(missing)) GTEST_SKIP() << "both tables present";
-  EXPECT_THROW(set_backend(missing), std::invalid_argument);
+  // A value outside the enum names no table on any host; selecting it must
+  // throw and leave the active table alone. Hosts without AVX2 must also
+  // refuse kAvx2.
+  set_backend(Backend::kReference);
+  const auto bogus = static_cast<Backend>(99);
+  EXPECT_FALSE(backend_available(bogus));
+  EXPECT_THROW(set_backend(bogus), std::invalid_argument);
+  EXPECT_EQ(&ops(), &reference_ops());
+  if (!avx2_ready()) {
+    EXPECT_THROW(set_backend(Backend::kAvx2), std::invalid_argument);
+  }
 }
 
 // ---------------------------------------------------------------------------

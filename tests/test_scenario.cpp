@@ -12,12 +12,18 @@
 //     running a relaunched copy releases EXACTLY its own pool slot
 //     (in_use -1, failed +1, free untouched) and the victim task requeues
 //     and completes once a donation refills the pool.
+//
+// The ScenarioGateSlow cases (ctest label: slow) hold the robustness
+// table's gates at its own inputs: no stranded task in any cell, the
+// kIncremental vs kFull macro-F1 gap under drift, and 1 vs 4 thread
+// bit-identity of the failures and drift cells.
 #include "scenario/scenario.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <set>
@@ -539,6 +545,90 @@ TEST(ScenarioConfig, NormalizedUnitsDenormalizeAgainstMeanJct) {
   EXPECT_THROW(make_cluster_config(baseline, 0, 100.0),
                std::invalid_argument);
   EXPECT_THROW(make_cluster_config(baseline, 10, 0.0), std::invalid_argument);
+}
+
+// ---- robustness gates (ctest label: slow) -----------------------------------
+
+// The robustness table's inputs: 16 jobs, 2 replications, seed 99, NURD and
+// GBTR, each family under its tuned config. Per-job macro-F1 is coarse, so
+// a smaller job set aliases a handful of flag flips into gaps several times
+// the real policy difference.
+constexpr std::size_t kGateJobs = 16;
+constexpr std::size_t kGateReps = 2;
+constexpr std::uint64_t kGateSeed = 99;
+constexpr TraceFamily kFamilies[] = {TraceFamily::kGoogle,
+                                     TraceFamily::kAlibaba};
+constexpr const char* kGateMethods[] = {"NURD", "GBTR"};
+
+core::RegistryConfig tuned_for(TraceFamily family) {
+  return family == TraceFamily::kGoogle ? core::google_tuned()
+                                        : core::alibaba_tuned();
+}
+
+// One robustness-table cell at the gate inputs.
+ScenarioOutcome gate_cell(const char* scenario, TraceFamily family,
+                          const core::NamedPredictor& method,
+                          std::size_t threads = 0) {
+  return evaluate_scenario(scenario_by_name(scenario), family, method,
+                           kGateJobs, kGateReps, kGateSeed, threads);
+}
+
+// Injected failures and drift never starve the pool for good: every cell
+// completes every task.
+TEST(ScenarioGateSlow, NoCellStrandsATask) {
+  for (const TraceFamily family : kFamilies) {
+    SCOPED_TRACE(family_name(family));
+    for (const char* name : {"baseline", "hetero", "failures", "drift"}) {
+      SCOPED_TRACE(name);
+      for (const char* method : kGateMethods) {
+        SCOPED_TRACE(method);
+        const auto m = core::predictor_by_name(method, tuned_for(family));
+        EXPECT_EQ(gate_cell(name, family, m).stranded, 0u);
+      }
+    }
+  }
+}
+
+// The warm-start refit path may not quietly rot when the feature
+// distribution rotates mid-stream: under drift, kIncremental's macro-F1
+// stays within 0.02 of kFull for each method on both tuned configs.
+TEST(ScenarioGateSlow, IncrementalRefitTracksFullUnderDrift) {
+  const auto& drift = scenario_by_name("drift");
+  for (const TraceFamily family : kFamilies) {
+    const auto jobs = make_jobs(drift, family, kGateJobs);
+    for (const char* method : kGateMethods) {
+      auto config = tuned_for(family);
+      config.refit = core::RefitPolicy::kFull;
+      const auto full_method = core::predictor_by_name(method, config);
+      config.refit = core::RefitPolicy::kIncremental;
+      const auto warm_method = core::predictor_by_name(method, config);
+      const double full = eval::evaluate_method(full_method, jobs).f1;
+      const double warm = eval::evaluate_method(warm_method, jobs).f1;
+      const double gap = std::abs(full - warm);
+      std::printf("drift %-7s %-4s full %.4f warm %.4f |d| %.4f\n",
+                  family_name(family), method, full, warm, gap);
+      EXPECT_LE(gap, 0.02) << family_name(family) << " " << method;
+    }
+  }
+}
+
+// The injection and drift machinery keeps the determinism contract end to
+// end: the failures and drift cells are bit-identical at 1 and 4 threads.
+TEST(ScenarioGateSlow, FailuresAndDriftCellsBitIdenticalAcrossThreadCounts) {
+  const auto method = core::predictor_by_name("NURD", core::google_tuned());
+  for (const char* name : {"failures", "drift"}) {
+    SCOPED_TRACE(name);
+    const auto serial = gate_cell(name, TraceFamily::kGoogle, method, 1);
+    const auto wide = gate_cell(name, TraceFamily::kGoogle, method, 4);
+    EXPECT_TRUE(bits_equal(serial.macro_f1, wide.macro_f1));
+    EXPECT_TRUE(bits_equal(serial.mean_reduction_pct, wide.mean_reduction_pct));
+    EXPECT_TRUE(bits_equal(serial.mean_makespan, wide.mean_makespan));
+    EXPECT_TRUE(bits_equal(serial.mean_jct, wide.mean_jct));
+    EXPECT_EQ(serial.relaunched, wide.relaunched);
+    EXPECT_EQ(serial.machine_failures, wide.machine_failures);
+    EXPECT_EQ(serial.preempted, wide.preempted);
+    EXPECT_EQ(serial.stranded, wide.stranded);
+  }
 }
 
 }  // namespace

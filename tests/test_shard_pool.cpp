@@ -235,19 +235,59 @@ TEST(ShardedMonitor, DrainRebalanceKeepsFlagSetBitIdentical) {
   }
 }
 
+// The flag-set gate at fleet scale, on the paper-default Google trace: GBTR
+// (10 rounds) on the Google config, hash placement, batch arrivals and 4
+// workers per shard. Per-job records and the flag set at 4 shards equal
+// those at 1 shard. 64 jobs run in tier-1 and 256 under the `slow` label.
+void expect_fleet_matches_one_shard(std::size_t job_count) {
+  trace::GoogleLikeGenerator gen(trace::GoogleLikeGenerator::google_defaults());
+  const auto jobs = gen.generate(job_count);
+  auto registry = core::google_tuned();
+  registry.gbt_rounds = 10;
+  registry.nurd_gbt_rounds = 10;
+  auto serve = [&](std::size_t shards, RecordingSink* sink) {
+    ShardedMonitorConfig config;
+    config.shards = shards;
+    config.threads = 4;
+    config.placement = hash_placement();
+    config.sink = sink->sink();
+    return ShardedMonitor(jobs, "GBTR", registry, config).run();
+  };
+  RecordingSink one(jobs.size());
+  RecordingSink four(jobs.size());
+  const auto reference = serve(1, &one);
+  const auto sharded = serve(4, &four);
+  expect_runs_identical(sharded.runs, reference.runs);
+  EXPECT_EQ(four.flag_set(), one.flag_set());
+  EXPECT_FALSE(one.flag_set().empty());
+}
+
+TEST(ShardedMonitor, FleetFlagSetMatchesOneShardAt64Jobs) {
+  expect_fleet_matches_one_shard(64);
+}
+
+TEST(ShardedMonitorSlow, FleetFlagSetMatchesOneShardAt256Jobs) {
+  expect_fleet_matches_one_shard(256);
+}
+
 TEST(Placement, PoliciesAreDeterministicAndRespectOpenShards) {
   const auto jobs = generated_jobs(8);
   const auto method = core::predictor_by_name("HBOS", tuned(true));
   const std::vector<std::size_t> tenant_of = {0, 1, 0, 1, 0, 1, 0, 1};
 
-  for (const auto* name : {"hash", "least-loaded", "affinity"}) {
+  const std::vector<std::pair<std::string, PlacementPolicy>> policies = {
+      {"hash", hash_placement()},
+      {"least-loaded", least_loaded_placement()},
+      {"affinity", tenant_affinity_placement()}};
+  for (const auto& entry : policies) {
+    const std::string& name = entry.first;
     SCOPED_TRACE(name);
     auto make_plan = [&] {
       ShardedMonitorConfig config;
       config.shards = 4;
       config.arrivals = sched::poisson_arrivals(5.0);
       config.arrival_seed = 3;
-      config.placement = placement_by_name(name);
+      config.placement = entry.second;
       config.placement_seed = 99;
       config.tenants = {TenantSpec{"a", QoS::kStandard, 0.0, 8.0},
                        TenantSpec{"b", QoS::kStandard, 0.0, 8.0}};
@@ -260,7 +300,7 @@ TEST(Placement, PoliciesAreDeterministicAndRespectOpenShards) {
     for (const std::size_t s : fleet1.plan().home_shard) {
       EXPECT_LT(s, 4u);
     }
-    if (std::string(name) == "affinity") {
+    if (name == "affinity") {
       // Every job of a tenant lands on that tenant's shard.
       std::vector<std::size_t> tenant_shard(2, SIZE_MAX);
       for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -271,7 +311,7 @@ TEST(Placement, PoliciesAreDeterministicAndRespectOpenShards) {
         EXPECT_EQ(fleet1.plan().home_shard[j], tenant_shard[t]);
       }
     }
-    if (std::string(name) == "least-loaded") {
+    if (name == "least-loaded") {
       // Eight same-size jobs over four shards balance two per shard.
       std::vector<std::size_t> count(4, 0);
       for (const std::size_t s : fleet1.plan().home_shard) ++count[s];
