@@ -43,11 +43,11 @@ struct NurdParams {
   double alpha = 0.5;     ///< calibration range: δ ∈ (−α, α)
   double epsilon = 0.05;  ///< minimum positive weight ε
   bool calibrate = true;  ///< false ⇒ NURD-NC (w = z)
-  /// Latency-model settings. The default SplitMethod::kAuto matters here:
-  /// Algorithm 1 refits ht at every checkpoint on the growing finished set,
-  /// so early (tiny) refits take the exact backend while late (large) ones
-  /// take the O(d·n) histogram backend — the dominant hot path of the whole
-  /// reproduction.
+  /// Latency-model settings. Algorithm 1 refits ht at every checkpoint on
+  /// the growing finished set, and those refits are the reproduction's hot
+  /// path. The finished set is mostly below ml::kHistogramMinRows rows, so
+  /// most refits run exact greedy, whose per-node sort dominates the cost;
+  /// only large late blocks take the histogram backend.
   ml::GbtParams gbt;
   ml::LogisticParams propensity;  ///< PS-model settings
   /// Checkpoint refit strategy (see core/fit_session.h for the contract).

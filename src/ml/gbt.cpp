@@ -1,6 +1,7 @@
 #include "ml/gbt.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <optional>
 
@@ -9,12 +10,27 @@
 
 namespace nurd::ml {
 
+namespace {
+
+// A NaN feature breaks the strict weak ordering both backends sort by, and a
+// non-finite target poisons every leaf, so both are rejected up front.
+void check_finite(const Matrix& x, std::span<const Target> targets) {
+  bool finite = true;
+  for (const double v : x.flat()) finite &= std::isfinite(v);
+  for (const auto& t : targets) finite &= std::isfinite(t.value);
+  NURD_CHECK(finite, "GBT features and targets must be finite");
+}
+
+}  // namespace
+
 GradientBoosting::GradientBoosting(std::unique_ptr<Loss> loss,
                                    GbtParams params)
     : loss_(std::move(loss)), params_(params) {
   NURD_CHECK(loss_ != nullptr, "loss must not be null");
   NURD_CHECK(params_.n_rounds > 0, "n_rounds must be positive");
   NURD_CHECK(params_.learning_rate > 0.0, "learning_rate must be positive");
+  NURD_CHECK(params_.tree.max_bins >= 2 && params_.tree.max_bins <= 4096,
+             "max_bins must be in [2, 4096]");
 }
 
 GradientBoosting GradientBoosting::regressor(GbtParams params) {
@@ -43,6 +59,7 @@ void GradientBoosting::fit(const Matrix& x, std::span<const double> y) {
 void GradientBoosting::fit(const Matrix& x, std::span<const Target> targets) {
   NURD_CHECK(x.rows() == targets.size(), "row/target count mismatch");
   NURD_CHECK(x.rows() > 0, "cannot fit on empty data");
+  check_finite(x, targets);
 
   const std::size_t n = x.rows();
   trees_.clear();
@@ -50,26 +67,20 @@ void GradientBoosting::fit(const Matrix& x, std::span<const Target> targets) {
   base_score_ = loss_->init_score(targets);
 
   std::vector<double> score(n, base_score_);
-  Rng rng(params_.seed);
 
   // Histogram backend: quantile-bin every feature ONCE per fit and share the
-  // binner across all rounds — per-round row subsamples index into it, so no
-  // tree ever re-sorts or re-bins.
+  // binner across all rounds, so no tree ever re-sorts or re-bins.
   std::optional<FeatureBinner> binner;
-  if (histogram_enabled(params_.tree, n)) {
-    std::vector<std::size_t> all_rows(n);
-    std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
-    binner.emplace(x, all_rows, params_.tree.max_bins);
-  }
+  if (n >= kHistogramMinRows) binner.emplace(x, params_.tree.max_bins);
 
   boost(x, targets, params_.n_rounds, params_.learning_rate, score,
-        binner ? &*binner : nullptr, rng);
+        binner ? &*binner : nullptr);
   fitted_ = true;
 
   if (params_.warm_start) {
     train_score_ = std::move(score);
     binner_ = std::move(binner);
-    rng_ = rng;
+    rng_ = Rng(params_.seed);
     n_trained_ = n;
     n_full_fit_ = n;
   }
@@ -84,10 +95,10 @@ void GradientBoosting::continue_fit(
   NURD_CHECK(fitted_, "continue_fit requires a prior fit");
   NURD_CHECK(x.rows() == targets.size(), "row/target count mismatch");
   NURD_CHECK(x.rows() >= n_trained_, "warm-start fits only grow");
-  NURD_CHECK(inserted_rows.empty() ||
-                 inserted_rows.size() == x.rows() - n_trained_,
+  NURD_CHECK(inserted_rows.size() == x.rows() - n_trained_,
              "inserted_rows must account for every new row");
   NURD_CHECK(rounds >= 0, "rounds must be non-negative");
+  check_finite(x, targets);
   const std::size_t n = x.rows();
   // Validate the splice map BEFORE the remap loops below walk the old
   // buffers: an unsorted or duplicated position would otherwise overrun the
@@ -100,14 +111,9 @@ void GradientBoosting::continue_fit(
 
   // Refresh the cached training scores: inserted rows and caller-reported
   // changed rows pass through the ensemble once; every other row's cache is
-  // carried (appends) or remapped (mid-block insertions) over. This is the
-  // O(n + Δ·trees) step a from-scratch refit pays as O(n·rounds) instead.
-  if (inserted_rows.empty()) {
-    train_score_.resize(n);
-    for (std::size_t r = n_trained_; r < n; ++r) {
-      train_score_[r] = predict_raw(x.row(r));
-    }
-  } else {
+  // remapped over. This is the O(n + Δ·trees) step a from-scratch refit pays
+  // as O(n·rounds) instead.
+  if (!inserted_rows.empty()) {
     std::vector<double> remapped(n);
     std::size_t old_r = 0;
     std::size_t next = 0;
@@ -131,17 +137,11 @@ void GradientBoosting::continue_fit(
   // spliced in against the frozen sketch (clamping into boundary bins),
   // which is what makes per-checkpoint bin maintenance O(n·d) copy instead
   // of O(n·d·log n) re-sorting.
-  if (histogram_enabled(params_.tree, n)) {
+  if (n >= kHistogramMinRows) {
     if (!binner_) {
-      std::vector<std::size_t> all_rows(n);
-      std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
-      binner_.emplace(x, all_rows, params_.tree.max_bins);
+      binner_.emplace(x, params_.tree.max_bins);
     } else {
-      if (inserted_rows.empty()) {
-        binner_->append_rows(x);
-      } else {
-        binner_->insert_rows(x, inserted_rows);
-      }
+      binner_->insert_rows(x, inserted_rows);
       binner_->rebin_rows(x, changed_rows);
     }
   }
@@ -179,7 +179,7 @@ void GradientBoosting::continue_fit(
   const double rate =
       std::min(0.5, params_.warm_rate_factor * params_.learning_rate);
   boost(x, targets, rounds, rate, train_score_,
-        binner_ ? &*binner_ : nullptr, rng_, subset);
+        binner_ ? &*binner_ : nullptr, subset);
   n_trained_ = n;
 }
 
@@ -195,13 +195,18 @@ void GradientBoosting::continue_fit(const Matrix& x, std::span<const double> y,
 void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
                              int rounds, double rate,
                              std::vector<double>& score,
-                             const FeatureBinner* binner, Rng& rng,
+                             const FeatureBinner* binner,
                              std::span<const std::size_t> subset) {
   const std::size_t n = x.rows();
   std::vector<double> grad(n), hess(n), pred(n);
-  std::vector<std::size_t> all_rows(n);
-  std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
   const bool active_set = !subset.empty();
+  std::vector<std::size_t> all_rows;
+  if (!active_set) {
+    all_rows.resize(n);
+    std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
+  }
+  const std::span<const std::size_t> rows =
+      active_set ? subset : std::span<const std::size_t>(all_rows);
   const auto& kops = kernel::ops();
 
   for (int round = 0; round < rounds; ++round) {
@@ -216,23 +221,11 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
       loss_->grad_hess_batch(targets, score, grad, hess);
     }
 
-    std::vector<std::size_t> rows;
-    if (active_set) {
-      rows.assign(subset.begin(), subset.end());
-    } else if (params_.subsample >= 1.0) {
-      rows = all_rows;
-    } else {
-      const auto k = std::max<std::size_t>(
-          1, static_cast<std::size_t>(
-                 params_.subsample * static_cast<double>(n)));
-      rows = rng.sample_without_replacement(n, k);
-    }
-
     RegressionTree tree;
     if (binner != nullptr) {
-      tree.fit(x, *binner, grad, hess, rows, params_.tree, rng);
+      tree.fit(x, *binner, grad, hess, rows, params_.tree);
     } else {
-      tree.fit(x, grad, hess, rows, params_.tree, rng);
+      tree.fit(x, grad, hess, rows, params_.tree);
     }
 
     for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));

@@ -6,6 +6,7 @@
 //   * Grabit (Tobit loss)            — censored-regression baseline
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <span>
@@ -18,20 +19,22 @@
 
 namespace nurd::ml {
 
-/// Boosting hyperparameters (tree params embedded). The split backend,
-/// `tree.max_bins`, and the exact-mode fallback cutoff all live in `tree`;
-/// when the histogram backend is active, fit() quantile-bins every feature
-/// once and shares the binning across all boosting rounds.
+/// Fits with at least this many rows use the histogram backend; smaller ones
+/// use exact greedy.
+inline constexpr std::size_t kHistogramMinRows = 256;
+
+/// Boosting hyperparameters (tree params embedded). At histogram scale (see
+/// kHistogramMinRows) fit() quantile-bins every feature once into
+/// `tree.max_bins` bins and shares the binning across all boosting rounds.
 struct GbtParams {
   int n_rounds = 50;
   double learning_rate = 0.1;
-  double subsample = 1.0;  ///< row subsampling fraction per round
   TreeParams tree;
-  std::uint64_t seed = 7;
+  std::uint64_t seed = 7;  ///< seeds continue_fit()'s anchor-row sampling
   /// Retain warm-start state across fits: the per-row training scores, the
   /// feature binner (edges frozen at the first histogram-scale fit), and the
-  /// RNG stream, so continue_fit() can extend the ensemble on grown data
-  /// instead of refitting from scratch. Costs O(n) doubles + the binner;
+  /// anchor-sampling RNG, so continue_fit() can extend the ensemble on grown
+  /// data instead of refitting from scratch. Costs O(n) doubles + the binner;
   /// leave off (the default) for one-shot fits — fit() itself is
   /// bit-identical either way.
   bool warm_start = false;
@@ -70,12 +73,12 @@ class GradientBoosting {
   /// Warm-start continuation (requires params.warm_start and a prior fit):
   /// keeps every existing tree and boosts `rounds` more on the current data.
   /// Rows of `x` must be the previous fit's rows in their old relative order
-  /// with any new rows spliced in at the (sorted) positions `inserted_rows`
-  /// — empty means they were appended at the tail, the common convention.
-  /// Prior rows are assumed unchanged except for the (new-layout) indices in
+  /// with the new rows at the strictly ascending positions `inserted_rows`,
+  /// which must list every new row (a tail append lists the tail). Prior
+  /// rows are assumed unchanged except for the (new-layout) indices in
   /// `changed_rows`; inserted and changed rows pass through the ensemble
   /// once to refresh the cached training scores and histogram bins, every
-  /// other row's cache is carried (or remapped) over. Targets may change
+  /// other row's cache is remapped over. Targets may change
   /// freely between calls (each round recomputes gradients), which is how
   /// censored fits advance their horizon and Grabit re-scales σ.
   /// `rounds == 0` just absorbs the new/changed rows.
@@ -133,13 +136,13 @@ class GradientBoosting {
   /// The shared boosting loop: `rounds` gradient/tree/score iterations at
   /// step size `rate`, appending to trees_ (each tree remembers its own rate
   /// in tree_rate_). With `subset` empty every round trains on all rows of
-  /// `x` (fit()'s path — subsampling applies); with a non-empty `subset` the
-  /// rounds are active-set continuations: gradients and tree fits cover the
-  /// subset only, while the score update still sweeps every row so the
-  /// caches stay current.
+  /// `x` (fit()'s path); with a non-empty `subset` the rounds are active-set
+  /// continuations: gradients and tree fits cover the subset only, while the
+  /// score update still sweeps every row so the caches stay current. A null
+  /// `binner` selects exact greedy trees, a non-null one histogram trees.
   void boost(const Matrix& x, std::span<const Target> targets, int rounds,
              double rate, std::vector<double>& score,
-             const FeatureBinner* binner, Rng& rng,
+             const FeatureBinner* binner,
              std::span<const std::size_t> subset = {});
 
   std::unique_ptr<Loss> loss_;
@@ -155,7 +158,7 @@ class GradientBoosting {
   // Warm-start state, retained only when params_.warm_start.
   std::vector<double> train_score_;      ///< cached raw score per training row
   std::optional<FeatureBinner> binner_;  ///< frozen-edge binner
-  Rng rng_{0};                           ///< continues fit()'s stream
+  Rng rng_{0};                           ///< anchor sampling; fit() reseeds
   std::size_t n_trained_ = 0;            ///< rows covered by the last fit
   std::size_t n_full_fit_ = 0;           ///< rows covered by the last fit()
 };

@@ -1,9 +1,7 @@
 #include "ml/tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -22,21 +20,6 @@ struct SplitCandidate {
 
 double leaf_objective(double g, double h, double lambda) {
   return -0.5 * g * g / (h + lambda);
-}
-
-/// The feature subset scanned at one node (all features, or a colsample
-/// draw). Shared by both backends so they consume the Rng identically.
-std::vector<std::size_t> node_features(std::size_t d, const TreeParams& params,
-                                       Rng& rng) {
-  if (params.colsample >= 1.0) {
-    std::vector<std::size_t> features(d);
-    std::iota(features.begin(), features.end(), std::size_t{0});
-    return features;
-  }
-  const auto k = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::llround(params.colsample * static_cast<double>(d))));
-  return rng.sample_without_replacement(d, k);
 }
 
 /// Work is fanned out over the pool only when it dwarfs task overhead.
@@ -92,24 +75,10 @@ std::vector<double> quantile_edges(const std::vector<double>& sorted,
 
 }  // namespace
 
-bool histogram_enabled(const TreeParams& params, std::size_t n_rows) {
-  switch (params.split) {
-    case SplitMethod::kExact:
-      return false;
-    case SplitMethod::kHistogram:
-      return true;
-    case SplitMethod::kAuto:
-      return n_rows >= params.exact_cutoff;
-  }
-  return false;
-}
-
-FeatureBinner::FeatureBinner(const Matrix& x,
-                             std::span<const std::size_t> rows,
-                             int max_bins) {
+FeatureBinner::FeatureBinner(const Matrix& x, int max_bins) {
   NURD_CHECK(max_bins >= 2 && max_bins <= 4096,
              "max_bins must be in [2, 4096]");
-  NURD_CHECK(!rows.empty(), "cannot bin from zero rows");
+  NURD_CHECK(x.rows() > 0, "cannot bin from zero rows");
   n_rows_ = x.rows();
   n_cols_ = x.cols();
   edges_.resize(n_cols_);
@@ -117,9 +86,7 @@ FeatureBinner::FeatureBinner(const Matrix& x,
 
   const auto bin_feature = [&](std::size_t f) {
     const auto col = x.col_view(f);
-    std::vector<double> vals;
-    vals.reserve(rows.size());
-    for (const auto r : rows) vals.push_back(col[r]);
+    std::vector<double> vals(col.begin(), col.end());
     std::sort(vals.begin(), vals.end());
     edges_[f] = quantile_edges(vals, max_bins);
 
@@ -138,31 +105,6 @@ FeatureBinner::FeatureBinner(const Matrix& x,
   } else {
     for (std::size_t f = 0; f < n_cols_; ++f) bin_feature(f);
   }
-}
-
-void FeatureBinner::append_rows(const Matrix& x) {
-  NURD_CHECK(n_cols_ == x.cols(), "binner width must match the matrix");
-  NURD_CHECK(x.rows() >= n_rows_, "append_rows cannot shrink the binner");
-  const std::size_t n_new = x.rows();
-  if (n_new == n_rows_) return;
-
-  // Column-major layout (the histogram build's locality) means growing the
-  // row count re-strides every feature slice: one O(n·d) copy, but zero
-  // sorting and zero edge work — the quantile sketch stays frozen.
-  std::vector<std::uint16_t> grown(n_cols_ * n_new);
-  for (std::size_t f = 0; f < n_cols_; ++f) {
-    const auto* src = bins_.data() + f * n_rows_;
-    auto* dst = grown.data() + f * n_new;
-    std::copy(src, src + n_rows_, dst);
-    const auto& edges = edges_[f];
-    const auto col = x.col_view(f);
-    for (std::size_t r = n_rows_; r < n_new; ++r) {
-      const auto it = std::lower_bound(edges.begin(), edges.end(), col[r]);
-      dst[r] = static_cast<std::uint16_t>(it - edges.begin());
-    }
-  }
-  bins_ = std::move(grown);
-  n_rows_ = n_new;
 }
 
 void FeatureBinner::insert_rows(const Matrix& x,
@@ -224,7 +166,6 @@ struct RegressionTree::HistContext {
   std::span<const double> grad;
   std::span<const double> hess;
   const TreeParams& params;
-  Rng& rng;
   std::vector<std::size_t> offset;  // per-feature bin offset; back() = total
 };
 
@@ -251,7 +192,6 @@ std::int32_t RegressionTree::build_hist(HistContext& ctx,
 
   const FeatureBinner& binner = ctx.binner;
   const std::size_t d = binner.cols();
-  const auto features = node_features(d, params, ctx.rng);
 
   if (hist.empty()) hist = compute_histogram(ctx, rows);
 
@@ -259,7 +199,7 @@ std::int32_t RegressionTree::build_hist(HistContext& ctx,
   const double n_node = static_cast<double>(rows.size());
   SplitCandidate best;
 
-  for (const auto f : features) {
+  for (std::size_t f = 0; f < d; ++f) {
     const std::size_t nb = binner.bin_count(f);
     if (nb < 2) continue;  // constant feature
     const double* bins = hist.data() + ctx.offset[f] * kernel::kHistBinStride;
@@ -365,25 +305,20 @@ AlignedVector<double> RegressionTree::compute_histogram(
 void RegressionTree::fit(const Matrix& x, std::span<const double> grad,
                          std::span<const double> hess,
                          std::span<const std::size_t> rows,
-                         const TreeParams& params, Rng& rng) {
+                         const TreeParams& params) {
   NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
              "grad/hess length must match row count");
   NURD_CHECK(!rows.empty(), "cannot fit a tree on zero rows");
-  if (histogram_enabled(params, rows.size())) {
-    const FeatureBinner binner(x, rows, params.max_bins);
-    fit(x, binner, grad, hess, rows, params, rng);
-    return;
-  }
   nodes_.clear();
   std::vector<std::size_t> work(rows.begin(), rows.end());
-  build(x, grad, hess, work, 0, params, rng);
+  build(x, grad, hess, work, 0, params);
 }
 
 void RegressionTree::fit(const Matrix& x, const FeatureBinner& binner,
                          std::span<const double> grad,
                          std::span<const double> hess,
                          std::span<const std::size_t> rows,
-                         const TreeParams& params, Rng& rng) {
+                         const TreeParams& params) {
   NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
              "grad/hess length must match row count");
   NURD_CHECK(!rows.empty(), "cannot fit a tree on zero rows");
@@ -392,7 +327,7 @@ void RegressionTree::fit(const Matrix& x, const FeatureBinner& binner,
   nodes_.clear();
   std::vector<std::size_t> work(rows.begin(), rows.end());
 
-  HistContext ctx{binner, grad, hess, params, rng, {}};
+  HistContext ctx{binner, grad, hess, params, {}};
   ctx.offset.resize(binner.cols() + 1, 0);
   for (std::size_t f = 0; f < binner.cols(); ++f) {
     ctx.offset[f + 1] = ctx.offset[f] + binner.bin_count(f);
@@ -404,7 +339,7 @@ std::int32_t RegressionTree::build(const Matrix& x,
                                    std::span<const double> grad,
                                    std::span<const double> hess,
                                    std::vector<std::size_t>& rows, int depth,
-                                   const TreeParams& params, Rng& rng) {
+                                   const TreeParams& params) {
   double g_total = 0.0, h_total = 0.0;
   kernel::ops().pair_sum_indexed(grad.data(), hess.data(), rows.data(),
                                  rows.size(), &g_total, &h_total);
@@ -420,12 +355,11 @@ std::int32_t RegressionTree::build(const Matrix& x,
 
   if (depth >= params.max_depth || rows.size() < 2) return make_leaf();
 
-  const auto features = node_features(x.cols(), params, rng);
   const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
   SplitCandidate best;
 
   std::vector<std::size_t> sorted = rows;
-  for (std::size_t f : features) {
+  for (std::size_t f = 0; f < x.cols(); ++f) {
     std::stable_sort(sorted.begin(), sorted.end(),
                      [&](std::size_t a, std::size_t b) {
                        return x(a, f) < x(b, f);
@@ -473,8 +407,8 @@ std::int32_t RegressionTree::build(const Matrix& x,
   node.depth = depth;
   nodes_.push_back(node);
   const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
-  const auto left = build(x, grad, hess, left_rows, depth + 1, params, rng);
-  const auto right = build(x, grad, hess, right_rows, depth + 1, params, rng);
+  const auto left = build(x, grad, hess, left_rows, depth + 1, params);
+  const auto right = build(x, grad, hess, right_rows, depth + 1, params);
   nodes_[static_cast<std::size_t>(self)].left = left;
   nodes_[static_cast<std::size_t>(self)].right = right;
   return self;

@@ -4,16 +4,18 @@
 //   leaf value  w* = −G / (H + λ)
 //   split gain  ½[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)] − γ
 //
-// Two split-finding backends share that formulation:
-//   * exact greedy — sorts the node's rows per feature and scans every
-//     distinct-value boundary; O(d · n log n) per node, best for tiny fits;
-//   * histogram (LightGBM-style) — quantile-bins each feature once per fit,
-//     accumulates per-bin (G, H) sums per node, and scans bin boundaries;
-//     O(d · n) per tree level, with the sibling-subtraction trick (child
-//     histogram = parent − other child) halving construction cost. Per-
-//     feature histogram builds fan out over the shared ThreadPool.
-// Both backends are deterministic: identical inputs and Rng state produce a
-// bit-identical tree regardless of thread count.
+// Two split-finding backends share that formulation; the fit() overload
+// called selects one:
+//   * exact greedy (no binner) — sorts the node's rows per feature and scans
+//     every distinct-value boundary; O(d · n log n) per node, best for tiny
+//     fits;
+//   * histogram (a FeatureBinner, LightGBM-style) — accumulates per-bin
+//     (G, H) sums per node and scans bin boundaries; O(d · n) per tree level,
+//     with the sibling-subtraction trick (child histogram = parent − other
+//     child) halving construction cost. Per-feature histogram builds fan out
+//     over the shared ThreadPool.
+// Both backends are deterministic: identical inputs produce a bit-identical
+// tree regardless of thread count.
 #pragma once
 
 #include <cstddef>
@@ -23,16 +25,8 @@
 
 #include "common/aligned.h"
 #include "common/matrix.h"
-#include "common/rng.h"
 
 namespace nurd::ml {
-
-/// Split-finding backend selection.
-enum class SplitMethod {
-  kAuto,       ///< histogram when the fit has ≥ exact_cutoff rows, else exact
-  kExact,      ///< always exact greedy
-  kHistogram,  ///< always histogram
-};
 
 /// Tree growth hyperparameters.
 struct TreeParams {
@@ -40,44 +34,29 @@ struct TreeParams {
   double min_child_weight = 1.0;  ///< minimum Hessian sum per child
   double lambda = 1.0;            ///< L2 regularization on leaf values
   double gamma = 0.0;             ///< minimum gain to split
-  double colsample = 1.0;         ///< fraction of features tried per node
-  SplitMethod split = SplitMethod::kAuto;
   int max_bins = 64;              ///< histogram bins per feature (2..4096)
-  std::size_t exact_cutoff = 256; ///< kAuto: rows below this use exact
 };
-
-/// True when `params` select the histogram backend for an `n_rows` fit.
-bool histogram_enabled(const TreeParams& params, std::size_t n_rows);
 
 /// Quantile-sketch feature binning, built once per boosting fit and shared
 /// by every tree of the ensemble. Bin edges are placed at (deduplicated)
 /// quantiles of the training rows — midpoints between adjacent distinct
 /// values, so that with fewer distinct values than bins the candidate split
-/// set is identical to exact greedy's. Every row of `x` is binned (not just
-/// the edge-defining subset), so per-round row subsamples need no rebinning.
+/// set is identical to exact greedy's. Every tree of a fit indexes its row
+/// subset into the same bins, so no tree re-sorts or re-bins.
 class FeatureBinner {
  public:
   FeatureBinner() = default;
 
-  /// Computes per-feature bin edges from the `rows` subset of `x`, then bins
-  /// all rows of `x`. `max_bins` must be in [2, 4096].
-  FeatureBinner(const Matrix& x, std::span<const std::size_t> rows,
-                int max_bins);
+  /// Computes per-feature bin edges from every row of `x`, then bins them.
+  /// `max_bins` must be in [2, 4096].
+  FeatureBinner(const Matrix& x, int max_bins);
 
-  /// Bins the rows `x` gained since this binner last saw it (x.rows() may
-  /// equal rows(), a no-op) using the FROZEN edges — no re-sorting, no edge
-  /// recomputation. Rows [0, rows()) of `x` must be the rows previously
-  /// binned (warm-start fits append finished tasks, they never reorder).
-  /// Values outside the frozen edge range clamp into the boundary bins,
-  /// exactly as query-time binning always has.
-  void append_rows(const Matrix& x);
-
-  /// append_rows' general form: the previously binned rows appear in `x` in
-  /// their old relative order but with NEW rows spliced in at the (sorted,
-  /// ascending) positions `inserted`. Old rows' bins are remapped in one
-  /// pass; only the inserted rows meet the frozen edges. This is how a
-  /// warm-start fit follows an id-ordered training block, where a freshly
-  /// finished task lands mid-block rather than at the end.
+  /// Splices NEW rows in at the (strictly ascending) positions `inserted`
+  /// of `x`, whose other rows are the previously binned ones in their old
+  /// relative order. Old rows' bins are remapped in one pass; only inserted
+  /// rows meet the FROZEN edges (no re-sorting; out-of-range values clamp
+  /// into the boundary bins). This is how a warm-start fit follows an
+  /// id-ordered training block, where a finished task lands mid-block.
   void insert_rows(const Matrix& x, std::span<const std::size_t> inserted);
 
   /// Re-bins the listed (already covered) rows against the frozen edges —
@@ -116,19 +95,17 @@ class FeatureBinner {
 /// the Newton-step value −G/(H+λ).
 class RegressionTree {
  public:
-  /// Grows a tree on the sample subset `rows` of `x`, using per-sample
-  /// gradients and Hessians. `rng` drives column subsampling only. The
-  /// backend follows `params.split`; histogram mode bins internally.
+  /// Exact-greedy fit: grows a tree on the sample subset `rows` of `x`,
+  /// using per-sample gradients and Hessians.
   void fit(const Matrix& x, std::span<const double> grad,
            std::span<const double> hess, std::span<const std::size_t> rows,
-           const TreeParams& params, Rng& rng);
+           const TreeParams& params);
 
   /// Histogram-backend fit reusing a binner built once per boosting fit.
   /// `binner` must cover all rows of `x`.
   void fit(const Matrix& x, const FeatureBinner& binner,
            std::span<const double> grad, std::span<const double> hess,
-           std::span<const std::size_t> rows, const TreeParams& params,
-           Rng& rng);
+           std::span<const std::size_t> rows, const TreeParams& params);
 
   /// Leaf value for a single feature row.
   double predict(std::span<const double> row) const;
@@ -158,7 +135,7 @@ class RegressionTree {
   std::int32_t build(const Matrix& x, std::span<const double> grad,
                      std::span<const double> hess,
                      std::vector<std::size_t>& rows, int depth,
-                     const TreeParams& params, Rng& rng);
+                     const TreeParams& params);
 
   std::int32_t build_hist(HistContext& ctx, std::vector<std::size_t>& rows,
                           int depth, AlignedVector<double>&& hist);

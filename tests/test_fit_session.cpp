@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "core/registry.h"
@@ -246,7 +247,7 @@ TEST(FitSession, PromoteWithoutStageFallsBackToObserve) {
 
 TEST(WarmStartGbt, FitPlusContinueEqualsOneLongFit) {
   // On unchanged data, a warm-started continuation consumes the exact same
-  // gradient/tree/RNG sequence a single longer fit would — bit-identical
+  // gradient/tree sequence a single longer fit would — bit-identical
   // ensembles, for both the exact and histogram backends.
   Rng rng(123);
   for (const std::size_t n : {60u, 400u}) {  // exact (<256) and histogram
@@ -296,11 +297,14 @@ TEST(WarmStartGbt, ContinueAbsorbsAppendedAndChangedRows) {
   model.fit(x0, std::span<const double>(y.data(), n0));
   EXPECT_EQ(model.trained_rows(), n0);
 
-  // Mutate a prefix row and report it changed; append the rest.
+  // Mutate a prefix row and report it changed; append the rest at the tail
+  // positions, so the continuation trains on them.
   x(5, 1) += 2.5;
   y[5] = 3.0 * x(5, 1);
   const std::vector<std::size_t> changed{5};
-  model.continue_fit(x, y, 6, changed);
+  std::vector<std::size_t> tail(n1 - n0);
+  std::iota(tail.begin(), tail.end(), n0);
+  model.continue_fit(x, y, 6, changed, tail);
   EXPECT_EQ(model.trained_rows(), n1);
   EXPECT_EQ(model.tree_count(), 26u);
 
@@ -315,6 +319,30 @@ TEST(WarmStartGbt, ContinueAbsorbsAppendedAndChangedRows) {
     cor += p * y[i];
   }
   EXPECT_GT(cor, 0.0);
+}
+
+TEST(WarmStartGbt, ContinueRejectsGrowthWithoutInsertionMap) {
+  // Every new row must be named in inserted_rows, tail appends included:
+  // there is no implicit "appended at the tail" convention.
+  Matrix x0(3, 1);
+  std::vector<double> y0{0.0, 1.0, 2.0};
+  for (std::size_t i = 0; i < 3; ++i) x0(i, 0) = static_cast<double>(i);
+  ml::GbtParams warm;
+  warm.warm_start = true;
+  auto model = ml::GradientBoosting::regressor(warm);
+  model.fit(x0, y0);
+
+  Matrix x1(5, 1);
+  std::vector<double> y1{0.0, 1.0, 2.0, 3.0, 4.0};
+  for (std::size_t i = 0; i < 5; ++i) x1(i, 0) = static_cast<double>(i);
+  EXPECT_THROW(model.continue_fit(x1, y1, 1), std::invalid_argument);
+  const std::vector<std::size_t> one_of_two{3};
+  EXPECT_THROW(model.continue_fit(x1, y1, 1, {}, one_of_two),
+               std::invalid_argument);
+  EXPECT_EQ(model.trained_rows(), 3u);
+  const std::vector<std::size_t> tail{3, 4};
+  model.continue_fit(x1, y1, 1, {}, tail);
+  EXPECT_EQ(model.trained_rows(), 5u);
 }
 
 TEST(WarmStartGbt, ContinueRequiresWarmStartParams) {

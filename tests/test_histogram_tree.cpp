@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "core/registry.h"
 #include "eval/harness.h"
-#include "ml/gbt.h"
 #include "ml/tree.h"
 #include "trace/generator.h"
 
@@ -21,10 +20,7 @@ namespace nurd {
 namespace {
 
 using ml::FeatureBinner;
-using ml::GbtParams;
-using ml::GradientBoosting;
 using ml::RegressionTree;
-using ml::SplitMethod;
 using ml::TreeParams;
 
 Matrix random_matrix(std::size_t n, std::size_t d, Rng& rng) {
@@ -53,18 +49,15 @@ TEST(HistogramTree, MatchesExactOnSmallData) {
   for (std::size_t i = 0; i < n; ++i) grad[i] = data_rng.normal();
   const auto rows = iota_rows(n);
 
-  TreeParams exact_params;
-  exact_params.max_depth = 4;
-  exact_params.min_child_weight = 0.0;
-  exact_params.split = SplitMethod::kExact;
-  TreeParams hist_params = exact_params;
-  hist_params.split = SplitMethod::kHistogram;
-  hist_params.max_bins = 64;
+  TreeParams params;
+  params.max_depth = 4;
+  params.min_child_weight = 0.0;
+  params.max_bins = 64;
 
-  Rng rng_a(1), rng_b(1);
   RegressionTree exact_tree, hist_tree;
-  exact_tree.fit(x, grad, hess, rows, exact_params, rng_a);
-  hist_tree.fit(x, grad, hess, rows, hist_params, rng_b);
+  exact_tree.fit(x, grad, hess, rows, params);
+  hist_tree.fit(x, FeatureBinner(x, params.max_bins), grad, hess, rows,
+                params);
 
   EXPECT_EQ(exact_tree.node_count(), hist_tree.node_count());
   EXPECT_EQ(exact_tree.leaf_count(), hist_tree.leaf_count());
@@ -85,10 +78,9 @@ TEST(HistogramTree, RecoversPerfectSplit) {
   TreeParams params;
   params.lambda = 0.0;
   params.min_child_weight = 0.0;
-  params.split = SplitMethod::kHistogram;
-  Rng rng(1);
   RegressionTree tree;
-  tree.fit(x, grad, hess, iota_rows(4), params, rng);
+  tree.fit(x, FeatureBinner(x, params.max_bins), grad, hess, iota_rows(4),
+           params);
   EXPECT_NEAR(tree.predict(x.row(0)), -1.0, 1e-9);
   EXPECT_NEAR(tree.predict(x.row(3)), 1.0, 1e-9);
   EXPECT_EQ(tree.leaf_count(), 2u);
@@ -115,20 +107,17 @@ TEST(HistogramTree, LargeFitApproximatesExactQuality) {
   };
   TreeParams params;
   params.max_depth = 6;
-  params.split = SplitMethod::kExact;
-  Rng rng_a(1), rng_b(1);
   RegressionTree exact_tree, hist_tree;
-  exact_tree.fit(x, grad, hess, rows, params, rng_a);
-  params.split = SplitMethod::kHistogram;
-  hist_tree.fit(x, grad, hess, rows, params, rng_b);
+  exact_tree.fit(x, grad, hess, rows, params);
+  hist_tree.fit(x, FeatureBinner(x, params.max_bins), grad, hess, rows,
+                params);
   EXPECT_LT(sse(hist_tree), sse(exact_tree) * 1.10);
 }
 
 TEST(FeatureBinner, BinsAreConsistentWithEdges) {
   Rng rng(3);
   Matrix x = random_matrix(500, 2, rng);
-  const auto rows = iota_rows(500);
-  const FeatureBinner binner(x, rows, 16);
+  const FeatureBinner binner(x, 16);
   for (std::size_t f = 0; f < 2; ++f) {
     ASSERT_LE(binner.bin_count(f), 16u);
     ASSERT_GE(binner.bin_count(f), 2u);
@@ -148,7 +137,7 @@ TEST(FeatureBinner, BinsAreConsistentWithEdges) {
 
 TEST(FeatureBinner, ConstantFeatureGetsOneBin) {
   Matrix x(10, 1, 3.5);
-  const FeatureBinner binner(x, iota_rows(10), 8);
+  const FeatureBinner binner(x, 8);
   EXPECT_EQ(binner.bin_count(0), 1u);
 }
 
@@ -164,43 +153,17 @@ TEST(FeatureBinner, RareBinaryFeatureKeepsItsSplit) {
     x(i, 0) = 0.0;
     grad[i] = 1.0;  // minority class pulls the other way
   }
-  const auto rows = iota_rows(n);
-  const FeatureBinner binner(x, rows, 64);
+  const FeatureBinner binner(x, 64);
   ASSERT_EQ(binner.bin_count(0), 2u);
 
   TreeParams params;
   params.lambda = 0.0;
   params.min_child_weight = 0.0;
-  params.split = SplitMethod::kHistogram;
-  Rng rng(1);
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params, rng);
+  tree.fit(x, binner, grad, hess, iota_rows(n), params);
   EXPECT_EQ(tree.leaf_count(), 2u);
   EXPECT_NEAR(tree.predict(x.row(0)), -1.0, 1e-9);
   EXPECT_NEAR(tree.predict(x.row(n - 1)), 1.0, 1e-9);
-}
-
-// (c) Same seed ⇒ bit-identical ensembles, with subsampling and column
-// sampling active and the histogram backend forced on.
-TEST(HistogramTree, GbtSameSeedBitIdentical) {
-  Rng data_rng(15);
-  const std::size_t n = 600;
-  Matrix x = random_matrix(n, 4, data_rng);
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) y[i] = x(i, 0) - 2.0 * x(i, 2);
-
-  GbtParams params;
-  params.n_rounds = 30;
-  params.subsample = 0.7;
-  params.tree.colsample = 0.5;
-  params.tree.split = SplitMethod::kHistogram;
-  auto a = GradientBoosting::regressor(params);
-  auto b = GradientBoosting::regressor(params);
-  a.fit(x, y);
-  b.fit(x, y);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(a.predict(x.row(i)), b.predict(x.row(i)));
-  }
 }
 
 // (b) The parallel harness must aggregate in job order: metrics are

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/rng.h"
@@ -20,9 +21,8 @@ TEST(RegressionTree, PerfectSplitRecovered) {
   TreeParams params;
   params.lambda = 0.0;
   params.min_child_weight = 0.0;
-  Rng rng(1);
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params, rng);
+  tree.fit(x, grad, hess, rows, params);
   EXPECT_NEAR(tree.predict(x.row(0)), -1.0, 1e-9);
   EXPECT_NEAR(tree.predict(x.row(3)), 1.0, 1e-9);
   EXPECT_EQ(tree.leaf_count(), 2u);
@@ -35,9 +35,8 @@ TEST(RegressionTree, DepthZeroIsStump) {
   std::vector<std::size_t> rows{0, 1};
   TreeParams params;
   params.max_depth = 0;
-  Rng rng(1);
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params, rng);
+  tree.fit(x, grad, hess, rows, params);
   EXPECT_EQ(tree.leaf_count(), 1u);
   EXPECT_EQ(tree.depth(), 0);
 }
@@ -49,9 +48,8 @@ TEST(RegressionTree, LeafValueIsNewtonStep) {
   std::vector<std::size_t> rows{0, 1};
   TreeParams params;
   params.lambda = 2.0;
-  Rng rng(1);
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params, rng);
+  tree.fit(x, grad, hess, rows, params);
   // w* = −G/(H+λ) = −4/4 = −1.
   EXPECT_NEAR(tree.predict(x.row(0)), -1.0, 1e-12);
 }
@@ -63,9 +61,8 @@ TEST(RegressionTree, MinChildWeightBlocksSplit) {
   std::vector<std::size_t> rows{0, 1};
   TreeParams params;
   params.min_child_weight = 0.5;  // each child would have H = 0.4 < 0.5
-  Rng rng(1);
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params, rng);
+  tree.fit(x, grad, hess, rows, params);
   EXPECT_EQ(tree.leaf_count(), 1u);
 }
 
@@ -77,9 +74,8 @@ TEST(RegressionTree, GammaBlocksLowGainSplit) {
   TreeParams params;
   params.gamma = 10.0;
   params.min_child_weight = 0.0;
-  Rng rng(1);
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params, rng);
+  tree.fit(x, grad, hess, rows, params);
   EXPECT_EQ(tree.leaf_count(), 1u);
 }
 
@@ -97,9 +93,8 @@ TEST(RegressionTree, RespectsMaxDepth) {
   TreeParams params;
   params.max_depth = 2;
   params.min_child_weight = 0.0;
-  Rng rng(4);
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params, rng);
+  tree.fit(x, grad, hess, rows, params);
   EXPECT_LE(tree.depth(), 2);
   EXPECT_LE(tree.leaf_count(), 4u);
 }
@@ -208,24 +203,26 @@ TEST(GradientBoosting, MoreRoundsNotWorseInSample) {
   }
 }
 
-TEST(GradientBoosting, DeterministicGivenSeed) {
+// Repeated fits are bit-identical on both backends: exact greedy (n = 100)
+// and histogram (n = 600, whose per-feature builds fan out over the pool).
+TEST(GradientBoosting, DeterministicOnBothBackends) {
   Rng rng(15);
-  Matrix x(100, 2);
-  std::vector<double> y(100);
-  for (std::size_t i = 0; i < 100; ++i) {
-    x(i, 0) = rng.normal();
-    x(i, 1) = rng.normal();
-    y[i] = x(i, 0);
-  }
-  GbtParams params;
-  params.subsample = 0.7;
-  params.tree.colsample = 0.5;
-  auto a = GradientBoosting::regressor(params);
-  auto b = GradientBoosting::regressor(params);
-  a.fit(x, y);
-  b.fit(x, y);
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(a.predict(x.row(i)), b.predict(x.row(i)));
+  for (const std::size_t n : {100u, 600u}) {
+    Matrix x(n, 4);
+    std::vector<double> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < 4; ++j) x(i, j) = rng.normal();
+      y[i] = x(i, 0) - 2.0 * x(i, 2);
+    }
+    GbtParams params;
+    params.n_rounds = 30;
+    auto a = GradientBoosting::regressor(params);
+    auto b = GradientBoosting::regressor(params);
+    a.fit(x, y);
+    b.fit(x, y);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(a.predict(x.row(i)), b.predict(x.row(i)));
+    }
   }
 }
 
@@ -239,6 +236,50 @@ TEST(GradientBoosting, RejectsEmptyFit) {
   auto model = GradientBoosting::regressor();
   Matrix x(0, 0);
   EXPECT_THROW(model.fit(x, std::vector<double>{}), std::invalid_argument);
+}
+
+// A bad bin count must fail at construction, not at the first
+// histogram-scale fit.
+TEST(GradientBoosting, RejectsOutOfRangeMaxBins) {
+  for (const int bins : {1, 4097}) {
+    GbtParams params;
+    params.tree.max_bins = bins;
+    EXPECT_THROW(GradientBoosting::regressor(params), std::invalid_argument);
+  }
+}
+
+// NaN or ±inf in a feature or a target is rejected by fit() and
+// continue_fit() on both backends (exact at n = 40, histogram at n = 300).
+TEST(GradientBoosting, RejectsNonFiniteInputs) {
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  Rng rng(17);
+  for (const std::size_t n : {40u, 300u}) {
+    Matrix x(n, 2);
+    std::vector<double> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x(i, 0) = rng.normal();
+      x(i, 1) = rng.normal();
+      y[i] = x(i, 0);
+    }
+    GbtParams params;
+    params.n_rounds = 3;
+    params.warm_start = true;
+    auto warm = GradientBoosting::regressor(params);
+    warm.fit(x, y);
+    for (const double bad : bad_values) {
+      Matrix bad_x = x;
+      bad_x(n / 2, 1) = bad;
+      std::vector<double> bad_y = y;
+      bad_y[n / 2] = bad;
+      auto model = GradientBoosting::regressor(params);
+      EXPECT_THROW(model.fit(bad_x, y), std::invalid_argument);
+      EXPECT_THROW(model.fit(x, bad_y), std::invalid_argument);
+      EXPECT_THROW(warm.continue_fit(bad_x, y, 1), std::invalid_argument);
+      EXPECT_THROW(warm.continue_fit(x, bad_y, 1), std::invalid_argument);
+    }
+  }
 }
 
 }  // namespace
