@@ -32,7 +32,7 @@
 //     the fact, with the justification in a comment at the call site.
 //
 // ---------------------------------------------------------------------------
-// LOCK ORDERING ACROSS THE CONCURRENT LAYERS (pool → DAG → engine → fleet)
+// LOCK ORDERING ACROSS THE CONCURRENT LAYERS (pool → DAG → serving fleet)
 // ---------------------------------------------------------------------------
 // Every lock in src/ is LEAF-SCOPED by design: no layer calls into another
 // layer while holding its own lock, because all cross-layer transfer happens
@@ -55,34 +55,35 @@
 //       core::TaskDag (Impl). Leaf. Graph bookkeeping only. The stage
 //       runner, on_retire and on_error callbacks all run with the registry
 //       lock RELEASED; pump loops hold it only between tasks.
-//   [mutex] serve/shard_engine.cpp::mutex_
-//       serve::ShardEngine (Impl) — the execution core each ShardedMonitor
-//       shard runs on. Leaf. The FlagSink is deliberately invoked from the
-//       Flag stage BEFORE the event retires and OUTSIDE this lock, so a
+//   [mutex] serve/shard_pool.cpp::shard_mutex_
+//       serve::ShardedMonitor's per-shard ShardEngine — the execution core
+//       each shard runs on. Leaf. The FlagSink is deliberately invoked from
+//       the Flag stage BEFORE the event retires and OUTSIDE this lock, so a
 //       sink may call back into low_watermark() (which takes it) freely;
-//       the retired/wait_handoff hooks likewise run unlocked.
+//       wait_handoff / note_retired (which take the fleet's mutex_) are
+//       likewise called with it released.
 //   [mutex] serve/cluster_sink.h::mutex_
 //       serve::LiveClusterFeed. The ONE nested acquisition in the codebase:
 //       sink() holds it while calling ShardedMonitor::low_watermark(),
-//       which takes each ShardEngine::mutex_ in turn, one at a time — so at
-//       most two locks are ever held, LiveClusterFeed::mutex_ →
-//       ShardEngine::mutex_ in that order, never the reverse (no engine
-//       holds its mutex while invoking the sink).
+//       which takes each shard's shard_mutex_ in turn, one at a time — so
+//       at most two locks are ever held, LiveClusterFeed::mutex_ →
+//       shard_mutex_ in that order, never the reverse (no shard holds its
+//       lock while invoking the sink).
 //   [mutex] serve/shard_pool.cpp::mutex_
 //       serve::ShardedMonitor (Impl). Leaf. Guards the cross-shard handoff
-//       ledger (retired_through_) and first-error capture. Taken only from
-//       engine hooks (note_retired / wait_handoff), which ShardEngine
-//       invokes with its own lock RELEASED; the fleet never calls into an
-//       engine while holding it. Nests with nothing — a handoff wait
-//       sleeps on this mutex's condvar alone, and the drain plan
+//       ledger (retired_through_) and first-error capture. Taken only by
+//       wait_handoff / note_retired, which shards call with their own
+//       shard_mutex_ released, and by the driver threads' error capture;
+//       nothing is called while it is held. Nests with nothing — a handoff
+//       wait sleeps on this mutex's condvar alone, and the drain plan
 //       guarantees the wake (handoffs only leave drained shards; drained
 //       shards never reopen, so waits cannot form a cycle).
 //
 // sched::ClusterEngine has no lock of its own: live engines are guarded by
 // their owner (LiveClusterFeed::mutex_).
 //
-// A thread therefore holds at most two locks at once (feed → engine), and
-// the pool → DAG → engine → fleet layering can never deadlock: moving DOWN
+// A thread therefore holds at most two locks at once (feed → shard), and
+// the pool → DAG → serving-fleet layering can never deadlock: moving DOWN
 // the layering (worker runs pump, pump runs stage, stage emits to sink) is
 // always done lock-free, and the single UP edge (sink querying the monitor)
 // acquires in a fixed order. Any new nesting must be recorded here — the

@@ -577,24 +577,6 @@ ArrivalProcess poisson_arrivals(double rate) {
   };
 }
 
-ArrivalProcess poisson_spike_arrivals(double rate, double spike_rate,
-                                      double spike_begin, double spike_end) {
-  NURD_CHECK(rate > 0.0 && spike_rate > 0.0,
-             "Poisson arrival rates must be positive");
-  NURD_CHECK(spike_begin >= 0.0 && spike_end > spike_begin,
-             "spike window must be a non-empty forward interval");
-  return [=](std::size_t job_count, Rng& rng) {
-    std::vector<double> arrivals(job_count);
-    double t = 0.0;
-    for (auto& a : arrivals) {
-      const bool in_spike = t >= spike_begin && t < spike_end;
-      t += rng.exponential(in_spike ? spike_rate : rate);
-      a = t;
-    }
-    return arrivals;
-  };
-}
-
 ArrivalProcess piecewise_poisson_arrivals(std::vector<RateSegment> schedule) {
   NURD_CHECK(!schedule.empty(), "piecewise schedule needs >= 1 segment");
   NURD_CHECK(schedule.front().begin == 0.0,

@@ -136,15 +136,6 @@ ArrivalProcess fixed_arrivals(std::vector<double> times);
 /// are cumulative sums of Exponential(rate) inter-arrival gaps.
 ArrivalProcess poisson_arrivals(double rate);
 
-/// Poisson process whose rate jumps to `spike_rate` while the running time
-/// is inside [spike_begin, spike_end) — the over-budget arrival burst the
-/// serving fleet's load-shedding path is exercised under. Each gap is drawn
-/// at the rate in force when it starts (a gap straddling a boundary is not
-/// re-split — adequate for driving a backlog spike, and it keeps the RNG
-/// consumption order trivially deterministic: one exponential per job).
-ArrivalProcess poisson_spike_arrivals(double rate, double spike_rate,
-                                      double spike_begin, double spike_end);
-
 /// One segment of a piecewise-constant arrival-rate schedule: `rate` applies
 /// from `begin` until the next segment's begin (the last segment extends
 /// forever). Segments must be in strictly ascending `begin` order and the
@@ -154,10 +145,12 @@ struct RateSegment {
   double rate = 1.0;
 };
 
-/// Piecewise-constant Poisson schedule. Like poisson_spike_arrivals, each
-/// inter-arrival gap is drawn at the rate in force when it starts — one
-/// exponential per job, so the RNG consumption order never depends on where
-/// the boundaries fall.
+/// Piecewise-constant Poisson schedule. Each inter-arrival gap is drawn at
+/// the rate in force when it starts (a gap straddling a boundary is not
+/// re-split) — one exponential per job, so the RNG consumption order never
+/// depends on where the boundaries fall. A two-segment schedule such as
+/// {{0, 4.0}, {100, 0.02}} is the over-budget arrival burst the serving
+/// fleet's load-shedding path is exercised under.
 ArrivalProcess piecewise_poisson_arrivals(std::vector<RateSegment> schedule);
 
 /// Diurnal Poisson schedule: rate(t) = base * (1 + amplitude * sin(2*pi *

@@ -38,9 +38,9 @@ FlagSink LiveClusterFeed::sink() {
     // Safe to advance: the monitor's watermark still covers this flag's
     // event (its time leaves the in-flight set only after the sink returns),
     // and the engine stops strictly below the bound. low_watermark() takes
-    // each engine's lock in turn while we hold ours — the codebase's single
-    // nested acquisition, feed → engine (documented in common/sync.h);
-    // engines never call the sink with their lock held, so the order cannot
+    // each shard's lock in turn while we hold ours — the codebase's single
+    // nested acquisition, feed → shard (documented in common/sync.h);
+    // shards never call the sink with their lock held, so the order cannot
     // invert.
     engine_.advance_to(monitor_->low_watermark());
   };

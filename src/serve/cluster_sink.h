@@ -21,11 +21,11 @@
 // Thread-safety: the sink and finish() serialize on an internal mutex; one
 // feed serves one ShardedMonitor run. This mutex is the ONE lock in the
 // codebase held across a call into another locked layer — the sink queries
-// ShardedMonitor::low_watermark(), which takes each ShardEngine::mutex_ in
+// ShardedMonitor::low_watermark(), which takes each shard's shard_mutex_ in
 // turn, one at a time, while the feed's mutex_ is held: the order is
-// LiveClusterFeed::mutex_ → ShardEngine::mutex_, never the reverse (engines
-// invoke sinks with their own lock released). See the lock-ordering table
-// in common/sync.h.
+// LiveClusterFeed::mutex_ → shard_mutex_, never the reverse (shards invoke
+// the sink with their own lock released). See the lock-ordering table in
+// common/sync.h.
 #pragma once
 
 #include <cstdint>

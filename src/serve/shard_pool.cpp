@@ -1,10 +1,14 @@
 #include "serve/shard_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <exception>
 #include <limits>
+#include <optional>
+#include <set>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -12,11 +16,15 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/sync.h"
-#include "serve/shard_engine.h"
+#include "common/thread_pool.h"
+#include "core/predictor.h"
+#include "core/task_dag.h"
 
 namespace nurd::serve {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kUnplaced = std::numeric_limits<std::size_t>::max();
 
@@ -25,6 +33,13 @@ constexpr std::size_t kUnplaced = std::numeric_limits<std::size_t>::max();
 /// service.
 constexpr double kShedCostFactor = 0.25;
 
+/// Only QoS classes strictly below this floor are ever shed.
+constexpr QoS kShedFloor = QoS::kInteractive;
+
+double seconds_since(Clock::time_point t) {
+  return std::chrono::duration<double>(Clock::now() - t).count();
+}
+
 double percentile_ms(std::vector<double>& sorted_seconds, double q) {
   if (sorted_seconds.empty()) return 0.0;
   const auto n = sorted_seconds.size();
@@ -32,6 +47,16 @@ double percentile_ms(std::vector<double>& sorted_seconds, double q) {
   if (idx >= n) idx = n - 1;
   return sorted_seconds[idx] * 1e3;
 }
+
+/// A job's managed serving session: predictor + harness stepper + the
+/// per-checkpoint scratch ring the DAG stages hand off through (cell
+/// t % ring.size(); reuse is safe under the executor's window edge).
+/// Fleet-wide, so it survives a drain handoff between shards.
+struct JobSession {
+  std::unique_ptr<core::StragglerPredictor> predictor;
+  std::optional<eval::OnlineJobRun> run;
+  std::vector<eval::CheckpointScratch> ring;
+};
 
 }  // namespace
 
@@ -61,6 +86,7 @@ struct ShardedMonitor::Impl {
     {
       std::vector<std::uint8_t> seen(config_.shards, 0);
       for (const DrainEvent& d : config_.drains) {
+        NURD_CHECK(std::isfinite(d.time), "drain time must be finite");
         NURD_CHECK(d.shard < config_.shards, "drain shard out of range");
         NURD_CHECK(!seen[d.shard], "shard drained twice");
         seen[d.shard] = 1;
@@ -205,7 +231,7 @@ struct ShardedMonitor::Impl {
           const auto qos = static_cast<std::size_t>(
               config_.tenants[e.tenant].qos);
           const bool sheddable =
-              qos < static_cast<std::size_t>(config_.shed_floor) &&
+              qos < static_cast<std::size_t>(kShedFloor) &&
               e.checkpoint + 1 != jobs_[e.job].checkpoint_count();
           if (sheddable && backlog > config_.shed_budget * (1 + qos)) {
             e.shed = true;
@@ -225,9 +251,304 @@ struct ShardedMonitor::Impl {
 
   // ---- the execution plane -------------------------------------------------
 
+  // One shard's execution core. It decides nothing: it executes its slice of
+  // the plan (indices into plan_.events, in admission order), admitting
+  // events under a bounded in-flight window and running the four pipeline
+  // stages per checkpoint — inline on its driver thread, in event order,
+  // when it has one worker (the bit-parity reference), or as pipelined
+  // TaskDag tasks on a private pool when it has more. Flags go to the
+  // fleet's sink; retired checkpoints go to the fleet's handoff ledger.
+  struct ShardEngine {
+    ShardEngine(Impl& fleet, std::vector<std::uint32_t> events,
+                std::size_t workers)
+        : fleet_(fleet),
+          events_(std::move(events)),
+          workers_(workers),
+          next_ingest_time_(
+              events_.empty()
+                  ? std::numeric_limits<double>::infinity()
+                  : fleet.plan_.events[events_.front()].admission) {}
+
+    double low_watermark() const NURD_EXCLUDES(shard_mutex_) {
+      MutexLock lock(shard_mutex_);
+      return inflight_times_.empty() ? next_ingest_time_
+                                     : *inflight_times_.begin();
+    }
+
+    // Waits for a free in-flight slot (at most 4 × workers) and accounts
+    // the admit. Returns false once a stage error is recorded: admission
+    // stops and run() rethrows after the drain.
+    bool admit_locked(double time) NURD_REQUIRES(shard_mutex_) {
+      while (!(inflight_ < 4 * workers_ || error_ != nullptr)) {
+        cv_.wait(shard_mutex_);
+      }
+      if (error_) return false;
+      ++inflight_;
+      inflight_times_.insert(time);
+      peak_backlog_ = std::max(peak_backlog_, inflight_);
+      ++next_event_;
+      next_ingest_time_ =
+          next_event_ < events_.size()
+              ? fleet_.plan_.events[events_[next_event_]].admission
+              : std::numeric_limits<double>::infinity();
+      return true;
+    }
+
+    // Executes ONE pipeline stage of checkpoint `t` of `job`, timing its
+    // body into the per-stage busy counters. Both execution paths funnel
+    // through here — the serialized loop runs the four stages back to back,
+    // the DAG runs them as separate tasks — so the stage breakdown is
+    // populated identically everywhere. The Flag stage is where decisions
+    // leave the shard: the sink runs here, OUTSIDE shard_mutex_ and BEFORE
+    // the event's time leaves the in-flight set, so low_watermark() cannot
+    // pass a flag that is still being delivered.
+    void run_stage(std::size_t job, std::size_t t, core::Stage stage)
+        NURD_EXCLUDES(shard_mutex_) {
+      JobSession& session = fleet_.sessions_[job];
+      eval::CheckpointScratch& cell = session.ring[t % session.ring.size()];
+      const ShardPlan::Event& event = fleet_.event_of(job, t);
+      const auto began = Clock::now();
+      switch (stage) {
+        case core::Stage::kFeaturize:
+          session.run->featurize(t, &cell, event.shed);
+          break;
+        case core::Stage::kRefit:
+          session.run->refit(t, &cell, event.shed);
+          break;
+        case core::Stage::kPredict:
+          session.run->predict(t, &cell, event.shed);
+          break;
+        case core::Stage::kFlag: {
+          const auto flagged = session.run->flag(t, &cell);
+          if (!flagged.empty()) {
+            if (fleet_.sink_) {
+              for (auto task : flagged) {
+                fleet_.sink_({job, task, t, event.admission, event.shard,
+                              event.tenant});
+              }
+            }
+            MutexLock lock(shard_mutex_);
+            flags_ += flagged.size();
+          }
+          if (event.shed) {
+            MutexLock lock(shard_mutex_);
+            ++shed_count_;
+          }
+          break;
+        }
+      }
+      stage_nanos_[static_cast<std::size_t>(stage)].fetch_add(
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  Clock::now() - began)
+                  .count()),
+          std::memory_order_relaxed);
+    }
+
+    // Both _locked helpers require shard_mutex_ held (compiler-enforced).
+    void retire_locked(double time) NURD_REQUIRES(shard_mutex_) {
+      --inflight_;
+      inflight_times_.erase(inflight_times_.find(time));
+      cv_.notify_all();
+    }
+
+    void record_latency_locked(std::size_t job, double seconds)
+        NURD_REQUIRES(shard_mutex_) {
+      latencies_.push_back({static_cast<std::uint32_t>(job), seconds});
+      ++processed_;
+    }
+
+    // Migration handshake: a job's first event after a handoff blocks
+    // until the source shard retired every checkpoint below it. False =
+    // fleet abort; the caller then drops the job's remaining events.
+    bool handoff_ready(const ShardPlan::Event& e) const {
+      return !fleet_.waits_for_handoff(e) ||
+             fleet_.wait_handoff(e.job, e.checkpoint);
+    }
+
+    // One worker: the bit-parity reference. Each event is admitted and its
+    // four stages run back to back on this thread, in plan order. On a
+    // stage error the event retires, admission stops, and run() rethrows.
+    void run_serialized() NURD_EXCLUDES(shard_mutex_) {
+      std::vector<std::uint8_t> dead(fleet_.jobs_.size(), 0);
+      for (const std::uint32_t i : events_) {
+        const ShardPlan::Event& e = fleet_.plan_.events[i];
+        if (dead[e.job]) continue;
+        if (!handoff_ready(e)) {
+          dead[e.job] = 1;
+          continue;
+        }
+        {
+          MutexLock lock(shard_mutex_);
+          if (!admit_locked(e.admission)) break;
+        }
+        const auto admitted_at = Clock::now();
+        try {
+          for (std::size_t s = 0; s < core::kStageCount; ++s) {
+            run_stage(e.job, e.checkpoint, static_cast<core::Stage>(s));
+          }
+        } catch (...) {
+          MutexLock lock(shard_mutex_);
+          error_ = std::current_exception();
+          retire_locked(e.admission);
+          break;
+        }
+        {
+          MutexLock lock(shard_mutex_);
+          record_latency_locked(e.job, seconds_since(admitted_at));
+          retire_locked(e.admission);
+        }
+        fleet_.note_retired(e.job, e.checkpoint);
+      }
+    }
+
+    // More than one worker: a private pool runs the stage work as pipelined
+    // TaskDag tasks and this thread only admits. The event accounting runs
+    // under shard_mutex_, the executor admit OUTSIDE it (the executor's
+    // callbacks take shard_mutex_ themselves). A refused admit — the job
+    // was cancelled by an earlier stage error — retires the event
+    // immediately so the in-flight count still drains to zero.
+    void run_dag() NURD_EXCLUDES(shard_mutex_) {
+      {
+        MutexLock lock(shard_mutex_);  // preamble, but the field is annotated
+        admitted_at_.resize(fleet_.jobs_.size());
+        for (const std::uint32_t i : events_) {
+          const std::size_t job = fleet_.plan_.events[i].job;
+          if (admitted_at_[job].empty()) {
+            admitted_at_[job].resize(fleet_.jobs_[job].checkpoint_count());
+          }
+        }
+      }
+      // The dag is declared after the pool so it is destroyed FIRST (its
+      // pumps run on the pool).
+      ThreadPool pool(workers_);
+      core::TaskDagConfig dag_config;
+      dag_config.workers = workers_;
+      dag_config.window = fleet_.config_.window;
+      dag_config.featurize_ahead =
+          std::min<std::size_t>(2, fleet_.config_.window);
+      core::TaskDag dag(
+          fleet_.jobs_.size(), dag_config,
+          [this](const core::TaskKey& k) {
+            run_stage(k.job, k.checkpoint, k.stage);
+          },
+          [this](std::size_t job, std::size_t ckpt, bool completed) {
+            {
+              MutexLock lock(shard_mutex_);
+              if (completed) {
+                record_latency_locked(job,
+                                      seconds_since(admitted_at_[job][ckpt]));
+              }
+              retire_locked(fleet_.event_of(job, ckpt).admission);
+            }
+            if (completed) fleet_.note_retired(job, ckpt);
+          },
+          [this](std::size_t, std::exception_ptr e) {
+            MutexLock lock(shard_mutex_);
+            if (!error_) error_ = e;
+            cv_.notify_all();
+          });
+      // Migrated-in jobs start their pipeline at the handoff boundary; the
+      // executor treats everything below it as already complete.
+      for (const std::uint32_t i : events_) {
+        const ShardPlan::Event& e = fleet_.plan_.events[i];
+        if (fleet_.waits_for_handoff(e)) dag.begin_job_at(e.job, e.checkpoint);
+      }
+      dag.start(pool);
+
+      // `dead` (handoff-abandoned jobs) is touched only on this thread.
+      std::vector<std::uint8_t> dead(fleet_.jobs_.size(), 0);
+      for (const std::uint32_t i : events_) {
+        const ShardPlan::Event& e = fleet_.plan_.events[i];
+        if (dead[e.job]) continue;
+        if (!handoff_ready(e)) {
+          dead[e.job] = 1;
+          continue;
+        }
+        {
+          MutexLock lock(shard_mutex_);
+          if (!admit_locked(e.admission)) break;
+          admitted_at_[e.job][e.checkpoint] = Clock::now();
+        }
+        const bool accepted = dag.admit(e.job, e.checkpoint);
+        MutexLock lock(shard_mutex_);
+        if (!accepted) retire_locked(e.admission);
+        if (error_) break;
+      }
+      dag.close();
+      {
+        MutexLock lock(shard_mutex_);
+        while (inflight_ != 0) cv_.wait(shard_mutex_);
+      }
+      dag.wait();
+    }
+
+    // Runs the slice to completion on the calling (driver) thread. Throws
+    // the first stage error after draining.
+    void run() NURD_EXCLUDES(shard_mutex_) {
+      const auto start = Clock::now();
+      if (workers_ > 1) {
+        run_dag();
+      } else {
+        run_serialized();
+      }
+      MutexLock lock(shard_mutex_);
+      wall_seconds_ = seconds_since(start);
+      if (error_) std::rethrow_exception(error_);
+    }
+
+    // ---- owner state, fixed at construction. Sessions are driven without
+    // a lock — exactly one stage task of a job runs at a time (the DAG's
+    // edges / the serialized loop).
+    Impl& fleet_;
+    const std::vector<std::uint32_t> events_;  ///< plan_.events indices
+    const std::size_t workers_;
+
+    mutable Mutex shard_mutex_;
+    CondVar cv_;
+    std::size_t inflight_ NURD_GUARDED_BY(shard_mutex_) = 0;
+    /// Admitted, not yet processed.
+    std::multiset<double> inflight_times_ NURD_GUARDED_BY(shard_mutex_);
+    /// Next events_ index to admit, and its admission time.
+    std::size_t next_event_ NURD_GUARDED_BY(shard_mutex_) = 0;
+    double next_ingest_time_ NURD_GUARDED_BY(shard_mutex_);
+    std::exception_ptr error_ NURD_GUARDED_BY(shard_mutex_);
+    /// DAG path: admission wall-clock per (job, checkpoint), stamped at
+    /// admit and read at retire.
+    std::vector<std::vector<Clock::time_point>> admitted_at_
+        NURD_GUARDED_BY(shard_mutex_);
+
+    // ---- the shard's stats, read by assemble() under shard_mutex_.
+    std::size_t peak_backlog_ NURD_GUARDED_BY(shard_mutex_) = 0;
+    std::size_t processed_ NURD_GUARDED_BY(shard_mutex_) = 0;
+    std::size_t flags_ NURD_GUARDED_BY(shard_mutex_) = 0;
+    std::size_t shed_count_ NURD_GUARDED_BY(shard_mutex_) = 0;
+    double wall_seconds_ NURD_GUARDED_BY(shard_mutex_) = 0.0;
+    struct Latency {
+      std::uint32_t job = 0;
+      double seconds = 0.0;  ///< admission -> checkpoint retired
+    };
+    std::vector<Latency> latencies_ NURD_GUARDED_BY(shard_mutex_);
+    /// Cumulative busy nanoseconds per pipeline stage, across all workers.
+    std::array<std::atomic<std::uint64_t>, core::kStageCount> stage_nanos_{};
+  };
+
+  /// The plan event of checkpoint `t` of `job`.
+  const ShardPlan::Event& event_of(std::size_t job, std::size_t t) const {
+    return plan_.events[event_index_[slot_begin_[job] + t]];
+  }
+
+  /// A job waits for a handoff at the first event it has on a shard exactly
+  /// when its previous checkpoint was planned on another shard; the
+  /// boundary is that event's checkpoint.
+  bool waits_for_handoff(const ShardPlan::Event& e) const {
+    return e.checkpoint > 0 &&
+           event_of(e.job, e.checkpoint - 1).shard != e.shard;
+  }
+
   // Handoff handshake state. ShardedMonitor::mutex_ is a leaf: taken by
-  // engine callbacks that hold no engine lock, and nothing is called while
-  // it is held (see common/sync.h).
+  // shards holding no shard_mutex_, and nothing is called while it is held
+  // (see common/sync.h).
   bool wait_handoff(std::size_t job, std::size_t boundary)
       NURD_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
@@ -252,7 +573,7 @@ struct ShardedMonitor::Impl {
         config_.threads == 0 ? std::max(1u, hw) : config_.threads;
 
     // Fleet-wide sessions: a job's session survives handoffs — the
-    // receiving engine resumes the same OnlineJobRun where the source
+    // receiving shard resumes the same OnlineJobRun where the source
     // stopped. The stepper is the run_job protocol itself, so serialized
     // serving is bit-identical to the batch harness by construction. The
     // DAG needs one scratch cell per in-flight checkpoint of a job (its
@@ -261,18 +582,33 @@ struct ShardedMonitor::Impl {
     sessions_.resize(jobs_.size());
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       sessions_[j].predictor = method_.make();
-      sessions_[j].run.emplace(jobs_[j], *sessions_[j].predictor,
-                               config_.pct);
+      sessions_[j].run.emplace(jobs_[j], *sessions_[j].predictor);
       sessions_[j].ring.resize(workers > 1 ? config_.window : 1);
     }
 
-    // Slice the plan per shard, in plan (admission) order. A job whose
-    // shard changes mid-list carries a wait boundary on its first event at
-    // the new shard — the receiving engine blocks there until the source
-    // retired everything below. Deadlock-freedom: handoffs only originate
-    // from DRAINED shards, drained shards never reopen (so never receive),
-    // and two shards cannot both have drained before handing to each other
-    // — the wait graph follows drain times and is acyclic.
+    // Index the plan by (job, checkpoint) and slice it per shard, in plan
+    // (admission) order. Deadlock-freedom of the handoff waits: handoffs
+    // only originate from DRAINED shards, drained shards never reopen (so
+    // never receive), and two shards cannot both have drained before
+    // handing to each other — the wait graph follows drain times and is
+    // acyclic.
+    slot_begin_.resize(jobs_.size());
+    std::size_t slots = 0;
+    for (std::size_t j = 0; j < jobs_.size(); ++j) {
+      slot_begin_[j] = slots;
+      slots += jobs_[j].checkpoint_count();
+    }
+    event_index_.resize(slots);
+    std::vector<std::size_t> next_checkpoint(jobs_.size(), 0);
+    std::vector<std::vector<std::uint32_t>> slices(config_.shards);
+    for (std::size_t i = 0; i < plan_.events.size(); ++i) {
+      const ShardPlan::Event& e = plan_.events[i];
+      NURD_CHECK(e.checkpoint == next_checkpoint[e.job]++,
+                 "the plan must keep each job's checkpoint order");
+      event_index_[slot_begin_[e.job] + e.checkpoint] =
+          static_cast<std::uint32_t>(i);
+      slices[e.shard].push_back(static_cast<std::uint32_t>(i));
+    }
     handoff_job_.assign(jobs_.size(), 0);
     for (const ShardPlan::Handoff& h : plan_.handoffs) {
       handoff_job_[h.job] = 1;
@@ -281,57 +617,20 @@ struct ShardedMonitor::Impl {
       MutexLock lock(mutex_);  // preamble, but the field is lock-annotated
       retired_through_.assign(jobs_.size(), 0);
     }
-    std::vector<std::vector<EngineEvent>> slices(config_.shards);
-    {
-      std::vector<std::size_t> prev_shard(jobs_.size(), kUnplaced);
-      for (const ShardPlan::Event& e : plan_.events) {
-        EngineEvent ev;
-        ev.time = e.admission;
-        ev.job = e.job;
-        ev.checkpoint = e.checkpoint;
-        ev.shed = e.shed;
-        ev.wait_boundary =
-            (prev_shard[e.job] != kUnplaced && prev_shard[e.job] != e.shard)
-                ? e.checkpoint
-                : kNoHandoff;
-        prev_shard[e.job] = e.shard;
-        slices[e.shard].push_back(ev);
-      }
-    }
 
-    EngineConfig engine_config;
-    engine_config.threads = workers;
-    engine_config.max_inflight = config_.max_inflight;
-    engine_config.window = config_.window;
-
-    // Every engine exists before any driver thread starts, so sinks may
-    // read low_watermark() over all of them from the first flag on.
+    // Every shard exists, its first ingest time set, before any driver
+    // thread starts, so sinks may read low_watermark() over all of them
+    // from the first flag on.
     engines_.reserve(config_.shards);
     for (std::size_t s = 0; s < config_.shards; ++s) {
-      EngineHooks hooks;
-      if (config_.sink) {
-        hooks.sink = [this, s](const FlagDecision& d) {
-          FlagDecision out = d;
-          out.shard = s;
-          out.tenant = plan_.tenant_of[d.job];
-          config_.sink(out);
-        };
-      }
-      hooks.wait_handoff = [this](std::size_t job, std::size_t boundary) {
-        return wait_handoff(job, boundary);
-      };
-      hooks.retired = [this](std::size_t job, std::size_t ckpt) {
-        note_retired(job, ckpt);
-      };
-      engines_.push_back(std::make_unique<ShardEngine>(
-          jobs_, std::span<JobSession>(sessions_), std::move(slices[s]),
-          engine_config, std::move(hooks)));
+      engines_.push_back(
+          std::make_unique<ShardEngine>(*this, std::move(slices[s]), workers));
     }
 
-    // One driver thread per shard. A failing engine records the first error
-    // and aborts every pending handoff wait; surviving engines finish their
+    // One driver thread per shard. A failing shard records the first error
+    // and aborts every pending handoff wait; surviving shards finish their
     // own slices, then run() rethrows.
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = Clock::now();
     std::vector<std::thread> drivers;
     drivers.reserve(config_.shards);
     for (std::size_t s = 0; s < config_.shards; ++s) {
@@ -351,10 +650,7 @@ struct ShardedMonitor::Impl {
       MutexLock lock(mutex_);
       if (error_) std::rethrow_exception(error_);
     }
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    const double wall = seconds_since(start);
 
     return assemble(workers, wall);
   }
@@ -364,7 +660,7 @@ struct ShardedMonitor::Impl {
       return plan_.events.empty() ? std::numeric_limits<double>::infinity()
                                   : plan_.events.front().admission;
     }
-    // Engines are read one at a time, and each one's watermark only rises,
+    // Shards are read one at a time, and each one's watermark only rises,
     // so the minimum is never above the fleet's true watermark.
     double low = std::numeric_limits<double>::infinity();
     for (const auto& engine : engines_) {
@@ -389,27 +685,31 @@ struct ShardedMonitor::Impl {
       served[e.shard][e.job] = 1;
     }
 
+    // Each shard's counters are read under its own lock: every writer is
+    // done (the drivers joined), but reading through the lock they were
+    // written under makes the happens-before a compiler-checked fact.
     std::vector<double> all_latencies;
     std::vector<std::vector<double>> tenant_latencies(
         config_.tenants.size());
     for (std::size_t s = 0; s < config_.shards; ++s) {
-      const EngineStats& es = engines_[s]->stats();
+      ShardEngine& engine = *engines_[s];
+      MutexLock lock(engine.shard_mutex_);
       ShardStats stats;
       stats.shard = s;
       stats.jobs = static_cast<std::size_t>(
           std::count(served[s].begin(), served[s].end(), 1));
-      stats.checkpoints = es.processed;
-      stats.flags = es.flags;
-      stats.shed = es.shed;
-      stats.peak_backlog = es.peak_backlog;
-      stats.wall_seconds = es.wall_seconds;
+      stats.checkpoints = engine.processed_;
+      stats.flags = engine.flags_;
+      stats.shed = engine.shed_count_;
+      stats.peak_backlog = engine.peak_backlog_;
+      stats.wall_seconds = engine.wall_seconds_;
       stats.checkpoints_per_sec =
-          es.wall_seconds > 0.0
-              ? static_cast<double>(es.processed) / es.wall_seconds
+          engine.wall_seconds_ > 0.0
+              ? static_cast<double>(engine.processed_) / engine.wall_seconds_
               : 0.0;
       std::vector<double> shard_lat;
-      shard_lat.reserve(es.latencies.size());
-      for (const auto& l : es.latencies) {
+      shard_lat.reserve(engine.latencies_.size());
+      for (const auto& l : engine.latencies_) {
         shard_lat.push_back(l.seconds);
         all_latencies.push_back(l.seconds);
         tenant_latencies[plan_.tenant_of[l.job]].push_back(l.seconds);
@@ -419,11 +719,14 @@ struct ShardedMonitor::Impl {
       stats.p99_latency_ms = percentile_ms(shard_lat, 0.99);
       result.shards.push_back(stats);
 
-      result.totals.checkpoints += es.processed;
-      result.totals.flags += es.flags;
-      result.totals.peak_backlog += es.peak_backlog;
-      for (std::size_t i = 0; i < es.stage_seconds.size(); ++i) {
-        result.totals.stage_seconds[i] += es.stage_seconds[i];
+      result.totals.checkpoints += engine.processed_;
+      result.totals.flags += engine.flags_;
+      result.totals.peak_backlog += engine.peak_backlog_;
+      for (std::size_t i = 0; i < core::kStageCount; ++i) {
+        result.totals.stage_seconds[i] +=
+            static_cast<double>(
+                engine.stage_nanos_[i].load(std::memory_order_relaxed)) *
+            1e-9;
       }
     }
     result.totals.jobs = jobs_.size();
@@ -482,8 +785,13 @@ struct ShardedMonitor::Impl {
   std::span<const trace::Job> jobs_;
   core::NamedPredictor method_;
   ShardedMonitorConfig config_;
+  FlagSink sink_;
   ShardPlan plan_;
   std::vector<JobSession> sessions_;
+  /// The fleet-wide (job, checkpoint) -> plan event table: slot
+  /// slot_begin_[job] + checkpoint holds the event's plan_.events index.
+  std::vector<std::size_t> slot_begin_;
+  std::vector<std::uint32_t> event_index_;
   /// One per shard; built in run() before any driver thread starts and
   /// kept afterwards so low_watermark() stays answerable.
   std::vector<std::unique_ptr<ShardEngine>> engines_;
@@ -491,10 +799,10 @@ struct ShardedMonitor::Impl {
   std::vector<std::uint8_t> handoff_job_;
   bool ran_ = false;
 
-  // ---- handoff handshake (the only cross-engine synchronization).
+  // ---- handoff handshake (the only cross-shard synchronization).
   mutable Mutex mutex_;
   CondVar cv_;
-  /// Per job: every checkpoint below this retired on its serving engine.
+  /// Per job: every checkpoint below this retired on its serving shard.
   std::vector<std::size_t> retired_through_ NURD_GUARDED_BY(mutex_);
   bool abort_ NURD_GUARDED_BY(mutex_) = false;
   std::exception_ptr error_ NURD_GUARDED_BY(mutex_);
@@ -525,7 +833,7 @@ std::span<const double> ShardedMonitor::arrivals() const {
 
 void ShardedMonitor::set_sink(FlagSink sink) {
   NURD_CHECK(!impl_->ran_, "set_sink after run()");
-  impl_->config_.sink = std::move(sink);
+  impl_->sink_ = std::move(sink);
 }
 
 double ShardedMonitor::low_watermark() const {

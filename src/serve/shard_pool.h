@@ -1,36 +1,39 @@
-// The serving layer: many jobs' checkpoint streams served concurrently, the
+// The serving module: many jobs' checkpoint streams served concurrently, the
 // regime the paper's Algorithm 1 is written for — a monitor watching MANY
 // jobs stream checkpoints against shared compute. ShardedMonitor is the one
-// serving frontend: N shards — each a ShardEngine with its own ThreadPool
-// and task-DAG executor — behind a job-placement policy, per-tenant
-// admission quotas, QoS-tiered load-shedding, and graceful shard
-// drain/rebalance. One shard with one worker is the serialized bit-parity
-// reference.
+// serving frontend: N shards, each with its own ThreadPool and task-DAG
+// executor, behind a job-placement policy, per-tenant admission quotas,
+// QoS-tiered load-shedding, and graceful shard drain/rebalance. One shard
+// with one worker is the serialized bit-parity reference.
 //
 // Every job gets a managed session: a fresh registry predictor (created
 // with RefitPolicy::kIncremental by default — a serving session maintains
 // its models between checkpoints) plus an eval::OnlineJobRun stepper, the
-// exact per-checkpoint protocol run_job uses. Each checkpoint event
-// executes as four stage tasks — featurize → refit → predict → flag — and
-// every flag decision is pushed to a caller-provided FlagSink the moment
-// it is emitted (serve::LiveClusterFeed forwards them into a live cluster
-// simulation).
+// exact per-checkpoint protocol run_job uses, labelling stragglers at p90
+// like eval::run_method. Each checkpoint event executes as four stage
+// tasks — featurize → refit → predict → flag — and every flag decision is
+// pushed to the FlagSink installed with set_sink() the moment it is emitted
+// (serve::LiveClusterFeed forwards them into a live cluster simulation).
 //
 // Two planes, strictly one-way:
 //
 //   PLAN (simulated time, deterministic)        EXECUTE (wall clock)
 //   ─────────────────────────────────────       ─────────────────────────
-//   arrival draws → per-tenant GCRA quota   →   one driver thread + engine
-//   deferral → placement (+ drain           →   per shard; handoff
-//   re-placement) → modeled per-shard       →   handshakes order migrated
-//   backlog → QoS-tiered shed marks         →   jobs across engines
+//   arrival draws → per-tenant GCRA quota   →   one driver thread per
+//   deferral → placement (+ drain           →   shard admits its slice of
+//   re-placement) → modeled per-shard       →   the plan; handoff waits
+//   backlog → QoS-tiered shed marks         →   order migrated jobs
 //
 // Every DECISION — which shard a job serves on, when a tenant's event is
 // admitted, which checkpoints are shed, where a drained shard's jobs go —
 // is computed in the plan plane as a pure function of (jobs, arrival
-// process, seeds, config) before any worker exists. Execution timing can
-// reorder WHEN stage work runs, never WHAT it computes. Consequences,
-// pinned by tests/test_shard_pool.cpp:
+// process, seeds, config) before any worker exists. A shard executes the
+// plan events it is given and decides nothing: each one at a time on its
+// driver thread when the shard has one worker, or as pipelined TaskDag
+// tasks on its private pool when it has more, with at most 4 × workers
+// events admitted and not yet retired. Execution timing can reorder WHEN
+// stage work runs, never WHAT it computes. Consequences, pinned by
+// tests/test_shard_pool.cpp:
 //
 //   * flag-set identity across shard count × thread count: with shedding
 //     off, the per-job records (and therefore the flag set) are
@@ -39,6 +42,8 @@
 //     eval::run_method — because each job's session runs the same
 //     per-checkpoint protocol wherever it is placed, and the executor
 //     decides only WHEN stage tasks run, never what they compute;
+//   * every FlagDecision carries its plan event's shard, tenant and
+//     admission time;
 //   * quotas never change decisions: GCRA deferral shifts an event's
 //     ADMISSION time, and per-tenant token times are monotone, so each
 //     job's checkpoint order is preserved — an over-quota tenant queues
@@ -46,13 +51,13 @@
 //     change;
 //   * shedding is deterministic at a fixed config: shed marks come from the
 //     modeled backlog (per-shard FCFS at `service_rate` in simulated time),
-//     so reruns shed the same checkpoints. Only events of QoS classes below
-//     `shed_floor` are ever shed, never a job's final checkpoint, and never
-//     an already-admitted event (marks are planned pre-admission);
+//     so reruns shed the same checkpoints. Only kBatch and kStandard
+//     events are ever shed, never a job's final checkpoint, and never an
+//     already-admitted event (marks are planned pre-admission);
 //   * drain/rebalance preserves the per-job checkpoint serial lane: a
 //     drained shard finishes its admitted work, its jobs re-place onto open
-//     shards, and the receiving engine blocks the job's first event until
-//     the source retired everything below the boundary — the flag set is
+//     shards, and a job's first event on its new shard waits until the
+//     source retired every checkpoint below it — the flag set is
 //     bit-identical to the undrained run. Handoffs only ever leave drained
 //     shards and drained shards never reopen, so handoff waits cannot form
 //     a cycle;
@@ -65,14 +70,15 @@
 // for different jobs arrive concurrently — the sink synchronizes
 // internally. low_watermark() is safe from sinks mid-run.
 //
-// Lock ordering (see common/sync.h): ShardedMonitor::mutex_ is taken by
-// engine callbacks (retired / wait_handoff) that hold no engine lock, and
-// never calls into engines while held — it nests with nothing.
+// Lock ordering (see common/sync.h): each shard's shard_mutex_ and the
+// fleet's handoff mutex_ are leaves — no code holds one while taking the
+// other or calling out of the module; the sink runs with both released.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -82,17 +88,33 @@
 #include "eval/harness.h"
 #include "sched/cluster.h"
 #include "serve/placement.h"
-#include "serve/shard_engine.h"
 #include "trace/job.h"
 
 namespace nurd::serve {
 
-/// QoS class of a tenant's traffic, lowest first. Shedding consumes classes
-/// strictly below the configured floor; admission quotas are orthogonal.
+/// One flag decision, as handed to the sink at emission time.
+struct FlagDecision {
+  std::size_t job = 0;         ///< job input index
+  std::size_t task = 0;        ///< task id within the job
+  std::size_t checkpoint = 0;  ///< checkpoint the predictor flagged at
+  double time = 0.0;           ///< simulated admission time of the event
+  std::size_t shard = 0;       ///< serving shard
+  std::size_t tenant = 0;      ///< tenant id
+};
+
+/// Flag sink. Invoked from shard workers (inside the Flag stage) while
+/// run() is in progress: calls for one job arrive in checkpoint order;
+/// calls for different jobs may be concurrent — implementations synchronize
+/// (see serve::LiveClusterFeed).
+using FlagSink = std::function<void(const FlagDecision&)>;
+
+/// QoS class of a tenant's traffic, lowest first. Shedding consumes kBatch
+/// first, then kStandard; kInteractive is never shed. Admission quotas are
+/// orthogonal.
 enum class QoS : std::uint8_t {
   kBatch = 0,        ///< throughput traffic; first to shed
   kStandard = 1,     ///< default
-  kInteractive = 2,  ///< latency-sensitive; sheds only if the floor says so
+  kInteractive = 2,  ///< latency-sensitive; never shed
 };
 
 /// One tenant of the fleet. Jobs map to tenants via
@@ -117,16 +139,13 @@ struct DrainEvent {
 };
 
 struct ShardedMonitorConfig {
-  /// Straggler percentile (the harness's pct parameter).
-  double pct = 90.0;
-  /// Shard count (engines). 1 with threads == 1 is the serialized
-  /// bit-parity reference.
+  /// Shard count. 1 with threads == 1 is the serialized bit-parity
+  /// reference.
   std::size_t shards = 1;
-  /// Stage workers PER SHARD (ShardEngine threads; 1 = that shard runs
-  /// serialized on its driver thread).
+  /// Stage workers PER SHARD (1 = that shard runs serialized on its driver
+  /// thread; 0 = hardware concurrency). A shard admits at most 4 × workers
+  /// checkpoint events at once.
   std::size_t threads = 1;
-  /// Per-shard admission bound (0 = 4 workers' worth).
-  std::size_t max_inflight = 0;
   /// Per-job DAG window per shard: at most this many checkpoints of ONE job
   /// have stages in flight at once (the scratch-cell ring bound;
   /// core/task_dag.h). At least 2 to overlap at all.
@@ -150,12 +169,8 @@ struct ShardedMonitorConfig {
   /// shedding engages. 0 = shedding off. A class q event is shed when the
   /// modeled backlog exceeds budget * (1 + q) — lower classes shed earlier.
   std::size_t shed_budget = 0;
-  /// Only QoS classes strictly BELOW this floor are ever shed.
-  QoS shed_floor = QoS::kInteractive;
-  /// Scheduled shard drains (simulated time).
+  /// Scheduled shard drains (simulated time, finite).
   std::vector<DrainEvent> drains;
-  /// Flag sink; decisions carry shard + tenant. May be null.
-  FlagSink sink;
   /// Refit policy applied by the name-based constructor.
   core::RefitPolicy refit = core::RefitPolicy::kIncremental;
 };
@@ -282,15 +297,16 @@ class ShardedMonitor {
   /// Arrival offsets as drawn (== plan().arrivals).
   std::span<const double> arrivals() const;
 
-  /// Installs (or replaces) the flag sink before run(). Exists because a
-  /// sink like LiveClusterFeed is constructed FROM the monitor (it replays
-  /// the monitor's arrival schedule), so it cannot be in the config yet.
+  /// Installs (or replaces) the flag sink before run(); without one,
+  /// decisions are counted but not delivered. A setter rather than a config
+  /// field because a sink like LiveClusterFeed is constructed FROM the
+  /// monitor (it replays the monitor's arrival schedule).
   void set_sink(FlagSink sink);
 
   /// Stream low watermark, in admission time: every checkpoint event
   /// admitted strictly below it has been fully processed (its flags
   /// emitted). Before run() it is the first planned admission time; during
-  /// and after run() it is the minimum over the shards' engines. Callable
+  /// and after run() it is the minimum over the shards. Callable
   /// from sinks mid-run; this is the bound LiveClusterFeed advances the
   /// cluster engine to.
   double low_watermark() const;

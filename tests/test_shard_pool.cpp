@@ -1,15 +1,17 @@
 // The serving fleet's contracts (serve/shard_pool.h):
 //   * flag-set identity: shards x workers x DAG window never changes the
 //     per-job records (and the serialized 1x1 fleet is bit-identical to the
-//     batch harness), including across a mid-stream drain/rebalance;
+//     batch harness), including across a mid-stream drain/rebalance, and
+//     every decision carries its plan event's shard, tenant and admission
+//     time;
 //   * placement is deterministic, covers only open shards, and each policy
 //     honors its own invariant (hash spread, least-loaded balance, tenant
 //     affinity);
 //   * per-tenant admission quotas defer ONLY the over-quota tenant — the
 //     in-quota tenant's modeled decision latency is unaffected within
 //     tolerance — and never change anybody's flags;
-//   * load-shedding engages under an over-budget spike, sheds only QoS
-//     classes below the floor, never a job's final checkpoint, and sheds
+//   * load-shedding engages under an over-budget spike, never sheds
+//     kInteractive traffic or a job's final checkpoint, and sheds
 //     the same checkpoints on every rerun;
 //   * a stage error surfaces from run() on every execution path, without
 //     hanging;
@@ -22,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -159,8 +162,8 @@ TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
       config.arrival_seed = 7;
       config.placement = least_loaded_placement();
       RecordingSink sink(jobs.size());
-      config.sink = sink.sink();
       ShardedMonitor fleet(jobs, method, config);
+      fleet.set_sink(sink.sink());
       const auto served = fleet.run();
 
       expect_runs_identical(served.runs, reference);
@@ -179,7 +182,9 @@ TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
 // on open shards, and the final records and flag set are bit-identical to
 // the undrained run. The drain time lands inside the event stream so real
 // handoffs happen (asserted), and the grid covers serialized and DAG
-// execution on the receiving side.
+// execution on the receiving side. The jobs split over two unmetered
+// tenants, and every decision carries its plan event's shard, tenant and
+// admission time — including the decisions made after a handoff.
 TEST(ShardedMonitor, DrainRebalanceKeepsFlagSetBitIdentical) {
   const auto jobs = generated_jobs(6, 1);
   const auto method = core::predictor_by_name("GBTR", tuned(true));
@@ -191,6 +196,10 @@ TEST(ShardedMonitor, DrainRebalanceKeepsFlagSetBitIdentical) {
     config.arrivals = sched::poisson_arrivals(3.0);
     config.arrival_seed = 11;
     config.placement = least_loaded_placement();
+    config.tenants = {TenantSpec{"even", QoS::kStandard, 0.0, 8.0},
+                      TenantSpec{"odd", QoS::kStandard, 0.0, 8.0}};
+    config.tenant_of.resize(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) config.tenant_of[j] = j % 2;
     return config;
   };
 
@@ -215,8 +224,8 @@ TEST(ShardedMonitor, DrainRebalanceKeepsFlagSetBitIdentical) {
       config.threads = workers;
       config.drains = {{mid, 0}};
       RecordingSink sink(jobs.size());
-      config.sink = sink.sink();
       ShardedMonitor fleet(jobs, method, config);
+      fleet.set_sink(sink.sink());
       EXPECT_GT(fleet.plan().handoffs.size(), 0u);
       for (const auto& h : fleet.plan().handoffs) {
         EXPECT_EQ(h.from, 0u);  // only the drained shard loses jobs
@@ -231,7 +240,40 @@ TEST(ShardedMonitor, DrainRebalanceKeepsFlagSetBitIdentical) {
           EXPECT_NE(e.shard, 0u);
         }
       }
+      // Each decision carries its (job, checkpoint) plan event's fields.
+      std::vector<std::vector<const ShardPlan::Event*>> event_of(jobs.size());
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        event_of[j].resize(jobs[j].checkpoint_count(), nullptr);
+      }
+      for (const auto& e : fleet.plan().events) {
+        event_of[e.job][e.checkpoint] = &e;
+      }
+      ASSERT_FALSE(sink.decisions.empty());
+      for (const FlagDecision& d : sink.decisions) {
+        const ShardPlan::Event* e = event_of[d.job][d.checkpoint];
+        ASSERT_NE(e, nullptr);
+        EXPECT_EQ(d.shard, e->shard);
+        EXPECT_EQ(d.tenant, e->tenant);
+        EXPECT_EQ(d.time, e->admission);
+      }
     }
+  }
+}
+
+// A drain time that is not finite is rejected at construction: a NaN key
+// would break the drain sort's ordering and stall the drain sweep, silently
+// cancelling the fleet's valid drains.
+TEST(ShardedMonitor, RejectsNonFiniteDrainTime) {
+  const auto jobs = generated_jobs(3, 1);
+  const auto method = core::predictor_by_name("HBOS", tuned(true));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    ShardedMonitorConfig config;
+    config.shards = 3;
+    config.arrivals = sched::poisson_arrivals(3.0);
+    config.drains = {{1.0, 1}, {bad, 2}};
+    EXPECT_THROW(ShardedMonitor(jobs, method, config), std::invalid_argument);
   }
 }
 
@@ -250,8 +292,9 @@ void expect_fleet_matches_one_shard(std::size_t job_count) {
     config.shards = shards;
     config.threads = 4;
     config.placement = hash_placement();
-    config.sink = sink->sink();
-    return ShardedMonitor(jobs, "GBTR", registry, config).run();
+    ShardedMonitor fleet(jobs, "GBTR", registry, config);
+    fleet.set_sink(sink->sink());
+    return fleet.run();
   };
   RecordingSink one(jobs.size());
   RecordingSink four(jobs.size());
@@ -376,8 +419,8 @@ TEST(ShardedMonitor, QuotaShieldsInQuotaTenantFromOverQuotaFlood) {
   expect_runs_identical(quota_result.runs, flood_result.runs);
 }
 
-// Load-shedding under an over-budget Poisson spike: sheds engage, hit only
-// QoS classes below the floor, spare every job's final checkpoint, and the
+// Load-shedding under an over-budget Poisson spike: sheds engage, spare the
+// kInteractive tenant and every job's final checkpoint, and the
 // shed set is identical across reruns. Shed checkpoints still produce a
 // confusion record (carried forward), so per-job records stay complete.
 TEST(ShardedMonitor, SheddingIsTieredDeterministicAndSparesFinals) {
@@ -393,7 +436,8 @@ TEST(ShardedMonitor, SheddingIsTieredDeterministicAndSparesFinals) {
     config.shards = 2;
     // The spike compresses every arrival into the first 100 simulated
     // seconds — far over the 0.02 events/s per-shard modeled capacity.
-    config.arrivals = sched::poisson_spike_arrivals(0.02, 4.0, 0.0, 100.0);
+    config.arrivals =
+        sched::piecewise_poisson_arrivals({{0.0, 4.0}, {100.0, 0.02}});
     config.arrival_seed = 13;
     config.tenants = {TenantSpec{"batch", QoS::kBatch, 0.0, 8.0},
                       TenantSpec{"interactive", QoS::kInteractive, 0.0, 8.0}};
@@ -404,7 +448,6 @@ TEST(ShardedMonitor, SheddingIsTieredDeterministicAndSparesFinals) {
     config.tenant_of = tenant_of;
     config.service_rate = 0.02;
     config.shed_budget = 4;
-    config.shed_floor = QoS::kInteractive;
     return ShardedMonitor(jobs, method, config);
   };
 
