@@ -8,7 +8,7 @@
 //   * ρ by regime — verifies the §4.2 claim that the centroid ratio is
 //     smaller for far-tail jobs than near-tail jobs.
 //
-//   $ ./ablation_nurd [--jobs=24] [--dataset=google|alibaba]
+//   $ ./ablation_nurd [--jobs=24] [--dataset=google|alibaba|both]
 #include <iostream>
 #include <memory>
 
@@ -27,15 +27,8 @@ nurd::core::NamedPredictor nurd_with(nurd::core::NurdParams params) {
           }};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+void run_ablations(nurd::bench::Dataset dataset, std::size_t n_jobs) {
   using namespace nurd;
-  const auto n_jobs =
-      static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 24));
-  const auto which = bench::arg_string(argc, argv, "dataset", "google");
-  const auto dataset = which == "alibaba" ? bench::Dataset::kAlibaba
-                                          : bench::Dataset::kGoogle;
   const auto jobs = bench::make_jobs(dataset, n_jobs);
   const auto tuned = bench::tuned_config(dataset);
 
@@ -129,6 +122,16 @@ int main(int argc, char** argv) {
                  TextTable::num(median(near_rho))});
     }
     std::cout << t.render() << "\n";
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const auto n_jobs = static_cast<std::size_t>(
+      nurd::bench::arg_long(argc, argv, "jobs", 24));
+  for (const auto dataset : nurd::bench::arg_datasets(argc, argv, "google")) {
+    run_ablations(dataset, n_jobs);
   }
   return 0;
 }

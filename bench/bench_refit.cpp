@@ -5,11 +5,9 @@
 //   $ ./bench_refit [--jobs=16] [--dataset=google|alibaba|both]
 //                   [--min-tasks=100] [--max-tasks=400] [--checkpoints=10]
 //                   [--methods=NURD,NURD-NC,GBTR,Grabit] [--check=0]
-//                   [--backend=reference|avx2|auto]
 //
-// --backend pins the kernel-dispatch backend every refit runs under
-// (default: the library's env-resolved default); the active backend is
-// named in the output header so timings are attributable.
+// The output header names the kernel table ops() picked for this CPU, so
+// timings are attributable; every table computes bit-identical results.
 //
 // Defaults mirror the Table-3 evaluation protocol (the regime every warm
 // knob is tuned against); --min-tasks/--max-tasks/--checkpoints scale the
@@ -113,35 +111,10 @@ int main(int argc, char** argv) {
   const auto checkpoints = static_cast<std::size_t>(
       bench::arg_long(argc, argv, "checkpoints", 10));
   const bool check = bench::arg_long(argc, argv, "check", 0) != 0;
-  const auto which = bench::arg_string(argc, argv, "dataset", "both");
-  const auto backend = bench::arg_string(argc, argv, "backend", "");
-  if (backend == "reference") {
-    kernel::set_backend(kernel::Backend::kReference);
-  } else if (backend == "avx2") {
-    kernel::set_backend(kernel::Backend::kAvx2);
-  } else if (backend == "auto") {
-    kernel::set_backend(kernel::best_available());
-  } else if (!backend.empty()) {
-    std::fprintf(stderr, "unknown --backend=%s (reference|avx2|auto)\n",
-                 backend.c_str());
-    return 2;
-  }
+  const auto datasets = bench::arg_datasets(argc, argv, "both");
   const auto methods =
       bench::split_csv(bench::arg_string(argc, argv, "methods",
                                   "NURD,NURD-NC,GBTR,Grabit"));
-
-  std::vector<bench::Dataset> datasets;
-  if (which == "google" || which == "both") {
-    datasets.push_back(bench::Dataset::kGoogle);
-  }
-  if (which == "alibaba" || which == "both") {
-    datasets.push_back(bench::Dataset::kAlibaba);
-  }
-  if (datasets.empty()) {
-    std::fprintf(stderr, "unknown --dataset=%s (google|alibaba|both)\n",
-                 which.c_str());
-    return 2;
-  }
 
   const auto make_scaled_jobs = [&](bench::Dataset dataset) {
     if (dataset == bench::Dataset::kGoogle) {

@@ -2,10 +2,14 @@
 // per-dataset defaults and simple --flag=value argument parsing.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -41,11 +45,11 @@ inline std::vector<trace::Job> make_jobs(Dataset d, std::size_t count,
   return gen.generate(count);
 }
 
-/// Reads "--name=value" from argv; returns fallback when absent. A "--flag"
+namespace detail {
+/// The value of "--name=value" in argv, or nullptr when absent. A "--flag"
 /// token without "=value" anywhere on the command line is a usage error
 /// (exit 2): a bare "--check" must not silently leave a gate off.
-inline std::string arg_string(int argc, char** argv, std::string_view name,
-                              std::string fallback) {
+inline const char* find_arg(int argc, char** argv, std::string_view name) {
   const std::string prefix = "--" + std::string(name) + "=";
   const char* found = nullptr;
   for (int i = 1; i < argc; ++i) {
@@ -59,14 +63,50 @@ inline std::string arg_string(int argc, char** argv, std::string_view name,
       found = argv[i] + prefix.size();
     }
   }
-  return found != nullptr ? std::string(found) : fallback;
+  return found;
+}
+}  // namespace detail
+
+/// Reads "--name=value" from argv; returns fallback when absent.
+inline std::string arg_string(int argc, char** argv, std::string_view name,
+                              std::string fallback) {
+  const char* value = detail::find_arg(argc, argv, name);
+  return value != nullptr ? std::string(value) : fallback;
 }
 
-/// Reads an integer flag.
+/// Reads a non-negative integer flag; returns fallback when absent. Any
+/// other value ("--check=true", "--jobs=2x", "--jobs=-1", one that overflows
+/// long) is a usage error (exit 2), so a typo cannot turn a gate off or
+/// change the run's size.
 inline long arg_long(int argc, char** argv, std::string_view name,
                      long fallback) {
-  const auto s = arg_string(argc, argv, name, "");
-  return s.empty() ? fallback : std::strtol(s.c_str(), nullptr, 10);
+  const char* value = detail::find_arg(argc, argv, name);
+  if (value == nullptr) return fallback;
+  const std::string_view s(value);
+  long out = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (s.empty() || s.front() < '0' || s.front() > '9' || ec != std::errc{} ||
+      end != s.data() + s.size()) {
+    std::fprintf(stderr, "%s: --%s=%s is not an integer in [0, %ld]\n",
+                 argv[0], std::string(name).c_str(), value,
+                 std::numeric_limits<long>::max());
+    std::exit(2);
+  }
+  return out;
+}
+
+/// Reads "--dataset=google|alibaba|both"; returns fallback's datasets when
+/// absent. An unknown name is a usage error (exit 2), so a typo cannot run
+/// nothing and exit 0.
+inline std::vector<Dataset> arg_datasets(int argc, char** argv,
+                                         std::string fallback) {
+  const auto which = arg_string(argc, argv, "dataset", std::move(fallback));
+  if (which == "google") return {Dataset::kGoogle};
+  if (which == "alibaba") return {Dataset::kAlibaba};
+  if (which == "both") return {Dataset::kGoogle, Dataset::kAlibaba};
+  std::fprintf(stderr, "%s: unknown --dataset=%s (google|alibaba|both)\n",
+               argv[0], which.c_str());
+  std::exit(2);
 }
 
 /// Splits a comma-separated flag value ("--methods=NURD,GBTR") into its

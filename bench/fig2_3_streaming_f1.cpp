@@ -17,15 +17,7 @@ int main(int argc, char** argv) {
   using namespace nurd;
   const auto n_jobs =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 40));
-  const auto which = bench::arg_string(argc, argv, "dataset", "both");
-
-  std::vector<bench::Dataset> datasets;
-  if (which == "google" || which == "both") {
-    datasets.push_back(bench::Dataset::kGoogle);
-  }
-  if (which == "alibaba" || which == "both") {
-    datasets.push_back(bench::Dataset::kAlibaba);
-  }
+  const auto datasets = bench::arg_datasets(argc, argv, "both");
 
   for (const auto dataset : datasets) {
     const auto jobs = bench::make_jobs(dataset, n_jobs);

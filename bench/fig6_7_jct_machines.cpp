@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace nurd;
   const auto n_jobs =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 40));
-  const auto which = bench::arg_string(argc, argv, "dataset", "both");
+  const auto datasets = bench::arg_datasets(argc, argv, "both");
   const auto seed =
       static_cast<std::uint64_t>(bench::arg_long(argc, argv, "seed", 99));
   const auto reps =
@@ -32,14 +32,6 @@ int main(int argc, char** argv) {
   // sweep is 10..120 spares (we also print the paper's absolute axis).
   const std::vector<std::size_t> machine_counts{10, 20, 30, 40, 50,
                                                 60, 80, 100, 120};
-
-  std::vector<bench::Dataset> datasets;
-  if (which == "google" || which == "both") {
-    datasets.push_back(bench::Dataset::kGoogle);
-  }
-  if (which == "alibaba" || which == "both") {
-    datasets.push_back(bench::Dataset::kAlibaba);
-  }
 
   for (const auto dataset : datasets) {
     const auto jobs = bench::make_jobs(dataset, n_jobs);

@@ -1,9 +1,10 @@
 // 32-byte aligned allocation for SIMD-facing buffers. Feature matrices,
 // histogram triplet arrays, and the FitSession scratch blocks allocate
-// through AlignedAllocator so a kernel backend can use aligned vector loads
+// through AlignedAllocator so a kernel table can use aligned vector loads
 // on column/row starts. Alignment is a performance property only: every
-// kernel primitive also accepts unaligned pointers (the AVX2 backend uses
-// unaligned load/store instructions, which are full speed on aligned data).
+// kernel primitive also accepts unaligned pointers (the AVX2 table uses
+// unaligned load/store instructions, which are full speed on aligned data),
+// and no table's results depend on it.
 #pragma once
 
 #include <cstddef>

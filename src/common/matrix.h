@@ -162,7 +162,7 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t row_reserve_hint_ = 0;
-  // 32-byte aligned so SIMD kernel backends get aligned row/column loads.
+  // 32-byte aligned so SIMD kernel tables get aligned row/column loads.
   // reserve_rows/reset keep their capacity-preserving semantics unchanged —
   // the allocator only changes WHERE the buffer lands, never when it is
   // (re)allocated.
@@ -170,8 +170,7 @@ class Matrix {
 };
 
 /// Squared Euclidean distance between two equal-length vectors. Dispatches
-/// through the kernel layer (kernel/kernel.h): bit-exact under the reference
-/// backend, tolerance-bound under accelerated ones.
+/// through the kernel layer (kernel/kernel.h), bit-exact under every table.
 double squared_distance(std::span<const double> a, std::span<const double> b);
 
 /// Euclidean distance between two equal-length vectors.

@@ -1,24 +1,20 @@
 #include "kernel/kernel.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
 
-#include "common/check.h"
 #include "common/stats.h"
 
 namespace nurd::kernel {
 
 namespace {
 
-// ---- reference backend -----------------------------------------------------
+// ---- reference table -------------------------------------------------------
 // Each primitive is the EXACT scalar loop the call sites ran before the
 // dispatch layer existed — same accumulation order, same operations — so the
-// reference backend is bit-identical to the pre-kernel library. Do not
+// reference table is bit-identical to the pre-kernel library. Do not
 // "optimize" these (no reassociation, no FMA): they are the golden path the
-// parity suite pins the accelerated backends against.
+// parity suite pins the accelerated tables against, and the entries every
+// accelerated table shares.
 
 double ref_dot(double init, const double* a, const double* b, std::size_t n) {
   double s = init;
@@ -133,102 +129,36 @@ constexpr KernelOps kReferenceOps = {
 
 // ---- dispatch --------------------------------------------------------------
 
-std::atomic<const KernelOps*> g_ops{nullptr};
-std::once_flag g_env_once;
-
-const KernelOps* table_of(Backend b) {
-  switch (b) {
-    case Backend::kReference:
-      return &kReferenceOps;
-    case Backend::kAvx2:
-      return detail::avx2_ops();
-  }
-  return nullptr;
+/// The table this CPU runs: avx2 when it is compiled in and CPUID reports
+/// AVX2, the reference table otherwise.
+const KernelOps* cpu_table() {
+#if defined(__x86_64__) || defined(_M_X64)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) return detail::avx2_ops();
+#endif
+  return &kReferenceOps;
 }
 
-/// Resolves NURD_KERNEL_BACKEND once. Unknown or unavailable values warn on
-/// stderr and fall back to the reference backend (a bench run on a non-AVX2
-/// box should degrade, not die).
-void init_from_env() {
-  // Read exactly once, under std::call_once before any worker threads
-  // exist; nothing in the process calls setenv.
-  const char* env = std::getenv("NURD_KERNEL_BACKEND");  // NOLINT(concurrency-mt-unsafe)
-  const KernelOps* chosen = &kReferenceOps;
-  if (env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "reference") == 0) {
-      chosen = &kReferenceOps;
-    } else if (std::strcmp(env, "auto") == 0) {
-      chosen = table_of(best_available());
-    } else if (std::strcmp(env, "avx2") == 0) {
-      if (backend_available(Backend::kAvx2)) {
-        chosen = table_of(Backend::kAvx2);
-      } else {
-        std::fprintf(stderr,
-                     "nurd: NURD_KERNEL_BACKEND=%s not available on this "
-                     "build/CPU; using reference\n",
-                     env);
-      }
-    } else {
-      std::fprintf(stderr,
-                   "nurd: unknown NURD_KERNEL_BACKEND=%s (want reference, "
-                   "avx2, or auto); using reference\n",
-                   env);
-    }
-  }
-  g_ops.store(chosen, std::memory_order_release);
-}
-
-const KernelOps* active_table() {
-  const KernelOps* p = g_ops.load(std::memory_order_acquire);
-  if (p == nullptr) {
-    std::call_once(g_env_once, init_from_env);
-    p = g_ops.load(std::memory_order_acquire);
-  }
-  return p;
-}
+std::atomic<const KernelOps*> g_table{nullptr};
 
 }  // namespace
 
-const KernelOps& ops() { return *active_table(); }
+const KernelOps& ops() {
+  const KernelOps* table = g_table.load(std::memory_order_acquire);
+  if (table == nullptr) {
+    // Racing first calls all resolve and store the same table.
+    table = cpu_table();
+    g_table.store(table, std::memory_order_release);
+  }
+  return *table;
+}
 
 const KernelOps& reference_ops() { return kReferenceOps; }
 
-bool backend_available(Backend b) {
-  switch (b) {
-    case Backend::kReference:
-      return true;
-    case Backend::kAvx2: {
-      const KernelOps* t = detail::avx2_ops();
-#if defined(__x86_64__) || defined(_M_X64)
-      return t != nullptr && __builtin_cpu_supports("avx2");
-#else
-      return t != nullptr;
-#endif
-    }
-  }
-  return false;
-}
+const char* backend_name() { return ops().name; }
 
-Backend best_available() {
-  if (backend_available(Backend::kAvx2)) return Backend::kAvx2;
-  return Backend::kReference;
+void detail::use_table(const KernelOps& table) {
+  g_table.store(&table, std::memory_order_release);
 }
-
-void set_backend(Backend b) {
-  NURD_CHECK(backend_available(b),
-             "requested kernel backend is not available on this build/CPU");
-  // Resolve the env var first so a later first-use cannot overwrite this
-  // explicit selection.
-  (void)active_table();
-  g_ops.store(table_of(b), std::memory_order_release);
-}
-
-Backend active_backend() {
-  const KernelOps* p = active_table();
-  if (p == detail::avx2_ops() && p != nullptr) return Backend::kAvx2;
-  return Backend::kReference;
-}
-
-const char* backend_name() { return active_table()->name; }
 
 }  // namespace nurd::kernel

@@ -1,34 +1,32 @@
-// Pluggable SIMD kernel-dispatch layer for the ML hot loops.
+// SIMD kernel-dispatch layer for the ML hot loops.
 //
 // Every refit hot path — histogram accumulation and sibling subtraction in
 // the tree builder, the Newton-step products in the logistic solver, batched
 // score/sigmoid/loss-gradient updates in the boosting engine, and the
 // squared-L2 distance kernels behind kNN / k-means — calls these primitives
 // through one process-global dispatch table instead of open-coding scalar
-// loops. Backends:
+// loops.
 //
-//   * kReference — portable scalar code, THE bit-exact golden path. Each
-//     primitive reproduces the exact floating-point accumulation order of
-//     the pre-kernel scalar loops, so a run under the reference backend is
-//     bit-identical to the pre-dispatch library. This is the backend the
-//     golden-parity suite pins, and the default.
-//   * kAvx2 — AVX2 intrinsics (x86-64, compiled via per-function target
-//     attributes, selected only after runtime CPUID detection). Elementwise
-//     primitives (axpy, vsub, hist_accumulate, hist_subtract, syrk row
-//     updates, bin_index) are bit-identical to the reference; REDUCTIONS
-//     (dot, dot_sub, squared_l2, pair_sum_indexed, gemv) use vector partial
-//     sums and sigmoid uses a vector exp, so results are tolerance-bound,
-//     not bit-equal. tests/test_kernel.cpp holds the AVX2 backend to those
-//     tolerances per primitive and end-to-end over all Table-3 methods.
+// Determinism contract: every table is bitwise identical to the reference
+// table. The reference primitives reproduce the exact floating-point
+// accumulation order of the pre-kernel scalar loops. An accelerated table
+// may replace only a primitive whose vector form performs exactly the
+// reference's operations on every element: no reassociated reductions, no
+// FMA, no vector exp. NURD's flags come from boosted-tree refits that are
+// chaotic in their inputs, so a last-ulp difference in one reduction changes
+// the paper's own output; the reductions and sigmoid therefore stay scalar
+// in every table. tests/test_kernel.cpp pins each replaced entry bitwise and
+// re-runs every Table-3 method under each table with exact equality.
 //
-// Selection: nurd::kernel::set_backend() programmatically, or the
-// NURD_KERNEL_BACKEND environment variable (reference | avx2 | auto),
-// read once on first use. `auto` picks best_available(). Unset defaults to
-// reference — determinism first; benches and the CI matrix leg opt into
-// acceleration explicitly.
+// Tables:
+//   * reference — portable scalar code, the golden path.
+//   * avx2 — the reference table with the six elementwise primitives
+//     (axpy, vsub, syrk_rank1_upper, hist_accumulate, hist_subtract,
+//     bin_index) swapped for AVX2 intrinsics; x86-64 builds only.
 //
-// Later backends (BLAS-backed linalg, GPU offload) plug in by providing
-// another KernelOps table; call sites never change.
+// ops() picks the table once from the CPU: avx2 when it is compiled in and
+// CPUID reports AVX2, the reference table otherwise. The tables agree
+// bitwise, so there is nothing for a user to select.
 #pragma once
 
 #include <cstddef>
@@ -41,19 +39,14 @@ namespace nurd::kernel {
 /// so the accumulate inner loop is a single load/add/store per row.
 inline constexpr std::size_t kHistBinStride = 4;
 
-enum class Backend {
-  kReference,  ///< scalar, bit-exact golden path (default)
-  kAvx2,       ///< AVX2, runtime-detected, tolerance-bound reductions
-};
-
-/// One backend's implementation of every primitive. All pointers may be
-/// unaligned (the accelerated backends use unaligned loads); 32-byte
+/// One table's implementation of every primitive. All pointers may be
+/// unaligned (the accelerated tables use unaligned loads); 32-byte
 /// alignment (common/aligned.h) is a throughput bonus, never a requirement.
 /// n == 0 is valid everywhere and touches no memory.
 struct KernelOps {
   const char* name;  ///< "reference" | "avx2"
 
-  // ---- reductions (reference: sequential from `init` in index order) ----
+  // ---- reductions (sequential from `init` in index order) ----
   /// init + Σ a[i]·b[i]
   double (*dot)(double init, const double* a, const double* b, std::size_t n);
   /// init − Σ a[i]·b[i] (the Cholesky/solve inner-loop shape)
@@ -66,7 +59,7 @@ struct KernelOps {
                            const std::size_t* idx, std::size_t n,
                            double* sum_a, double* sum_b);
 
-  // ---- elementwise (bit-identical across all backends) ----
+  // ---- elementwise ----
   /// y[i] += alpha·x[i]
   void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
   /// out[i] = a[i] − b[i]
@@ -86,8 +79,7 @@ struct KernelOps {
 
   // ---- histogram (kHistBinStride-strided (G, H, count, pad) bins) ----
   /// For each r in rows: bins[bin_of_row[r]·4 + {0,1,2}] += {grad[r],
-  /// hess[r], 1.0}. Rows are processed in order (serial per-bin adds), so
-  /// every backend is bit-identical here.
+  /// hess[r], 1.0}. Rows are processed in order (serial per-bin adds).
   void (*hist_accumulate)(double* bins, const std::uint16_t* bin_of_row,
                           const std::size_t* rows, std::size_t n,
                           const double* grad, const double* hess);
@@ -97,48 +89,34 @@ struct KernelOps {
   // ---- fixed-width binning (common/histogram.cpp) ----
   /// out[i] = Histogram::bin_of(values[i]) for an equal-width histogram:
   /// v ≤ lo → 0, v ≥ hi → n_bins−1, else min(⌊(v−lo)/width⌋, n_bins−1).
-  /// Division (not multiply-by-reciprocal) in every backend, so bins are
-  /// bit-identical across backends.
+  /// Division, not multiply-by-reciprocal, in every table.
   void (*bin_index)(const double* values, std::size_t n, double lo, double hi,
                     double width, std::size_t n_bins, std::uint32_t* out);
 
   // ---- nonlinear ----
-  /// out[i] = 1/(1+e^(−z[i])), the overflow-safe form of common/stats.h
-  /// sigmoid(). Reference is bit-identical to nurd::sigmoid; AVX2 uses a
-  /// vector exp (|Δ| ≲ 1e-14 relative).
+  /// out[i] = 1/(1+e^(−z[i])), bit-identical to common/stats.h sigmoid().
   void (*sigmoid)(const double* z, double* out, std::size_t n);
 };
 
-/// The active dispatch table. First call resolves NURD_KERNEL_BACKEND; an
-/// unset/empty variable selects the reference backend. Hot loops should
+/// The dispatch table for this CPU, resolved on first call. Hot loops should
 /// hoist `const auto& k = kernel::ops();` out of the loop.
 const KernelOps& ops();
 
 /// The reference table (always available; what tests diff against).
 const KernelOps& reference_ops();
 
-/// True when `b` can run on this build + CPU (kReference: always; kAvx2:
-/// x86-64 build and CPUID reports AVX2; any value outside the enum: never).
-bool backend_available(Backend b);
-
-/// The fastest available backend (avx2 > reference).
-Backend best_available();
-
-/// Switches the process-global dispatch table. NURD_CHECK-fails when `b` is
-/// not available. Takes precedence over the env var from this point on.
-/// Not intended to be raced against in-flight kernel calls: switch between
-/// fits (tests and benches switch at phase boundaries).
-void set_backend(Backend b);
-
-/// The currently active backend / its printable name (for bench output and
-/// log lines: "the backend that actually ran").
-Backend active_backend();
+/// ops().name, for bench output and log lines ("the table that ran").
 const char* backend_name();
 
 namespace detail {
-/// The AVX2 table; nullptr when compiled out of this build. Runtime
-/// availability is still gated by backend_available().
+/// The AVX2 table; nullptr when compiled out of this build. Whether the CPU
+/// can run it is ops()'s decision.
 const KernelOps* avx2_ops();
+
+/// Test seam: makes ops() return `table` from now on. Only the kernel tests
+/// call it, to run every method under each table on one host; it must not
+/// race in-flight kernel calls.
+void use_table(const KernelOps& table);
 }  // namespace detail
 
 }  // namespace nurd::kernel

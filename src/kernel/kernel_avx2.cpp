@@ -1,104 +1,25 @@
-// AVX2 kernel backend. Every function carries a per-function
-// __attribute__((target("avx2"))) so this translation unit compiles under
-// the library's ordinary flags; the dispatch layer only installs this table
-// after runtime CPUID detection (kernel.cpp backend_available), so no AVX2
-// instruction executes on a CPU without it.
+// AVX2 kernel table: the reference table with its six elementwise
+// primitives (axpy, vsub, syrk_rank1_upper, hist_accumulate, hist_subtract,
+// bin_index) swapped for AVX2 intrinsics. Every function carries a
+// per-function __attribute__((target("avx2"))) so this translation unit
+// compiles under the library's ordinary flags; ops() only installs this table
+// after runtime CPUID detection (kernel.cpp), so no AVX2 instruction executes
+// on a CPU without it.
 //
-// Determinism contract (see kernel.h): elementwise primitives are
-// bit-identical to the reference backend — vector lanes perform exactly the
-// scalar operations, one per element, no reassociation. Reductions use four
-// partial sums folded pairwise at the end, and sigmoid uses a polynomial
-// vector exp, so those are tolerance-bound (tests/test_kernel.cpp).
-//
-// No FMA anywhere: the reference path is plain mul+add and contracting the
-// AVX2 path would widen the gap between backends for zero dispatch benefit.
+// Determinism contract (see kernel.h): each swapped primitive is bitwise
+// identical to the reference — vector lanes perform exactly the scalar
+// operations, one per element, no reassociation and no FMA. Reductions and
+// sigmoid cannot be vectorized under that rule and stay the reference's.
 #include "kernel/kernel.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
 
-#include <cmath>
-
 #define NURD_AVX2 __attribute__((target("avx2")))
 
 namespace nurd::kernel {
 namespace {
-
-/// Folds a 4-lane accumulator as (l0+l1) + (l2+l3) — fixed order, so AVX2
-/// reductions are deterministic run-to-run even though they differ from the
-/// reference's sequential order.
-NURD_AVX2 inline double fold4(__m256d acc) {
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);          // {l0+l2, l1+l3}
-  return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-}
-
-NURD_AVX2 double avx2_dot(double init, const double* a, const double* b,
-                          std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  double s = init + fold4(acc);
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-NURD_AVX2 double avx2_dot_sub(double init, const double* a, const double* b,
-                              std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  double s = init - fold4(acc);
-  for (; i < n; ++i) s -= a[i] * b[i];
-  return s;
-}
-
-NURD_AVX2 double avx2_squared_l2(const double* a, const double* b,
-                                 std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-  }
-  double s = fold4(acc);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    s += d * d;
-  }
-  return s;
-}
-
-NURD_AVX2 void avx2_pair_sum_indexed(const double* a, const double* b,
-                                     const std::size_t* idx, std::size_t n,
-                                     double* sum_a, double* sum_b) {
-  __m256d acc_a = _mm256_setzero_pd();
-  __m256d acc_b = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    acc_a = _mm256_add_pd(acc_a, _mm256_i64gather_pd(a, v, 8));
-    acc_b = _mm256_add_pd(acc_b, _mm256_i64gather_pd(b, v, 8));
-  }
-  double sa = fold4(acc_a);
-  double sb = fold4(acc_b);
-  for (; i < n; ++i) {
-    sa += a[idx[i]];
-    sb += b[idx[i]];
-  }
-  *sum_a = sa;
-  *sum_b = sb;
-}
 
 NURD_AVX2 void avx2_axpy(double alpha, const double* x, double* y,
                          std::size_t n) {
@@ -122,13 +43,6 @@ NURD_AVX2 void avx2_vsub(double* out, const double* a, const double* b,
   for (; i < n; ++i) out[i] = a[i] - b[i];
 }
 
-NURD_AVX2 void avx2_gemv(const double* a, std::size_t rows, std::size_t cols,
-                         const double* x, double bias, double* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = avx2_dot(bias, a + r * cols, x, cols);
-  }
-}
-
 NURD_AVX2 void avx2_syrk_rank1_upper(double* h, std::size_t ld,
                                      const double* row, std::size_t d,
                                      double v) {
@@ -136,14 +50,6 @@ NURD_AVX2 void avx2_syrk_rank1_upper(double* h, std::size_t ld,
     // h[j·ld + k] += (v·row[j])·row[k] — elementwise per entry, bit-equal to
     // the reference (each entry gets exactly one mul+add per call).
     avx2_axpy(v * row[j], row + j, h + j * ld + j, d - j);
-  }
-}
-
-NURD_AVX2 void avx2_squared_l2_rows(const double* a, std::size_t rows,
-                                    std::size_t cols, const double* x,
-                                    double* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = avx2_squared_l2(a + r * cols, x, cols);
   }
 }
 
@@ -226,92 +132,23 @@ NURD_AVX2 void avx2_bin_index(const double* values, std::size_t n, double lo,
   }
 }
 
-// ---- vector exp / sigmoid --------------------------------------------------
-
-/// exp(x) for x ∈ [−708, 709]: Cody–Waite range reduction (two-part ln 2)
-/// plus a degree-13 Taylor polynomial on |r| ≤ ln(2)/2 (max poly error
-/// ≈ 4e-18 relative), scaled by 2^k via exponent insertion. Inputs outside
-/// the range must be clamped by the caller.
-NURD_AVX2 inline __m256d exp_pd(__m256d x) {
-  const __m256d log2e = _mm256_set1_pd(1.4426950408889634074);
-  const __m256d ln2_hi = _mm256_set1_pd(6.93145751953125e-1);
-  const __m256d ln2_lo = _mm256_set1_pd(1.42860682030941723212e-6);
-
-  const __m256d k_d = _mm256_round_pd(
-      _mm256_mul_pd(x, log2e), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m256d r = _mm256_sub_pd(x, _mm256_mul_pd(k_d, ln2_hi));
-  r = _mm256_sub_pd(r, _mm256_mul_pd(k_d, ln2_lo));
-
-  // Horner over 1/13!, …, 1/2!, 1, 1.
-  const double coef[] = {1.0 / 6227020800.0, 1.0 / 479001600.0,
-                         1.0 / 39916800.0,   1.0 / 3628800.0,
-                         1.0 / 362880.0,     1.0 / 40320.0,
-                         1.0 / 5040.0,       1.0 / 720.0,
-                         1.0 / 120.0,        1.0 / 24.0,
-                         1.0 / 6.0,          1.0 / 2.0,
-                         1.0,                1.0};
-  __m256d p = _mm256_set1_pd(coef[0]);
-  for (std::size_t c = 1; c < sizeof(coef) / sizeof(coef[0]); ++c) {
-    p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(coef[c]));
-  }
-
-  // 2^k via the exponent field; |k| ≤ 1075 for clamped inputs, and results
-  // that would be subnormal are handled by the caller's clamp (≥ 2^-1022).
-  const __m128i k32 = _mm256_cvtpd_epi32(k_d);
-  const __m256i k64 = _mm256_cvtepi32_epi64(k32);
-  const __m256i expo =
-      _mm256_slli_epi64(_mm256_add_epi64(k64, _mm256_set1_epi64x(1023)), 52);
-  return _mm256_mul_pd(p, _mm256_castsi256_pd(expo));
-}
-
-NURD_AVX2 void avx2_sigmoid(const double* z, double* out, std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d lo_clamp = _mm256_set1_pd(-708.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d zi = _mm256_loadu_pd(z + i);
-    // e = exp(−|z|), clamped so exp stays normal. max/min replace NaN lanes
-    // with the other operand, so NaN inputs are re-blended in at the end.
-    const __m256d neg_abs = _mm256_min_pd(zi, _mm256_sub_pd(zero, zi));
-    const __m256d e = exp_pd(_mm256_max_pd(neg_abs, lo_clamp));
-    const __m256d s = _mm256_div_pd(one, _mm256_add_pd(one, e));
-    // z ≥ 0 → s; z < 0 → 1−s = e/(1+e).
-    const __m256d neg = _mm256_cmp_pd(zi, zero, _CMP_LT_OQ);
-    __m256d res = _mm256_blendv_pd(s, _mm256_sub_pd(one, s), neg);
-    // NaN propagation: unordered lanes forward the input NaN itself.
-    const __m256d unord = _mm256_cmp_pd(zi, zi, _CMP_UNORD_Q);
-    res = _mm256_blendv_pd(res, zi, unord);
-    _mm256_storeu_pd(out + i, res);
-  }
-  // Scalar tail: the exact stats.cpp sigmoid (std::exp handles the extreme
-  // ranges the vector path clamps), so tail lanes are bit-equal to reference.
-  for (; i < n; ++i) {
-    const double zi = z[i];
-    if (zi >= 0.0) {
-      const double e = std::exp(-zi);
-      out[i] = 1.0 / (1.0 + e);
-    } else {
-      const double e = std::exp(zi);
-      out[i] = e / (1.0 + e);
-    }
-  }
-}
-
-constexpr KernelOps kAvx2Ops = {
-    "avx2",             avx2_dot,
-    avx2_dot_sub,       avx2_squared_l2,
-    avx2_pair_sum_indexed, avx2_axpy,
-    avx2_vsub,          avx2_gemv,
-    avx2_syrk_rank1_upper, avx2_squared_l2_rows,
-    avx2_hist_accumulate, avx2_hist_subtract,
-    avx2_bin_index,     avx2_sigmoid,
-};
-
 }  // namespace
 
 namespace detail {
-const KernelOps* avx2_ops() { return &kAvx2Ops; }
+const KernelOps* avx2_ops() {
+  static const KernelOps table = [] {
+    KernelOps t = reference_ops();
+    t.name = "avx2";
+    t.axpy = avx2_axpy;
+    t.vsub = avx2_vsub;
+    t.syrk_rank1_upper = avx2_syrk_rank1_upper;
+    t.hist_accumulate = avx2_hist_accumulate;
+    t.hist_subtract = avx2_hist_subtract;
+    t.bin_index = avx2_bin_index;
+    return t;
+  }();
+  return &table;
+}
 }  // namespace detail
 
 }  // namespace nurd::kernel

@@ -1,9 +1,9 @@
 // Kernel-dispatch layer tests: per-primitive reference-vs-AVX2 parity
 // (including remainder lanes, lengths that are not a multiple of the vector
-// width, and NaN/inf propagation), dispatch/selection plumbing, and a
-// backend-forced rerun of the golden-parity protocol over every Table-3
-// method. Elementwise primitives must be BITWISE identical across backends;
-// reductions and sigmoid are held to documented tolerances.
+// width, and NaN/inf propagation), the AVX2 table's layout, the CPUID
+// dispatch rule, and a per-table rerun of the golden-parity protocol over
+// every Table-3 method. Every table must be BITWISE identical to the
+// reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -41,7 +41,14 @@ std::vector<double> random_block(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-bool avx2_ready() { return backend_available(Backend::kAvx2); }
+// The CPUID rule ops() follows: the AVX2 table exactly when the CPU has AVX2.
+bool avx2_ready() {
+#if defined(__x86_64__) || defined(_M_X64)
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
 
 // Fetches both tables without touching the global dispatch state.
 const KernelOps& ref() { return reference_ops(); }
@@ -53,8 +60,8 @@ const KernelOps& avx() { return *detail::avx2_ops(); }
   }
 
 // ---------------------------------------------------------------------------
-// Reference-backend semantics (golden path): spot-check the contract the
-// call sites rely on, independent of any accelerated backend.
+// Reference-table semantics (golden path): spot-check the contract the
+// call sites rely on, independent of any accelerated table.
 // ---------------------------------------------------------------------------
 
 TEST(KernelReference, DotAccumulatesFromInitInIndexOrder) {
@@ -112,55 +119,6 @@ TEST(KernelReference, BinIndexMatchesHistogramBinOf) {
 // Reference vs AVX2, per primitive, across sizes.
 // ---------------------------------------------------------------------------
 
-TEST(KernelAvx2Parity, DotWithinTolerance) {
-  SKIP_WITHOUT_AVX2();
-  for (const auto n : kSizes) {
-    const auto a = random_block(n, 11 + n);
-    const auto b = random_block(n, 23 + n);
-    const double r = ref().dot(1.25, a.data(), b.data(), n);
-    const double v = avx().dot(1.25, a.data(), b.data(), n);
-    EXPECT_NEAR(v, r, 1e-12 * (1.0 + std::abs(r))) << "n=" << n;
-  }
-}
-
-TEST(KernelAvx2Parity, DotSubWithinTolerance) {
-  SKIP_WITHOUT_AVX2();
-  for (const auto n : kSizes) {
-    const auto a = random_block(n, 31 + n);
-    const auto b = random_block(n, 47 + n);
-    const double r = ref().dot_sub(2.5, a.data(), b.data(), n);
-    const double v = avx().dot_sub(2.5, a.data(), b.data(), n);
-    EXPECT_NEAR(v, r, 1e-12 * (1.0 + std::abs(r))) << "n=" << n;
-  }
-}
-
-TEST(KernelAvx2Parity, SquaredL2WithinTolerance) {
-  SKIP_WITHOUT_AVX2();
-  for (const auto n : kSizes) {
-    const auto a = random_block(n, 5 + n);
-    const auto b = random_block(n, 7 + n);
-    const double r = ref().squared_l2(a.data(), b.data(), n);
-    const double v = avx().squared_l2(a.data(), b.data(), n);
-    EXPECT_NEAR(v, r, 1e-12 * (1.0 + std::abs(r))) << "n=" << n;
-  }
-}
-
-TEST(KernelAvx2Parity, PairSumIndexedWithinTolerance) {
-  SKIP_WITHOUT_AVX2();
-  for (const auto n : kSizes) {
-    const std::size_t pool = 2 * n + 8;
-    const auto a = random_block(pool, 13 + n);
-    const auto b = random_block(pool, 17 + n);
-    std::vector<std::size_t> idx(n);
-    for (std::size_t i = 0; i < n; ++i) idx[i] = (i * 7 + 3) % pool;
-    double ra = 0, rb = 0, va = 0, vb = 0;
-    ref().pair_sum_indexed(a.data(), b.data(), idx.data(), n, &ra, &rb);
-    avx().pair_sum_indexed(a.data(), b.data(), idx.data(), n, &va, &vb);
-    EXPECT_NEAR(va, ra, 1e-12 * (1.0 + std::abs(ra))) << "n=" << n;
-    EXPECT_NEAR(vb, rb, 1e-12 * (1.0 + std::abs(rb))) << "n=" << n;
-  }
-}
-
 TEST(KernelAvx2Parity, AxpyBitIdentical) {
   SKIP_WITHOUT_AVX2();
   for (const auto n : kSizes) {
@@ -185,22 +143,6 @@ TEST(KernelAvx2Parity, VsubBitIdentical) {
   }
 }
 
-TEST(KernelAvx2Parity, GemvWithinTolerance) {
-  SKIP_WITHOUT_AVX2();
-  for (const std::size_t cols : {1u, 3u, 4u, 5u, 17u}) {
-    const std::size_t rows = 9;
-    const auto a = random_block(rows * cols, 41 + cols);
-    const auto x = random_block(cols, 43 + cols);
-    std::vector<double> outr(rows), outv(rows);
-    ref().gemv(a.data(), rows, cols, x.data(), 0.75, outr.data());
-    avx().gemv(a.data(), rows, cols, x.data(), 0.75, outv.data());
-    for (std::size_t r = 0; r < rows; ++r) {
-      EXPECT_NEAR(outv[r], outr[r], 1e-12 * (1.0 + std::abs(outr[r])))
-          << "cols=" << cols << " r=" << r;
-    }
-  }
-}
-
 TEST(KernelAvx2Parity, SyrkRank1UpperBitIdentical) {
   SKIP_WITHOUT_AVX2();
   for (const std::size_t d : {1u, 2u, 4u, 5u, 9u, 16u}) {
@@ -211,22 +153,6 @@ TEST(KernelAvx2Parity, SyrkRank1UpperBitIdentical) {
     ref().syrk_rank1_upper(hr.data(), ld, row.data(), d, 1.7);
     avx().syrk_rank1_upper(hv.data(), ld, row.data(), d, 1.7);
     EXPECT_EQ(hr, hv) << "d=" << d;  // one mul+add per entry: bitwise equal
-  }
-}
-
-TEST(KernelAvx2Parity, SquaredL2RowsWithinTolerance) {
-  SKIP_WITHOUT_AVX2();
-  for (const std::size_t cols : {1u, 3u, 4u, 7u, 12u}) {
-    const std::size_t rows = 11;
-    const auto a = random_block(rows * cols, 61 + cols);
-    const auto x = random_block(cols, 67 + cols);
-    std::vector<double> outr(rows), outv(rows);
-    ref().squared_l2_rows(a.data(), rows, cols, x.data(), outr.data());
-    avx().squared_l2_rows(a.data(), rows, cols, x.data(), outv.data());
-    for (std::size_t r = 0; r < rows; ++r) {
-      EXPECT_NEAR(outv[r], outr[r], 1e-12 * (1.0 + std::abs(outr[r])))
-          << "cols=" << cols << " r=" << r;
-    }
   }
 }
 
@@ -289,28 +215,6 @@ TEST(KernelAvx2Parity, BinIndexBitIdentical) {
   EXPECT_EQ(outr, outv);
 }
 
-TEST(KernelAvx2Parity, SigmoidWithinTolerance) {
-  SKIP_WITHOUT_AVX2();
-  for (const auto n : kSizes) {
-    auto z = random_block(n, 89 + n);
-    for (auto& v : z) v *= 8.0;  // cover the interesting logistic range
-    std::vector<double> outr(n), outv(n);
-    ref().sigmoid(z.data(), outr.data(), n);
-    avx().sigmoid(z.data(), outv.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(outv[i], outr[i], 1e-12) << "n=" << n << " z=" << z[i];
-    }
-  }
-  // Saturated tails: both backends must pin to {0, 1} within 1e-300.
-  const std::vector<double> tails = {-800.0, -710.0, -708.0, 708.0, 800.0};
-  std::vector<double> outr(tails.size()), outv(tails.size());
-  ref().sigmoid(tails.data(), outr.data(), tails.size());
-  avx().sigmoid(tails.data(), outv.data(), tails.size());
-  for (std::size_t i = 0; i < tails.size(); ++i) {
-    EXPECT_NEAR(outv[i], outr[i], 1e-300) << "z=" << tails[i];
-  }
-}
-
 // ---------------------------------------------------------------------------
 // NaN / inf propagation.
 // ---------------------------------------------------------------------------
@@ -352,63 +256,64 @@ TEST(KernelSpecials, ElementwisePropagateNaN) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch plumbing.
+// Table layout and dispatch.
 // ---------------------------------------------------------------------------
 
-TEST(KernelDispatch, ReferenceAlwaysAvailableAndDefaultNamed) {
-  EXPECT_TRUE(backend_available(Backend::kReference));
+// A new KernelOps member must be classified in
+// Avx2TableSwapsOnlyBitIdenticalPrimitives below before this compiles again.
+static_assert(sizeof(KernelOps) ==
+              sizeof(const char*) + 13 * sizeof(void (*)()));
+
+TEST(KernelDispatch, TablesAreNamed) {
   EXPECT_STREQ(reference_ops().name, "reference");
-}
-
-TEST(KernelDispatch, BestAvailableIsAvailable) {
-  EXPECT_TRUE(backend_available(best_available()));
-}
-
-TEST(KernelDispatch, SetBackendSwitchesTableAndName) {
-  set_backend(Backend::kReference);
-  EXPECT_EQ(active_backend(), Backend::kReference);
-  EXPECT_STREQ(backend_name(), "reference");
-  EXPECT_EQ(&ops(), &reference_ops());
-  if (avx2_ready()) {
-    set_backend(Backend::kAvx2);
-    EXPECT_EQ(active_backend(), Backend::kAvx2);
-    EXPECT_STREQ(backend_name(), "avx2");
-    EXPECT_EQ(&ops(), detail::avx2_ops());
-    set_backend(Backend::kReference);
+  if (detail::avx2_ops() != nullptr) {
+    EXPECT_STREQ(detail::avx2_ops()->name, "avx2");
   }
 }
 
-TEST(KernelDispatch, UnavailableBackendIsRejected) {
-  // A value outside the enum names no table on any host; selecting it must
-  // throw and leave the active table alone. Hosts without AVX2 must also
-  // refuse kAvx2.
-  set_backend(Backend::kReference);
-  const auto bogus = static_cast<Backend>(99);
-  EXPECT_FALSE(backend_available(bogus));
-  EXPECT_THROW(set_backend(bogus), std::invalid_argument);
-  EXPECT_EQ(&ops(), &reference_ops());
-  if (!avx2_ready()) {
-    EXPECT_THROW(set_backend(Backend::kAvx2), std::invalid_argument);
+TEST(KernelDispatch, Avx2TableSwapsOnlyBitIdenticalPrimitives) {
+  if (detail::avx2_ops() == nullptr) {
+    GTEST_SKIP() << "AVX2 table compiled out of this build";
   }
+  const KernelOps& r = ref();
+  const KernelOps& a = avx();
+  // Reductions and sigmoid have no vector form that keeps the reference's
+  // operation order, so the AVX2 table must share the reference entries.
+  EXPECT_EQ(a.dot, r.dot);
+  EXPECT_EQ(a.dot_sub, r.dot_sub);
+  EXPECT_EQ(a.squared_l2, r.squared_l2);
+  EXPECT_EQ(a.pair_sum_indexed, r.pair_sum_indexed);
+  EXPECT_EQ(a.gemv, r.gemv);
+  EXPECT_EQ(a.squared_l2_rows, r.squared_l2_rows);
+  EXPECT_EQ(a.sigmoid, r.sigmoid);
+  // axpy, vsub, syrk_rank1_upper, hist_accumulate, hist_subtract and
+  // bin_index may be swapped: the *BitIdentical tests above pin them.
+}
+
+TEST(KernelDispatch, OpsFollowsCpuid) {
+  const KernelOps* expect = avx2_ready() ? detail::avx2_ops() : &ref();
+  ASSERT_NE(expect, nullptr);
+  EXPECT_EQ(&ops(), expect);
+  EXPECT_STREQ(backend_name(), avx2_ready() ? "avx2" : "reference");
 }
 
 // ---------------------------------------------------------------------------
-// Backend-forced golden parity: every Table-3 method, reference vs AVX2.
-// Reductions differ in the last ulp under AVX2, and boosted-tree fits can
-// amplify a near-tie split flip, so the cross-backend contract is a
-// tolerance on flag agreement, not bitwise equality: at least 85% of tasks
-// must get the same flagged/never decision per method, and most methods are
-// expected to agree exactly.
+// Per-table golden parity: every Table-3 method under the reference table
+// and under the AVX2 table must flag the same tasks at the same checkpoints.
 // ---------------------------------------------------------------------------
 
-class KernelBackendGuard {
+/// Restores the CPU's table when a test that switched tables ends.
+class KernelTableGuard {
  public:
-  ~KernelBackendGuard() { set_backend(Backend::kReference); }
+  ~KernelTableGuard() { detail::use_table(cpu_); }
+
+ private:
+  const KernelOps& cpu_ = ops();
 };
 
 TEST(KernelGoldenParity, AllMethodsAgreeAcrossBackends) {
   SKIP_WITHOUT_AVX2();
-  KernelBackendGuard guard;
+  KernelTableGuard guard;
 
   auto cfg = trace::GoogleLikeGenerator::google_defaults();
   cfg.min_tasks = 100;
@@ -417,37 +322,23 @@ TEST(KernelGoldenParity, AllMethodsAgreeAcrossBackends) {
   const auto& job = jobs.front();
   const auto tuned = core::google_tuned();
 
-  std::size_t exact_methods = 0;
   const auto methods = core::all_predictors();
   ASSERT_EQ(methods.size(), 23u);
-  for (const auto& method : core::all_predictors()) {
+  for (const auto& method : methods) {
     const auto m = core::predictor_by_name(method.name, tuned);
 
-    set_backend(Backend::kReference);
+    detail::use_table(ref());
+    ASSERT_EQ(&ops(), &ref());
     auto ref_pred = m.make();
     const auto ref_run = eval::run_job(job, *ref_pred);
 
-    set_backend(Backend::kAvx2);
+    detail::use_table(avx());
+    ASSERT_EQ(&ops(), &avx());
     auto avx_pred = m.make();
     const auto avx_run = eval::run_job(job, *avx_pred);
 
-    ASSERT_EQ(ref_run.flagged_at.size(), avx_run.flagged_at.size());
-    std::size_t disagree = 0;
-    for (std::size_t i = 0; i < ref_run.flagged_at.size(); ++i) {
-      const bool fr = ref_run.flagged_at[i] != eval::kNeverFlagged;
-      const bool fv = avx_run.flagged_at[i] != eval::kNeverFlagged;
-      if (fr != fv) ++disagree;
-    }
-    const double rate = static_cast<double>(disagree) /
-                        static_cast<double>(ref_run.flagged_at.size());
-    EXPECT_LE(rate, 0.15) << method.name << ": " << disagree << "/"
-                          << ref_run.flagged_at.size()
-                          << " flag decisions diverged across backends";
-    if (ref_run.flagged_at == avx_run.flagged_at) ++exact_methods;
+    EXPECT_EQ(ref_run.flagged_at, avx_run.flagged_at) << method.name;
   }
-  // The sweep is only meaningful if cross-backend drift stays the exception:
-  // the bulk of the surface must agree exactly, not merely within tolerance.
-  EXPECT_GE(exact_methods, 12u);
 }
 
 }  // namespace
