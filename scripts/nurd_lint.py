@@ -30,9 +30,9 @@ bug patterns; these rules are NURD-specific):
                  store) and `.latencies()` (ground-truth latencies, running
                  tasks included — the oracle the discipline exists to deny).
                  The documented privileged sites (the cluster simulator,
-                 which plays reality; transfer learning's source jobs; the
-                 FitSession featurization layer) are allowlisted with
-                 justifications in scripts/nurd_lint_allowlist.txt.
+                 which plays reality; the FitSession featurization layer)
+                 are allowlisted with justifications in
+                 scripts/nurd_lint_allowlist.txt.
 
   lock-table     src/common/sync.h's lock-ordering table is the authoritative
                  inventory of every `Mutex` under src/: each declaration must
@@ -43,10 +43,19 @@ bug patterns; these rules are NURD-specific):
                  detection only runs on a full-tree lint, since a partial
                  file list cannot prove absence).
 
+  test-only-header
+                 Every header under src/ must be reached by code that ships:
+                 some file under src/, bench/, benchmark/ or examples/ other
+                 than the header's own .cpp must `#include "<path>"` it. A
+                 header only tests include is surface nothing runs — delete
+                 it, or allowlist it with a justification. Like stale
+                 lock-table detection, this runs only on a full-tree lint.
+
 Usage:
   python3 scripts/nurd_lint.py [--root DIR] [--allowlist FILE] [files...]
 
-With no files, lints every .h/.cpp under <root>/src. Exit code 1 when any
+With no files, lints every .h/.cpp under <root>/src and runs the full-tree
+checks (stale lock-table entries, test-only headers). Exit code 1 when any
 finding is reported. Allowlist lines look like
 
   <rule> <path-relative-to-root> [token]  # justification
@@ -60,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import posixpath
 import re
 import sys
 from dataclasses import dataclass, field
@@ -100,6 +110,13 @@ ORDER_SENSITIVE_DIRS = ("src/eval", "src/serve", "src/core")
 TRACE_INTERNAL_TOKENS = [".store()", "->store()", ".latencies()",
                          "->latencies()"]
 TRACE_DIR = "src/trace"
+
+# C++ files the linter reads.
+SOURCE_SUFFIXES = (".h", ".cpp", ".cc", ".hpp")
+
+# Directories whose includes keep a src/ header alive (test-only-header).
+SHIPPING_DIRS = ("src", "bench", "benchmark", "examples")
+_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
 # The lock-ordering table lives here; entries look like
 #   [mutex] serve/shard_pool.cpp::mutex_
@@ -335,6 +352,39 @@ def check_lock_table(root: str, relpaths: list[str],
     return findings
 
 
+def check_test_only_headers(root: str) -> list[Finding]:
+    """Cross-file rule: flags each src/ header that no shipping file
+    includes, not counting the header's own .cpp. Includes resolve against
+    src/ and against the including file's directory."""
+    headers = {p.replace(os.sep, "/") for p in collect_files(root)
+               if p.endswith((".h", ".hpp"))}
+    reached: set[str] = set()
+    for top in SHIPPING_DIRS:
+        for dirpath, _, names in os.walk(os.path.join(root, top)):
+            for name in names:
+                if not name.endswith(SOURCE_SUFFIXES):
+                    continue
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, root).replace(os.sep, "/")
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    for raw in f:
+                        m = _INCLUDE.match(raw)
+                        if not m:
+                            continue
+                        for cand in (
+                                posixpath.join("src", m.group(1)),
+                                posixpath.normpath(posixpath.join(
+                                    posixpath.dirname(rel), m.group(1)))):
+                            if posixpath.splitext(cand)[0] + ".cpp" != rel:
+                                reached.add(cand)
+    return [Finding(h, 1, "test-only-header",
+                    f"no file under {', '.join(SHIPPING_DIRS)} includes "
+                    f"'{h[len('src/'):]}' (its own .cpp aside) — nothing that "
+                    f"ships reaches it; delete it or allowlist it with a "
+                    f"justification")
+            for h in sorted(headers - reached)]
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -386,7 +436,7 @@ def collect_files(root: str) -> list[str]:
     src = os.path.join(root, "src")
     for dirpath, _, names in os.walk(src):
         for name in sorted(names):
-            if name.endswith((".h", ".cpp", ".cc", ".hpp")):
+            if name.endswith(SOURCE_SUFFIXES):
                 out.append(os.path.relpath(os.path.join(dirpath, name), root))
     return sorted(out)
 
@@ -405,6 +455,8 @@ def run(root: str, allowlist_path: str | None,
     for relpath in relpaths:
         findings.extend(lint_file(root, relpath))
     findings.extend(check_lock_table(root, relpaths, full_tree=files is None))
+    if files is None:
+        findings.extend(check_test_only_headers(root))
     findings = apply_allowlist(findings, entries, root)
     unused = [e for e in entries if not e.used]
     return findings, unused

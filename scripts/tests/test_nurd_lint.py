@@ -119,6 +119,48 @@ class LockTableRule(unittest.TestCase):
         self.assertNotIn(10, {f.line for f in findings})
 
 
+class TestOnlyHeaderRule(unittest.TestCase):
+    @staticmethod
+    def flagged(allowlist=None):
+        findings, unused = nurd_lint.run(FIXTURES, allowlist, None)
+        return {f.path for f in findings
+                if f.rule == "test-only-header"}, unused
+
+    def test_fires_on_header_only_tests_include(self):
+        # core/test_only.h is included by its own .cpp and by a fixture
+        # tests/ file; neither keeps it alive.
+        flagged, _ = self.flagged()
+        self.assertIn("src/core/test_only.h", flagged)
+
+    def test_header_a_src_file_includes_is_quiet(self):
+        flagged, _ = self.flagged()
+        self.assertNotIn("src/core/shipped.h", flagged)
+
+    def test_partial_lint_never_reports_headers(self):
+        findings, _ = lint("src/core/test_only.h")
+        self.assertEqual(findings, [])
+
+    def test_entry_suppresses_finding(self):
+        tmp = tempfile.NamedTemporaryFile(
+            "w", suffix=".txt", delete=False, encoding="utf-8")
+        tmp.write("test-only-header src/core/test_only.h"
+                  "  # test seam, fixture\n")
+        tmp.close()
+        try:
+            flagged, unused = self.flagged(tmp.name)
+        finally:
+            os.unlink(tmp.name)
+        self.assertNotIn("src/core/test_only.h", flagged)
+        self.assertEqual(unused, [])
+
+    def test_real_tree_has_no_test_only_header(self):
+        root = os.path.dirname(SCRIPTS_DIR)
+        allowlist = os.path.join(SCRIPTS_DIR, "nurd_lint_allowlist.txt")
+        findings, _ = nurd_lint.run(root, allowlist, None)
+        self.assertEqual([f.render() for f in findings
+                          if f.rule == "test-only-header"], [])
+
+
 class Allowlist(unittest.TestCase):
     PATH = "src/core/allowlisted_access.cpp"
 

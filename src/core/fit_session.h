@@ -10,7 +10,7 @@
 //   * the snapshot        (all n rows, ascending task id) — what the
 //     whole-population detectors and censored fits consume.
 // Before this layer each adapter hand-rolled its own gathers per checkpoint
-// (nurd.cpp, baselines.cpp, transfer.cpp all repeated the same loops).
+// (nurd.cpp and baselines.cpp both repeated the same loops).
 // FitSession owns the scratch matrices, assembles each block at most once
 // per observed checkpoint, and — under RefitPolicy::kIncremental — maintains
 // them from the view's delta (tasks newly finished, rows changed) instead of
@@ -84,9 +84,9 @@ struct GbtRefitState {
   }
 };
 
-/// The shared "latency model on the finished set" refit used by NURD's ht,
-/// GBTR, and the transfer extension. Under kFull it fits a fresh
-/// squared-loss booster every call (the bit-identical reference path).
+/// The shared "latency model on the finished set" refit used by NURD's ht
+/// and GBTR. Under kFull it fits a fresh squared-loss booster every call
+/// (the bit-identical reference path).
 /// Under kIncremental: full warm-retaining refits while the block is still
 /// outgrowing the model's foundation (warm_refresh_due) — each of those
 /// rebuilds the EXACT kFull ensemble, since the block is bitwise identical —

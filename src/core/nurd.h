@@ -94,13 +94,12 @@ class NurdPredictor final : public StragglerPredictor {
   /// paper's Eq. 4 denominator. Exposed for tests.
   double weight(double propensity) const;
 
+ private:
   /// The two models Algorithm 1 fits at a checkpoint: the latency predictor
   /// ht (null when no task has finished) and the propensity model gt (null
   /// when one class is empty). The pointees live in the predictor and stay
   /// valid until the next fit_models/initialize call — under kIncremental
   /// they are the SAME models being continued checkpoint to checkpoint.
-  /// Exposed so extensions (e.g. the transfer-learning variant) can reuse
-  /// NURD's fitting and reweighting.
   struct CheckpointModels {
     const ml::GradientBoosting* ht = nullptr;
     const ml::LogisticRegression* gt = nullptr;
@@ -111,11 +110,6 @@ class NurdPredictor final : public StragglerPredictor {
   /// thread-safe across views.
   CheckpointModels fit_models(const trace::CheckpointView& view);
 
-  /// The featurization session (exposed so the transfer extension shares the
-  /// same per-checkpoint blocks instead of re-gathering).
-  FitSession& session() { return session_; }
-
- private:
   NurdParams params_;
   double tau_stra_ = 0.0;
   bool calibrated_ = false;

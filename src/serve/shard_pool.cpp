@@ -7,6 +7,7 @@
 #include <deque>
 #include <exception>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <thread>
@@ -35,6 +36,15 @@ constexpr double kShedCostFactor = 0.25;
 
 /// Only QoS classes strictly below this floor are ever shed.
 constexpr QoS kShedFloor = QoS::kInteractive;
+
+// Fixed-constant splitmix64, so a job's shard is reproducible from
+// (placement_seed, job) alone on every platform.
+std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 double seconds_since(Clock::time_point t) {
   return std::chrono::duration<double>(Clock::now() - t).count();
@@ -92,7 +102,9 @@ struct ShardedMonitor::Impl {
         seen[d.shard] = 1;
       }
     }
-    if (!config_.placement) config_.placement = hash_placement();
+    NURD_CHECK(std::isfinite(config_.service_rate) &&
+                   config_.service_rate >= 0.0,
+               "service_rate must be finite and non-negative (0 = model off)");
     NURD_CHECK(config_.shed_budget == 0 || config_.service_rate > 0.0,
                "load-shedding needs the service model (service_rate > 0)");
     build_plan();
@@ -177,7 +189,18 @@ struct ShardedMonitor::Impl {
               });
     std::size_t next_drain = 0;
     std::vector<std::uint8_t> open(config_.shards, 1);
-    std::vector<std::uint64_t> load(config_.shards, 0);
+    std::vector<std::size_t> open_shards(config_.shards);
+    std::iota(open_shards.begin(), open_shards.end(), std::size_t{0});
+    // Hash placement: splitmix64(placement_seed, job) over the open shards,
+    // in index order. A job's shard depends on no other job, and a drained
+    // shard can never be chosen.
+    auto place = [&](std::size_t job) {
+      NURD_CHECK(!open_shards.empty(), "placement with every shard drained");
+      const std::uint64_t h = splitmix64(
+          config_.placement_seed ^
+          (0x517cc1b727220a95ULL * static_cast<std::uint64_t>(job + 1)));
+      return open_shards[h % open_shards.size()];
+    };
     std::vector<std::size_t> job_shard(jobs_.size(), kUnplaced);
     plan_.home_shard.assign(jobs_.size(), kUnplaced);
     std::vector<double> last_finish(config_.shards, 0.0);
@@ -187,36 +210,20 @@ struct ShardedMonitor::Impl {
     for (ShardPlan::Event& e : plan_.events) {
       while (next_drain < drains.size() &&
              drains[next_drain].time <= e.admission) {
-        open[drains[next_drain].shard] = 0;
+        const std::size_t drained = drains[next_drain].shard;
+        open[drained] = 0;
+        open_shards.erase(
+            std::find(open_shards.begin(), open_shards.end(), drained));
         ++next_drain;
       }
-      const std::size_t remaining =
-          jobs_[e.job].checkpoint_count() - e.checkpoint;
-      auto place = [&]() {
-        PlacementContext ctx;
-        ctx.job = e.job;
-        ctx.tenant = e.tenant;
-        ctx.time = e.admission;
-        ctx.checkpoints = remaining;
-        ctx.seed = config_.placement_seed;
-        ctx.shard_load = load;
-        ctx.shard_open = open;
-        const std::size_t s = config_.placement(ctx);
-        NURD_CHECK(s < config_.shards && open[s],
-                   "placement chose a closed or out-of-range shard");
-        return s;
-      };
       if (job_shard[e.job] == kUnplaced) {
-        const std::size_t s = place();
+        const std::size_t s = place(e.job);
         job_shard[e.job] = s;
         plan_.home_shard[e.job] = s;
-        load[s] += remaining;
       } else if (!open[job_shard[e.job]]) {
         // The job's shard drained: re-place at this checkpoint boundary.
         const auto from = static_cast<std::uint32_t>(job_shard[e.job]);
-        load[from] -= remaining;
-        const std::size_t to = place();
-        load[to] += remaining;
+        const std::size_t to = place(e.job);
         job_shard[e.job] = to;
         plan_.handoffs.push_back({e.job, from, static_cast<std::uint32_t>(to),
                                   e.checkpoint});

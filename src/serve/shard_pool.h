@@ -2,9 +2,10 @@
 // regime the paper's Algorithm 1 is written for — a monitor watching MANY
 // jobs stream checkpoints against shared compute. ShardedMonitor is the one
 // serving frontend: N shards, each with its own ThreadPool and task-DAG
-// executor, behind a job-placement policy, per-tenant admission quotas,
-// QoS-tiered load-shedding, and graceful shard drain/rebalance. One shard
-// with one worker is the serialized bit-parity reference.
+// executor, behind seeded hash placement of jobs onto shards, per-tenant
+// admission quotas, QoS-tiered load-shedding, and graceful shard
+// drain/rebalance. One shard with one worker is the serialized bit-parity
+// reference.
 //
 // Every job gets a managed session: a fresh registry predictor (created
 // with RefitPolicy::kIncremental by default — a serving session maintains
@@ -87,7 +88,6 @@
 #include "core/registry.h"
 #include "eval/harness.h"
 #include "sched/cluster.h"
-#include "serve/placement.h"
 #include "trace/job.h"
 
 namespace nurd::serve {
@@ -153,8 +153,9 @@ struct ShardedMonitorConfig {
   /// Per-job arrival offsets (null = batch). Drawn once from arrival_seed.
   sched::ArrivalProcess arrivals;
   std::uint64_t arrival_seed = 0;
-  /// Placement policy (null = hash_placement()) and its seed.
-  PlacementPolicy placement;
+  /// Placement seed. A job lands on splitmix64(placement_seed, job) over
+  /// the shards still open, at its first planned event and again when its
+  /// shard drains; no other job's placement changes it.
   std::uint64_t placement_seed = 0;
   /// Fleet tenants (empty = one unmetered kStandard "default" tenant).
   std::vector<TenantSpec> tenants;
@@ -163,7 +164,8 @@ struct ShardedMonitorConfig {
   std::vector<std::size_t> tenant_of;
   /// Modeled per-shard service rate, checkpoint events per simulated
   /// second, for the backlog model that drives shedding and the virtual
-  /// latency metrics. 0 = model off (no shedding, no virtual latencies).
+  /// latency metrics. 0 = model off (no shedding, no virtual latencies);
+  /// must be finite and non-negative.
   double service_rate = 0.0;
   /// Backlog budget (modeled events queued on one shard) above which
   /// shedding engages. 0 = shedding off. A class q event is shed when the

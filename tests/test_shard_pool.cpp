@@ -4,9 +4,8 @@
 //     batch harness), including across a mid-stream drain/rebalance, and
 //     every decision carries its plan event's shard, tenant and admission
 //     time;
-//   * placement is deterministic, covers only open shards, and each policy
-//     honors its own invariant (hash spread, least-loaded balance, tenant
-//     affinity);
+//   * hash placement is a pure function of (placement_seed, job) over the
+//     open shards, so the same config places every job on the same shard;
 //   * per-tenant admission quotas defer ONLY the over-quota tenant — the
 //     in-quota tenant's modeled decision latency is unaffected within
 //     tolerance — and never change anybody's flags;
@@ -37,7 +36,6 @@
 #include "core/task_dag.h"
 #include "eval/harness.h"
 #include "serve/cluster_sink.h"
-#include "serve/placement.h"
 #include "trace/generator.h"
 
 namespace nurd::serve {
@@ -132,9 +130,9 @@ TEST(ShardedMonitor, SerializedFleetIsBitIdenticalToRunMethod) {
 // shards in {1, 2, 4} x workers in {1, 4}, plus 16 workers and DAG windows
 // {1, 2, 8} on one shard (the window bounds how far the pipeline runs
 // ahead, never what it computes), for both tuned configs, under Poisson
-// arrivals and least-loaded placement (the policy with the most plan-state
-// coupling — if determinism broke anywhere it would break here). The
-// RecordingSink checks per-job checkpoint order on every delivery.
+// arrivals, so jobs interleave on every shard and the admission window
+// mixes their checkpoints. The RecordingSink checks per-job checkpoint
+// order on every delivery.
 TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
   struct Shape {
     std::size_t shards, workers, window;
@@ -160,7 +158,6 @@ TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
       config.window = shape.window;
       config.arrivals = sched::poisson_arrivals(3.0);
       config.arrival_seed = 7;
-      config.placement = least_loaded_placement();
       RecordingSink sink(jobs.size());
       ShardedMonitor fleet(jobs, method, config);
       fleet.set_sink(sink.sink());
@@ -195,7 +192,6 @@ TEST(ShardedMonitor, DrainRebalanceKeepsFlagSetBitIdentical) {
     config.threads = 1;
     config.arrivals = sched::poisson_arrivals(3.0);
     config.arrival_seed = 11;
-    config.placement = least_loaded_placement();
     config.tenants = {TenantSpec{"even", QoS::kStandard, 0.0, 8.0},
                       TenantSpec{"odd", QoS::kStandard, 0.0, 8.0}};
     config.tenant_of.resize(jobs.size());
@@ -277,6 +273,28 @@ TEST(ShardedMonitor, RejectsNonFiniteDrainTime) {
   }
 }
 
+// A service rate that is negative, NaN or infinite is rejected at
+// construction, with shedding off too: `service_rate > 0` would quietly turn
+// the service model off for a negative or NaN rate and zero every virtual
+// latency. 0 still means "model off".
+TEST(ShardedMonitor, RejectsBadServiceRate) {
+  const auto jobs = generated_jobs(3, 1);
+  const auto method = core::predictor_by_name("HBOS", tuned(true));
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    ShardedMonitorConfig config;
+    config.service_rate = bad;
+    EXPECT_THROW(ShardedMonitor(jobs, method, config), std::invalid_argument);
+  }
+  ShardedMonitorConfig off;
+  off.service_rate = 0.0;
+  ShardedMonitor fleet(jobs, method, off);
+  for (const auto& e : fleet.plan().events) {
+    EXPECT_EQ(e.virtual_latency, 0.0);
+  }
+}
+
 // The flag-set gate at fleet scale, on the paper-default Google trace: GBTR
 // (10 rounds) on the Google config, hash placement, batch arrivals and 4
 // workers per shard. Per-job records and the flag set at 4 shards equal
@@ -291,7 +309,6 @@ void expect_fleet_matches_one_shard(std::size_t job_count) {
     ShardedMonitorConfig config;
     config.shards = shards;
     config.threads = 4;
-    config.placement = hash_placement();
     ShardedMonitor fleet(jobs, "GBTR", registry, config);
     fleet.set_sink(sink->sink());
     return fleet.run();
@@ -313,53 +330,30 @@ TEST(ShardedMonitorSlow, FleetFlagSetMatchesOneShardAt256Jobs) {
   expect_fleet_matches_one_shard(256);
 }
 
-TEST(Placement, PoliciesAreDeterministicAndRespectOpenShards) {
+// Hash placement is pinned: at two seeds the home shards equal
+// splitmix64(placement_seed, job) over four open shards, and two
+// constructions of the same config agree. Without drains every shard stays
+// open, so the arrival process cannot move a job.
+TEST(Placement, HashPlacementIsPinnedAndDeterministic) {
   const auto jobs = generated_jobs(8);
   const auto method = core::predictor_by_name("HBOS", tuned(true));
-  const std::vector<std::size_t> tenant_of = {0, 1, 0, 1, 0, 1, 0, 1};
-
-  const std::vector<std::pair<std::string, PlacementPolicy>> policies = {
-      {"hash", hash_placement()},
-      {"least-loaded", least_loaded_placement()},
-      {"affinity", tenant_affinity_placement()}};
-  for (const auto& entry : policies) {
-    const std::string& name = entry.first;
-    SCOPED_TRACE(name);
+  const std::vector<std::pair<std::uint64_t, std::vector<std::size_t>>>
+      pinned = {{99, {3, 2, 2, 1, 2, 0, 3, 0}}, {0, {3, 3, 1, 0, 1, 1, 0, 0}}};
+  for (const auto& entry : pinned) {
+    const std::uint64_t seed = entry.first;
+    SCOPED_TRACE("placement_seed=" + std::to_string(seed));
     auto make_plan = [&] {
       ShardedMonitorConfig config;
       config.shards = 4;
       config.arrivals = sched::poisson_arrivals(5.0);
       config.arrival_seed = 3;
-      config.placement = entry.second;
-      config.placement_seed = 99;
-      config.tenants = {TenantSpec{"a", QoS::kStandard, 0.0, 8.0},
-                       TenantSpec{"b", QoS::kStandard, 0.0, 8.0}};
-      config.tenant_of = tenant_of;
+      config.placement_seed = seed;
       return ShardedMonitor(jobs, method, config);
     };
     ShardedMonitor fleet1 = make_plan();
     ShardedMonitor fleet2 = make_plan();
-    ASSERT_EQ(fleet1.plan().home_shard, fleet2.plan().home_shard);
-    for (const std::size_t s : fleet1.plan().home_shard) {
-      EXPECT_LT(s, 4u);
-    }
-    if (name == "affinity") {
-      // Every job of a tenant lands on that tenant's shard.
-      std::vector<std::size_t> tenant_shard(2, SIZE_MAX);
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        const std::size_t t = tenant_of[j];
-        if (tenant_shard[t] == SIZE_MAX) {
-          tenant_shard[t] = fleet1.plan().home_shard[j];
-        }
-        EXPECT_EQ(fleet1.plan().home_shard[j], tenant_shard[t]);
-      }
-    }
-    if (name == "least-loaded") {
-      // Eight same-size jobs over four shards balance two per shard.
-      std::vector<std::size_t> count(4, 0);
-      for (const std::size_t s : fleet1.plan().home_shard) ++count[s];
-      EXPECT_EQ(*std::max_element(count.begin(), count.end()), 2u);
-    }
+    EXPECT_EQ(fleet1.plan().home_shard, entry.second);
+    EXPECT_EQ(fleet2.plan().home_shard, fleet1.plan().home_shard);
   }
 }
 
