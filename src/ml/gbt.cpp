@@ -222,11 +222,7 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
     }
 
     RegressionTree tree;
-    if (binner != nullptr) {
-      tree.fit(x, *binner, grad, hess, rows, params_.tree);
-    } else {
-      tree.fit(x, grad, hess, rows, params_.tree);
-    }
+    tree.fit(x, binner, grad, hess, rows, params_.tree);
 
     for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));
     kops.axpy(rate, pred.data(), score.data(), n);

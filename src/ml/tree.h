@@ -4,16 +4,22 @@
 //   leaf value  w* = −G / (H + λ)
 //   split gain  ½[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)] − γ
 //
-// Two split-finding backends share that formulation; the fit() overload
-// called selects one:
-//   * exact greedy (no binner) — sorts the node's rows per feature and scans
-//     every distinct-value boundary; O(d · n log n) per node, best for tiny
-//     fits;
+// One node recursion grows the tree. Each node owns a contiguous segment of
+// one per-fit row array; a split stably partitions its segment into the left
+// rows, then the right rows, through one reused scratch buffer, so every node
+// sees its rows in the caller's order and no node allocates a row list. Only
+// the split finder differs between the two backends, and fit()'s binner
+// argument selects one:
+//   * exact greedy (null binner) — sorts the node's rows per feature and
+//     scans every distinct-value boundary; O(d · n log n) per node, best for
+//     tiny fits;
 //   * histogram (a FeatureBinner, LightGBM-style) — accumulates per-bin
 //     (G, H) sums per node and scans bin boundaries; O(d · n) per tree level,
 //     with the sibling-subtraction trick (child histogram = parent − other
 //     child) halving construction cost. Per-feature histogram builds fan out
 //     over the shared ThreadPool.
+// Between adjacent distinct values v < v', both place the threshold at the
+// midpoint, or at v when the midpoint rounds onto v' or overflows.
 // Both backends are deterministic: identical inputs produce a bit-identical
 // tree regardless of thread count.
 #pragma once
@@ -23,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "common/aligned.h"
 #include "common/matrix.h"
 
 namespace nurd::ml {
@@ -39,10 +44,11 @@ struct TreeParams {
 
 /// Quantile-sketch feature binning, built once per boosting fit and shared
 /// by every tree of the ensemble. Bin edges are placed at (deduplicated)
-/// quantiles of the training rows — midpoints between adjacent distinct
-/// values, so that with fewer distinct values than bins the candidate split
-/// set is identical to exact greedy's. Every tree of a fit indexes its row
-/// subset into the same bins, so no tree re-sorts or re-bins.
+/// quantiles of the training rows, at the thresholds the exact scan places
+/// between adjacent distinct values, so that with fewer distinct values than
+/// bins the candidate split set is identical to exact greedy's. Every tree
+/// of a fit indexes its row subset into the same bins, so no tree re-sorts or
+/// re-bins.
 class FeatureBinner {
  public:
   FeatureBinner() = default;
@@ -95,15 +101,11 @@ class FeatureBinner {
 /// the Newton-step value −G/(H+λ).
 class RegressionTree {
  public:
-  /// Exact-greedy fit: grows a tree on the sample subset `rows` of `x`,
-  /// using per-sample gradients and Hessians.
-  void fit(const Matrix& x, std::span<const double> grad,
-           std::span<const double> hess, std::span<const std::size_t> rows,
-           const TreeParams& params);
-
-  /// Histogram-backend fit reusing a binner built once per boosting fit.
-  /// `binner` must cover all rows of `x`.
-  void fit(const Matrix& x, const FeatureBinner& binner,
+  /// Grows a tree on the sample subset `rows` of `x` from per-sample
+  /// gradients and Hessians. A null `binner` selects exact greedy; otherwise
+  /// splits come from `binner`'s histograms, and it must cover all rows of
+  /// `x`.
+  void fit(const Matrix& x, const FeatureBinner* binner,
            std::span<const double> grad, std::span<const double> hess,
            std::span<const std::size_t> rows, const TreeParams& params);
 
@@ -130,18 +132,7 @@ class RegressionTree {
     std::int32_t depth = 0;
   };
 
-  struct HistContext;  // histogram-backend fit state (tree.cpp)
-
-  std::int32_t build(const Matrix& x, std::span<const double> grad,
-                     std::span<const double> hess,
-                     std::vector<std::size_t>& rows, int depth,
-                     const TreeParams& params);
-
-  std::int32_t build_hist(HistContext& ctx, std::vector<std::size_t>& rows,
-                          int depth, AlignedVector<double>&& hist);
-
-  static AlignedVector<double> compute_histogram(
-      const HistContext& ctx, const std::vector<std::size_t>& rows);
+  struct Grower;  // per-fit node recursion (tree.cpp)
 
   std::vector<Node> nodes_;
 };

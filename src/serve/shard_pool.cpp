@@ -37,6 +37,11 @@ constexpr double kShedCostFactor = 0.25;
 /// Only QoS classes strictly below this floor are ever shed.
 constexpr QoS kShedFloor = QoS::kInteractive;
 
+/// Per-job DAG window of a multi-worker shard: at most this many checkpoints
+/// of ONE job have stages in flight at once, which is also the length of the
+/// job's scratch-cell ring (core/task_dag.h).
+constexpr std::size_t kDagWindow = 4;
+
 // Fixed-constant splitmix64, so a job's shard is reproducible from
 // (placement_seed, job) alone on every platform.
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -77,7 +82,6 @@ struct ShardedMonitor::Impl {
     NURD_CHECK(!jobs.empty(), "no jobs to serve");
     NURD_CHECK(method_.make != nullptr, "method has no factory");
     NURD_CHECK(config_.shards >= 1, "need at least one shard");
-    NURD_CHECK(config_.window >= 1, "window must be at least 1");
     if (config_.tenants.empty()) config_.tenants.push_back(TenantSpec{});
     for (const TenantSpec& t : config_.tenants) {
       NURD_CHECK(t.quota_rate >= 0.0 && t.quota_burst > 0.0,
@@ -431,9 +435,7 @@ struct ShardedMonitor::Impl {
       ThreadPool pool(workers_);
       core::TaskDagConfig dag_config;
       dag_config.workers = workers_;
-      dag_config.window = fleet_.config_.window;
-      dag_config.featurize_ahead =
-          std::min<std::size_t>(2, fleet_.config_.window);
+      dag_config.window = kDagWindow;
       core::TaskDag dag(
           fleet_.jobs_.size(), dag_config,
           [this](const core::TaskKey& k) {
@@ -590,7 +592,7 @@ struct ShardedMonitor::Impl {
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       sessions_[j].predictor = method_.make();
       sessions_[j].run.emplace(jobs_[j], *sessions_[j].predictor);
-      sessions_[j].ring.resize(workers > 1 ? config_.window : 1);
+      sessions_[j].ring.resize(workers > 1 ? kDagWindow : 1);
     }
 
     // Index the plan by (job, checkpoint) and slice it per shard, in plan

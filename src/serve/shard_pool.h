@@ -39,8 +39,8 @@
 //   * flag-set identity across shard count × thread count: with shedding
 //     off, the per-job records (and therefore the flag set) are
 //     bit-identical at shards ∈ {1, 2, 4} × workers ∈ {1, 4} (and at 16
-//     workers or any DAG window on one shard) — and equal to
-//     eval::run_method — because each job's session runs the same
+//     workers on one shard) — and equal to eval::run_method — because
+//     each job's session runs the same
 //     per-checkpoint protocol wherever it is placed, and the executor
 //     decides only WHEN stage tasks run, never what they compute;
 //   * every FlagDecision carries its plan event's shard, tenant and
@@ -146,10 +146,6 @@ struct ShardedMonitorConfig {
   /// thread; 0 = hardware concurrency). A shard admits at most 4 × workers
   /// checkpoint events at once.
   std::size_t threads = 1;
-  /// Per-job DAG window per shard: at most this many checkpoints of ONE job
-  /// have stages in flight at once (the scratch-cell ring bound;
-  /// core/task_dag.h). At least 2 to overlap at all.
-  std::size_t window = 4;
   /// Per-job arrival offsets (null = batch). Drawn once from arrival_seed.
   sched::ArrivalProcess arrivals;
   std::uint64_t arrival_seed = 0;

@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
@@ -55,9 +57,9 @@ TEST(HistogramTree, MatchesExactOnSmallData) {
   params.max_bins = 64;
 
   RegressionTree exact_tree, hist_tree;
-  exact_tree.fit(x, grad, hess, rows, params);
-  hist_tree.fit(x, FeatureBinner(x, params.max_bins), grad, hess, rows,
-                params);
+  const FeatureBinner binner(x, params.max_bins);
+  exact_tree.fit(x, nullptr, grad, hess, rows, params);
+  hist_tree.fit(x, &binner, grad, hess, rows, params);
 
   EXPECT_EQ(exact_tree.node_count(), hist_tree.node_count());
   EXPECT_EQ(exact_tree.leaf_count(), hist_tree.leaf_count());
@@ -78,9 +80,9 @@ TEST(HistogramTree, RecoversPerfectSplit) {
   TreeParams params;
   params.lambda = 0.0;
   params.min_child_weight = 0.0;
+  const FeatureBinner binner(x, params.max_bins);
   RegressionTree tree;
-  tree.fit(x, FeatureBinner(x, params.max_bins), grad, hess, iota_rows(4),
-           params);
+  tree.fit(x, &binner, grad, hess, iota_rows(4), params);
   EXPECT_NEAR(tree.predict(x.row(0)), -1.0, 1e-9);
   EXPECT_NEAR(tree.predict(x.row(3)), 1.0, 1e-9);
   EXPECT_EQ(tree.leaf_count(), 2u);
@@ -108,9 +110,9 @@ TEST(HistogramTree, LargeFitApproximatesExactQuality) {
   TreeParams params;
   params.max_depth = 6;
   RegressionTree exact_tree, hist_tree;
-  exact_tree.fit(x, grad, hess, rows, params);
-  hist_tree.fit(x, FeatureBinner(x, params.max_bins), grad, hess, rows,
-                params);
+  const FeatureBinner binner(x, params.max_bins);
+  exact_tree.fit(x, nullptr, grad, hess, rows, params);
+  hist_tree.fit(x, &binner, grad, hess, rows, params);
   EXPECT_LT(sse(hist_tree), sse(exact_tree) * 1.10);
 }
 
@@ -160,10 +162,44 @@ TEST(FeatureBinner, RareBinaryFeatureKeepsItsSplit) {
   params.lambda = 0.0;
   params.min_child_weight = 0.0;
   RegressionTree tree;
-  tree.fit(x, binner, grad, hess, iota_rows(n), params);
+  tree.fit(x, &binner, grad, hess, iota_rows(n), params);
   EXPECT_EQ(tree.leaf_count(), 2u);
   EXPECT_NEAR(tree.predict(x.row(0)), -1.0, 1e-9);
   EXPECT_NEAR(tree.predict(x.row(n - 1)), 1.0, 1e-9);
+}
+
+// Regression: a split between adjacent doubles must separate them. Their
+// midpoint rounds onto the upper value (1 + 2^-52 | 1 + 2^-51) or overflows
+// to ±inf near ±DBL_MAX, and `x <= threshold` then put both rows on one
+// side: one leaf on both backends, and both rows in one of the 2 bins.
+TEST(HistogramTree, SplitsBetweenAdjacentDoublesOnBothBackends) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const std::pair<double, double> pairs[] = {
+      {1.0 + 0x1p-52, 1.0 + 0x1p-51},
+      {std::nextafter(kMax, 0.0), kMax},
+      {-kMax, std::nextafter(-kMax, 0.0)}};
+  for (const auto& [lo, hi] : pairs) {
+    SCOPED_TRACE(testing::Message() << lo << " | " << hi);
+    Matrix x{{lo}, {hi}};
+    const std::vector<double> grad{-1.0, 1.0};
+    const std::vector<double> hess{1.0, 1.0};
+    TreeParams params;
+    params.lambda = 0.0;
+    params.min_child_weight = 0.0;
+    const FeatureBinner binner(x, params.max_bins);
+    ASSERT_EQ(binner.bin_count(0), 2u);
+    EXPECT_EQ(binner.bin(0, 0), 0);
+    EXPECT_EQ(binner.bin(0, 1), 1);
+    const FeatureBinner* backends[] = {nullptr, &binner};
+    for (const FeatureBinner* b : backends) {
+      SCOPED_TRACE(b == nullptr ? "exact" : "histogram");
+      RegressionTree tree;
+      tree.fit(x, b, grad, hess, iota_rows(2), params);
+      EXPECT_EQ(tree.leaf_count(), 2u);
+      EXPECT_EQ(tree.predict(x.row(0)), 1.0);
+      EXPECT_EQ(tree.predict(x.row(1)), -1.0);
+    }
+  }
 }
 
 // (b) The parallel harness must aggregate in job order: metrics are

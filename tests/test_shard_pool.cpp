@@ -1,5 +1,5 @@
 // The serving fleet's contracts (serve/shard_pool.h):
-//   * flag-set identity: shards x workers x DAG window never changes the
+//   * flag-set identity: shards x workers never changes the
 //     per-job records (and the serialized 1x1 fleet is bit-identical to the
 //     batch harness), including across a mid-stream drain/rebalance, and
 //     every decision carries its plan event's shard, tenant and admission
@@ -127,19 +127,16 @@ TEST(ShardedMonitor, SerializedFleetIsBitIdenticalToRunMethod) {
 }
 
 // The headline acceptance pin: identical per-job records AND flag set at
-// shards in {1, 2, 4} x workers in {1, 4}, plus 16 workers and DAG windows
-// {1, 2, 8} on one shard (the window bounds how far the pipeline runs
-// ahead, never what it computes), for both tuned configs, under Poisson
-// arrivals, so jobs interleave on every shard and the admission window
-// mixes their checkpoints. The RecordingSink checks per-job checkpoint
-// order on every delivery.
+// shards in {1, 2, 4} x workers in {1, 4}, plus 16 workers on one shard,
+// for both tuned configs, under Poisson arrivals, so jobs interleave on
+// every shard and the admission window mixes their checkpoints. The
+// RecordingSink checks per-job checkpoint order on every delivery.
 TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
   struct Shape {
-    std::size_t shards, workers, window;
+    std::size_t shards, workers;
   };
-  const std::vector<Shape> shapes = {
-      {1, 1, 4}, {1, 4, 4}, {2, 1, 4},  {2, 4, 4}, {4, 1, 4},
-      {4, 4, 4}, {1, 16, 4}, {1, 4, 1}, {1, 4, 2}, {1, 4, 8}};
+  const std::vector<Shape> shapes = {{1, 1}, {1, 4}, {2, 1}, {2, 4},
+                                     {4, 1}, {4, 4}, {1, 16}};
   const auto jobs = generated_jobs(6);
   for (const bool google : {true, false}) {
     SCOPED_TRACE(google ? "google_tuned" : "alibaba_tuned");
@@ -150,12 +147,10 @@ TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
     bool first = true;
     for (const Shape& shape : shapes) {
       SCOPED_TRACE("shards=" + std::to_string(shape.shards) +
-                   " workers=" + std::to_string(shape.workers) +
-                   " window=" + std::to_string(shape.window));
+                   " workers=" + std::to_string(shape.workers));
       ShardedMonitorConfig config;
       config.shards = shape.shards;
       config.threads = shape.workers;
-      config.window = shape.window;
       config.arrivals = sched::poisson_arrivals(3.0);
       config.arrival_seed = 7;
       RecordingSink sink(jobs.size());

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "common/rng.h"
 #include "ml/gbt.h"
@@ -22,7 +25,7 @@ TEST(RegressionTree, PerfectSplitRecovered) {
   params.lambda = 0.0;
   params.min_child_weight = 0.0;
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params);
+  tree.fit(x, nullptr, grad, hess, rows, params);
   EXPECT_NEAR(tree.predict(x.row(0)), -1.0, 1e-9);
   EXPECT_NEAR(tree.predict(x.row(3)), 1.0, 1e-9);
   EXPECT_EQ(tree.leaf_count(), 2u);
@@ -36,7 +39,7 @@ TEST(RegressionTree, DepthZeroIsStump) {
   TreeParams params;
   params.max_depth = 0;
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params);
+  tree.fit(x, nullptr, grad, hess, rows, params);
   EXPECT_EQ(tree.leaf_count(), 1u);
   EXPECT_EQ(tree.depth(), 0);
 }
@@ -49,7 +52,7 @@ TEST(RegressionTree, LeafValueIsNewtonStep) {
   TreeParams params;
   params.lambda = 2.0;
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params);
+  tree.fit(x, nullptr, grad, hess, rows, params);
   // w* = −G/(H+λ) = −4/4 = −1.
   EXPECT_NEAR(tree.predict(x.row(0)), -1.0, 1e-12);
 }
@@ -62,7 +65,7 @@ TEST(RegressionTree, MinChildWeightBlocksSplit) {
   TreeParams params;
   params.min_child_weight = 0.5;  // each child would have H = 0.4 < 0.5
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params);
+  tree.fit(x, nullptr, grad, hess, rows, params);
   EXPECT_EQ(tree.leaf_count(), 1u);
 }
 
@@ -75,7 +78,7 @@ TEST(RegressionTree, GammaBlocksLowGainSplit) {
   params.gamma = 10.0;
   params.min_child_weight = 0.0;
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params);
+  tree.fit(x, nullptr, grad, hess, rows, params);
   EXPECT_EQ(tree.leaf_count(), 1u);
 }
 
@@ -94,7 +97,7 @@ TEST(RegressionTree, RespectsMaxDepth) {
   params.max_depth = 2;
   params.min_child_weight = 0.0;
   RegressionTree tree;
-  tree.fit(x, grad, hess, rows, params);
+  tree.fit(x, nullptr, grad, hess, rows, params);
   EXPECT_LE(tree.depth(), 2);
   EXPECT_LE(tree.leaf_count(), 4u);
 }
@@ -200,6 +203,167 @@ TEST(GradientBoosting, MoreRoundsNotWorseInSample) {
     }
     EXPECT_LE(sse, prev_sse * 1.001);
     prev_sse = sse;
+  }
+}
+
+// --- Absolute output pin --------------------------------------------------
+// Every case below fits squared-loss boosters on an integer grid drawn with
+// Rng::uniform_int (heavy ties, and no libm call anywhere on the data path,
+// so the digests hold across compilers and optimisation levels), then hashes
+// the bit patterns of predict_raw over the training rows and over off-grid
+// probe rows, plus tree_count. The digests are constants: any change to
+// split order, tie-breaking, threshold placement or summation order in the
+// tree loop moves them.
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (v >> (8 * byte)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Column 0 takes values 0..wide_hi, columns 1-3 take 0..9, and column 4 is
+// 2 × column 1. Its candidates tie column 1's in exact arithmetic, so which
+// of the two wins rides on summation order, which the chained sorts fix.
+Matrix grid_matrix(Rng& rng, std::size_t n, std::int64_t wide_hi) {
+  Matrix x(n, 5);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = static_cast<double>(rng.uniform_int(0, wide_hi));
+    for (std::size_t j = 1; j < 4; ++j) {
+      x(i, j) = static_cast<double>(rng.uniform_int(0, 9));
+    }
+    x(i, 4) = 2.0 * x(i, 1);
+  }
+  return x;
+}
+
+double grid_target(const Matrix& x, std::size_t i, Rng& rng) {
+  return x(i, 0) - 2.0 * x(i, 1) + x(i, 2) * x(i, 3) +
+         static_cast<double>(rng.uniform_int(-3, 3));
+}
+
+std::vector<double> grid_targets(const Matrix& x, Rng& rng) {
+  std::vector<double> y(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) y[i] = grid_target(x, i, rng);
+  return y;
+}
+
+std::uint64_t output_digest(const GradientBoosting& model, const Matrix& x) {
+  std::uint64_t h = kFnvOffset;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(model.predict_raw(x.row(i))));
+  }
+  // Off-grid probes, half-way between grid points and past both ends.
+  Rng probe_rng(5);
+  std::vector<double> probe(x.cols());
+  for (int k = 0; k < 64; ++k) {
+    for (auto& v : probe) {
+      v = static_cast<double>(probe_rng.uniform_int(-3, 102)) + 0.5;
+    }
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(model.predict_raw(probe)));
+  }
+  return fnv1a(h, model.tree_count());
+}
+
+GbtParams pin_params(bool warm_start) {
+  GbtParams params;
+  params.n_rounds = 25;
+  params.warm_start = warm_start;
+  return params;
+}
+
+TEST(GradientBoosting, OutputDigestsPinned) {
+  // Exact greedy (n < kHistogramMinRows) and histogram (n >= it; column 0
+  // has more distinct values than max_bins, so its edges are packed).
+  const struct {
+    std::size_t n;
+    std::uint64_t digest;
+  } cases[] = {{200, 0xecee886c44d8b26eull},
+               {kHistogramMinRows, 0x609d19753ef52cb7ull},
+               {400, 0xd2a6d5db82d418b6ull}};
+  for (const auto& [n, digest] : cases) {
+    SCOPED_TRACE("fit n=" + std::to_string(n));
+    Rng rng(21);
+    const Matrix x = grid_matrix(rng, n, 99);
+    const auto y = grid_targets(x, rng);
+    auto model = GradientBoosting::regressor(pin_params(false));
+    model.fit(x, y);
+    EXPECT_EQ(output_digest(model, x), digest);
+  }
+}
+
+// Inserted rows outside the frozen bin edges clamp into the boundary bins.
+TEST(GradientBoosting, ContinueFitInsertedRowsDigestPinned) {
+  Rng rng(22);
+  const std::size_t n_old = 300, n_new = 324;
+  const Matrix x_old = grid_matrix(rng, n_old, 9);
+  const auto y_old = grid_targets(x_old, rng);
+  auto model = GradientBoosting::regressor(pin_params(true));
+  model.fit(x_old, y_old);
+
+  std::vector<std::size_t> inserted;
+  Matrix x(n_new, 5);
+  std::vector<double> y(n_new);
+  std::size_t old_r = 0;
+  for (std::size_t r = 0; r < n_new; ++r) {
+    if (r % 13 == 5 && inserted.size() < n_new - n_old) {
+      inserted.push_back(r);
+      for (std::size_t j = 0; j < 4; ++j) {
+        const auto v = rng.uniform_int(1, 3);
+        x(r, j) = static_cast<double>(rng.uniform_int(0, 1) == 0 ? -v : 9 + v);
+      }
+      x(r, 4) = 2.0 * x(r, 1);
+      y[r] = grid_target(x, r, rng);
+    } else {
+      for (std::size_t j = 0; j < 5; ++j) x(r, j) = x_old(old_r, j);
+      y[r] = y_old[old_r++];
+    }
+  }
+  ASSERT_EQ(inserted.size(), n_new - n_old);
+  model.continue_fit(x, y, 10, {}, inserted);
+  EXPECT_EQ(output_digest(model, x), 0x9545e35321f5bd8cull);
+}
+
+// Changed rows drive the active-set path (moved rows plus sampled anchors).
+TEST(GradientBoosting, ContinueFitChangedRowsDigestPinned) {
+  Rng rng(23);
+  const std::size_t n = 300;
+  Matrix x = grid_matrix(rng, n, 9);
+  auto y = grid_targets(x, rng);
+  auto model = GradientBoosting::regressor(pin_params(true));
+  model.fit(x, y);
+
+  std::vector<std::size_t> changed;
+  for (std::size_t r = 3; r < n; r += 17) {
+    changed.push_back(r);
+    x(r, 1) = static_cast<double>(rng.uniform_int(0, 9));
+    x(r, 4) = 2.0 * x(r, 1);
+    y[r] = grid_target(x, r, rng) + 4.0;
+  }
+  model.continue_fit(x, y, 10, changed, {});
+  EXPECT_EQ(output_digest(model, x), 0xc4b0aeff44de6eb9ull);
+}
+
+// Nothing new or changed: the rounds boost the whole block, on the exact
+// backend (n = 200) and the histogram backend (n = 300).
+TEST(GradientBoosting, ContinueFitWholeBlockDigestPinned) {
+  const struct {
+    std::size_t n;
+    std::uint64_t digest;
+  } cases[] = {{200, 0x9bf94aefa54ea2b5ull}, {300, 0x261507849bd0b764ull}};
+  for (const auto& [n, digest] : cases) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Rng rng(24);
+    const Matrix x = grid_matrix(rng, n, 9);
+    auto y = grid_targets(x, rng);
+    auto model = GradientBoosting::regressor(pin_params(true));
+    model.fit(x, y);
+    for (auto& v : y) v += 1.0;  // targets may move between calls
+    model.continue_fit(x, y, 10);
+    EXPECT_EQ(output_digest(model, x), digest);
   }
 }
 
