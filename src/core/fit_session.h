@@ -42,6 +42,7 @@
 
 #include "common/aligned.h"
 #include "common/matrix.h"
+#include "core/task_dag.h"
 #include "ml/gbt.h"
 #include "trace/checkpoint_view.h"
 
@@ -116,8 +117,9 @@ enum BlockMask : unsigned {
 /// them, and the Refit stage calls promote(view) to adopt them. Storage is
 /// double-buffered — checkpoint t stages into slot t % 2 — so staging
 /// checkpoint t+1 never touches the blocks checkpoint t's refit is still
-/// reading. The executor's Featurize(t) ◄─ Refit(t-2) edge is what makes the
-/// slot reuse safe; a FitSession therefore supports featurize_ahead <= 2.
+/// reading. The executor's Featurize(t) ◄─ Refit(t-kFeaturizeAhead) edge,
+/// with kFeaturizeAhead = 2 (core/task_dag.h), is what makes the slot reuse
+/// safe.
 /// Every block a stage/promote pair produces is bitwise identical to what
 /// observe() would have assembled (same gathers, same order; the snapshot
 /// patches from its own slot's delta), so the policy contract above holds
@@ -267,5 +269,8 @@ class FitSession {
   Blocks slots_[2];
   std::size_t cur_ = 0;
 };
+
+static_assert(kFeaturizeAhead <= 2,
+              "FitSession double-buffers its staged blocks");
 
 }  // namespace nurd::core

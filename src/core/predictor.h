@@ -94,7 +94,7 @@ struct JobContext {
 ///   * the staged hooks below relax single-threadedness in ONE controlled
 ///     way: featurize_checkpoint(t) may run concurrently with
 ///     refit/predict work for checkpoints < t of the SAME instance (at
-///     most featurize_ahead = 2 ahead; see core/task_dag.h). Staged
+///     most core::kFeaturizeAhead = 2 ahead; see core/task_dag.h). Staged
 ///     implementations confine featurization writes to double-buffered
 ///     scratch (FitSession::stage) so the overlap never touches model
 ///     state.

@@ -67,11 +67,6 @@ struct TaskDag::Impl {
         on_error_(std::move(error)),
         jobs_(jobs) {
     NURD_CHECK(run_ != nullptr, "TaskDag needs a stage runner");
-    NURD_CHECK(config_.window >= 1, "window must be at least 1");
-    NURD_CHECK(config_.featurize_ahead >= 1,
-               "featurize_ahead must be at least 1");
-    NURD_CHECK(config_.window >= config_.featurize_ahead,
-               "window must cover the featurize-ahead bound");
   }
 
   // ---- completion queries --------------------------------------------------
@@ -136,8 +131,8 @@ struct TaskDag::Impl {
     node.checkpoint = checkpoint;
     node.epoch = js.epoch;
     const std::size_t t = checkpoint;
-    const std::size_t A = config_.featurize_ahead;
-    const std::size_t W = config_.window;
+    constexpr std::size_t A = kFeaturizeAhead;
+    constexpr std::size_t W = kDagWindow;
 
     // Outstanding-dependency counts: each predecessor not yet complete adds
     // one. Same-checkpoint predecessors are created right here, so they
@@ -214,7 +209,7 @@ struct TaskDag::Impl {
       case kR:
         unlock_dep(t, kP);
         unlock_dep(t + 1, kR);
-        unlock_dep(t + config_.featurize_ahead, kF);
+        unlock_dep(t + kFeaturizeAhead, kF);
         break;
       case kP:
         unlock_dep(t, kFl);
@@ -223,7 +218,7 @@ struct TaskDag::Impl {
       case kFl:
         unlock_dep(t + 1, kP);
         unlock_dep(t + 1, kFl);
-        unlock_dep(t + config_.window, kF);
+        unlock_dep(t + kDagWindow, kF);
         // Flag stages complete in checkpoint order, so the retiring node is
         // always the oldest live one.
         NURD_CHECK(!js.live.empty() && js.live.front().checkpoint == t,

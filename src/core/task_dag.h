@@ -14,12 +14,13 @@
 //   Featurize(j,t) ◄─ Refit(j,t-A)            featurization runs at most A-1
 //                                             checkpoints ahead of the refit
 //                                             consuming its blocks (A =
-//                                             featurize_ahead; the FitSession
-//                                             double buffer needs A = 2)
+//                                             kFeaturizeAhead = 2, what the
+//                                             FitSession double buffer needs)
 //   Featurize(j,t) ◄─ Flag(j,t-W)             the per-job in-flight WINDOW:
 //                                             at most W checkpoints of one
-//                                             job live at once (W = window;
-//                                             bounds the scratch-cell ring)
+//                                             job live at once (W =
+//                                             kDagWindow = 4; bounds the
+//                                             scratch-cell ring)
 //   Refit(j,t)     ◄─ Refit(j,t-1)            the model chain — checkpoint
 //                                             t's refit never observes state
 //                                             newer than t-1's model
@@ -80,6 +81,18 @@ enum class Stage : std::uint8_t {
 
 inline constexpr std::size_t kStageCount = 4;
 
+/// Per-job in-flight window W: Featurize(j,t) waits for Flag(j,t-W), so at
+/// most W checkpoints of one job are live at once. Callers size their
+/// per-checkpoint scratch ring by it.
+inline constexpr std::size_t kDagWindow = 4;
+
+/// Featurize-ahead bound A: Featurize(j,t) waits for Refit(j,t-A). A = 2
+/// matches the FitSession double buffer (featurization runs at most one
+/// checkpoint ahead of the refit consuming its blocks).
+inline constexpr std::size_t kFeaturizeAhead = 2;
+static_assert(kDagWindow >= kFeaturizeAhead,
+              "the window must cover the featurize-ahead bound");
+
 const char* stage_name(Stage stage);
 
 /// One schedulable task: stage `stage` of checkpoint `checkpoint` of job
@@ -94,15 +107,6 @@ struct TaskKey {
 struct TaskDagConfig {
   /// Executor workers (pump loops submitted to the pool). At least 1.
   std::size_t workers = 1;
-  /// Per-job in-flight window W: Featurize(j,t) waits for Flag(j,t-W), so at
-  /// most W checkpoints of one job are live at once. Bounds the caller's
-  /// per-checkpoint scratch ring. At least 1; must be >= featurize_ahead.
-  std::size_t window = 4;
-  /// Featurize-ahead bound A: Featurize(j,t) waits for Refit(j,t-A). A = 2
-  /// matches the FitSession double buffer (featurization runs at most one
-  /// checkpoint ahead of the refit consuming its blocks). A = 1 serializes
-  /// featurize behind refit entirely.
-  std::size_t featurize_ahead = 2;
 };
 
 /// Dependency-graph executor over the four-stage checkpoint pipeline.

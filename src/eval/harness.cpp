@@ -47,12 +47,10 @@ std::size_t OnlineJobRun::next_checkpoint() const {
   return flagged_through_;
 }
 
-void OnlineJobRun::featurize(std::size_t t, CheckpointScratch* scratch,
-                             bool shed) {
+void OnlineJobRun::featurize(std::size_t t, CheckpointScratch* scratch) {
   NURD_CHECK(t == featurized_through_,
              "featurize stages must advance checkpoints in order");
   ++featurized_through_;
-  if (shed) return;  // cursor advances; no view bind, no block staging
   // Bind the checkpoint view into the cell — rebinding in place once bound,
   // reusing the partition capacity.
   if (scratch->view.has_value() && &scratch->view->store() == &job_->trace) {
@@ -63,14 +61,9 @@ void OnlineJobRun::featurize(std::size_t t, CheckpointScratch* scratch,
   predictor_->featurize_checkpoint(*scratch->view);
 }
 
-void OnlineJobRun::refit(std::size_t t, CheckpointScratch* scratch,
-                         bool shed) {
+void OnlineJobRun::refit(std::size_t t, CheckpointScratch* scratch) {
   NURD_CHECK(t == refitted_through_,
              "refit stages must advance checkpoints in order");
-  if (shed) {  // cursor advances; the model keeps checkpoint t-1's state
-    ++refitted_through_;
-    return;
-  }
   // "featurize ran first" is checked through the cell, not the featurize
   // cursor: featurize(t+1) may legally run concurrently with refit(t) (the
   // executor's overlap), so reading featurized_through_ here would race.
@@ -95,19 +88,11 @@ void OnlineJobRun::refit(std::size_t t, CheckpointScratch* scratch,
   predictor_->refit_checkpoint(view, scratch->candidates);
 }
 
-void OnlineJobRun::predict(std::size_t t, CheckpointScratch* scratch,
-                           bool shed) {
+void OnlineJobRun::predict(std::size_t t, CheckpointScratch* scratch) {
   NURD_CHECK(t == predicted_through_,
              "predict stages must advance checkpoints in order");
   NURD_CHECK(t < refitted_through_, "predict before refit");
   ++predicted_through_;
-  if (shed) {
-    // No new decisions at a shed checkpoint. The cell is a reused ring
-    // slot, so the previous tenant's newly-flagged set must not leak into
-    // this checkpoint's flag() call.
-    scratch->newly_flagged.clear();
-    return;
-  }
   const std::size_t n = job_->task_count();
   const trace::CheckpointView& view = *scratch->view;
   scratch->newly_flagged =

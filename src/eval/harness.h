@@ -98,34 +98,23 @@ class OnlineJobRun {
   // and the checkpoint's scratch cell; the same cell must flow through all
   // four stages of one checkpoint. Concurrency limits are exactly the
   // executor's edges (core/task_dag.h).
-  //
-  // `shed = true` skips the checkpoint's model work — the serving layer's
-  // load-shedding path. A shed featurize/refit/predict only advances its
-  // cursor (predict additionally clears the cell's newly-flagged set, since
-  // ring cells are reused); flag() then carries the confusion record forward
-  // from the standing flag set. Whole checkpoints are shed, never single
-  // stages: predictors re-fit inline on a stale session (the staged-hook
-  // fallback), so shedding just the refit would save nothing. FitSession
-  // tolerates the resulting observation gap by design (promote() re-derives
-  // delta markers against the last checkpoint actually observed).
 
   /// Stage 1 — binds the checkpoint view into the cell and runs the
   /// predictor's featurize hook (block staging; a no-op for monolithic
   /// methods). May run while refit/predict/flag of checkpoints < t are
   /// still in flight, up to the executor's featurize-ahead bound.
-  void featurize(std::size_t t, CheckpointScratch* scratch,
-                 bool shed = false);
+  void featurize(std::size_t t, CheckpointScratch* scratch);
 
   /// Stage 2 — computes the candidate set (running tasks unflagged through
   /// t-1; requires predict(t-1) retired) and runs the predictor's refit
   /// hook with it, replicating the monolithic skip guards.
-  void refit(std::size_t t, CheckpointScratch* scratch, bool shed = false);
+  void refit(std::size_t t, CheckpointScratch* scratch);
 
   /// Stage 3 — predict_stragglers on the candidates (a staged predictor
   /// only scores here; a monolithic one does all its work) and records the
   /// flags permanently. Requires flag(t-1) retired (it writes the record
   /// flag(t-1) reads).
-  void predict(std::size_t t, CheckpointScratch* scratch, bool shed = false);
+  void predict(std::size_t t, CheckpointScratch* scratch);
 
   /// Stage 4 — cumulative confusion accounting; populates `final` on the
   /// last checkpoint. Returns the newly flagged tasks (valid while the cell

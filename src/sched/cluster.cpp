@@ -133,7 +133,8 @@ struct ClusterEngine::Impl {
 
     for (std::size_t j = 0; j < J; ++j) {
       const trace::Job& job = jobs[j];
-      NURD_CHECK(arrivals_[j] >= 0.0, "negative arrival time");
+      NURD_CHECK(std::isfinite(arrivals_[j]) && arrivals_[j] >= 0.0,
+                 "arrival times must be finite and non-negative");
 
       ClusterJobStats& stats = result_.jobs[j];
       stats.arrival = arrivals_[j];

@@ -149,8 +149,7 @@ struct RateSegment {
 /// the rate in force when it starts (a gap straddling a boundary is not
 /// re-split) — one exponential per job, so the RNG consumption order never
 /// depends on where the boundaries fall. A two-segment schedule such as
-/// {{0, 4.0}, {100, 0.02}} is the over-budget arrival burst the serving
-/// fleet's load-shedding path is exercised under.
+/// {{0, 4.0}, {100, 0.02}} is an arrival burst followed by a trickle.
 ArrivalProcess piecewise_poisson_arrivals(std::vector<RateSegment> schedule);
 
 /// Diurnal Poisson schedule: rate(t) = base * (1 + amplitude * sin(2*pi *

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <numeric>
@@ -28,19 +27,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kUnplaced = std::numeric_limits<std::size_t>::max();
-
-/// A shed event still flows through the pipeline (cursor advances, confusion
-/// carries forward), so it is not free — model it at a quarter of a full
-/// service.
-constexpr double kShedCostFactor = 0.25;
-
-/// Only QoS classes strictly below this floor are ever shed.
-constexpr QoS kShedFloor = QoS::kInteractive;
-
-/// Per-job DAG window of a multi-worker shard: at most this many checkpoints
-/// of ONE job have stages in flight at once, which is also the length of the
-/// job's scratch-cell ring (core/task_dag.h).
-constexpr std::size_t kDagWindow = 4;
 
 // Fixed-constant splitmix64, so a job's shard is reproducible from
 // (placement_seed, job) alone on every platform.
@@ -106,11 +92,6 @@ struct ShardedMonitor::Impl {
         seen[d.shard] = 1;
       }
     }
-    NURD_CHECK(std::isfinite(config_.service_rate) &&
-                   config_.service_rate >= 0.0,
-               "service_rate must be finite and non-negative (0 = model off)");
-    NURD_CHECK(config_.shed_budget == 0 || config_.service_rate > 0.0,
-               "load-shedding needs the service model (service_rate > 0)");
     build_plan();
   }
 
@@ -130,7 +111,8 @@ struct ShardedMonitor::Impl {
 
     // 2. Eligible events, ascending (eligible, job, checkpoint).
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      NURD_CHECK(plan_.arrivals[j] >= 0.0, "negative arrival time");
+      NURD_CHECK(std::isfinite(plan_.arrivals[j]) && plan_.arrivals[j] >= 0.0,
+                 "arrival times must be finite and non-negative");
       for (std::size_t t = 0; t < jobs_[j].checkpoint_count(); ++t) {
         ShardPlan::Event e;
         e.eligible = plan_.arrivals[j] + jobs_[j].trace.tau_run(t);
@@ -178,14 +160,9 @@ struct ShardedMonitor::Impl {
     };
     std::sort(plan_.events.begin(), plan_.events.end(), by_admission);
 
-    // 4. One admission-ordered sweep: drains open/close shards, placement
-    // picks a home at each job's first event (and again when its shard has
-    // drained — the rebalance), the per-shard FCFS service model tracks a
-    // modeled backlog, and shedding marks over-budget events of QoS classes
-    // below the floor. Marks are planned strictly pre-admission: an event
-    // already admitted is never shed retroactively, and a job's final
-    // checkpoint is never shed (the final confusion record must see the
-    // full stream).
+    // 4. One admission-ordered sweep: drains open/close shards, and
+    // placement picks a home at each job's first event (and again when its
+    // shard has drained — the rebalance).
     auto drains = config_.drains;
     std::sort(drains.begin(), drains.end(),
               [](const DrainEvent& a, const DrainEvent& b) {
@@ -207,9 +184,6 @@ struct ShardedMonitor::Impl {
     };
     std::vector<std::size_t> job_shard(jobs_.size(), kUnplaced);
     plan_.home_shard.assign(jobs_.size(), kUnplaced);
-    std::vector<double> last_finish(config_.shards, 0.0);
-    std::vector<std::deque<double>> queue(config_.shards);
-    const bool model = config_.service_rate > 0.0;
 
     for (ShardPlan::Event& e : plan_.events) {
       while (next_drain < drains.size() &&
@@ -233,30 +207,6 @@ struct ShardedMonitor::Impl {
                                   e.checkpoint});
       }
       e.shard = static_cast<std::uint32_t>(job_shard[e.job]);
-
-      if (model) {
-        auto& q = queue[e.shard];
-        while (!q.empty() && q.front() <= e.admission) q.pop_front();
-        const std::size_t backlog = q.size();
-        if (config_.shed_budget > 0) {
-          const auto qos = static_cast<std::size_t>(
-              config_.tenants[e.tenant].qos);
-          const bool sheddable =
-              qos < static_cast<std::size_t>(kShedFloor) &&
-              e.checkpoint + 1 != jobs_[e.job].checkpoint_count();
-          if (sheddable && backlog > config_.shed_budget * (1 + qos)) {
-            e.shed = true;
-            ++plan_.shed_events;
-          }
-        }
-        const double cost =
-            (e.shed ? kShedCostFactor : 1.0) / config_.service_rate;
-        const double begin = std::max(e.admission, last_finish[e.shard]);
-        const double finish = begin + cost;
-        last_finish[e.shard] = finish;
-        q.push_back(finish);
-        e.virtual_latency = finish - e.eligible;
-      }
     }
   }
 
@@ -317,22 +267,22 @@ struct ShardedMonitor::Impl {
         NURD_EXCLUDES(shard_mutex_) {
       JobSession& session = fleet_.sessions_[job];
       eval::CheckpointScratch& cell = session.ring[t % session.ring.size()];
-      const ShardPlan::Event& event = fleet_.event_of(job, t);
       const auto began = Clock::now();
       switch (stage) {
         case core::Stage::kFeaturize:
-          session.run->featurize(t, &cell, event.shed);
+          session.run->featurize(t, &cell);
           break;
         case core::Stage::kRefit:
-          session.run->refit(t, &cell, event.shed);
+          session.run->refit(t, &cell);
           break;
         case core::Stage::kPredict:
-          session.run->predict(t, &cell, event.shed);
+          session.run->predict(t, &cell);
           break;
         case core::Stage::kFlag: {
           const auto flagged = session.run->flag(t, &cell);
           if (!flagged.empty()) {
             if (fleet_.sink_) {
+              const ShardPlan::Event& event = fleet_.event_of(job, t);
               for (auto task : flagged) {
                 fleet_.sink_({job, task, t, event.admission, event.shard,
                               event.tenant});
@@ -340,10 +290,6 @@ struct ShardedMonitor::Impl {
             }
             MutexLock lock(shard_mutex_);
             flags_ += flagged.size();
-          }
-          if (event.shed) {
-            MutexLock lock(shard_mutex_);
-            ++shed_count_;
           }
           break;
         }
@@ -433,11 +379,8 @@ struct ShardedMonitor::Impl {
       // The dag is declared after the pool so it is destroyed FIRST (its
       // pumps run on the pool).
       ThreadPool pool(workers_);
-      core::TaskDagConfig dag_config;
-      dag_config.workers = workers_;
-      dag_config.window = kDagWindow;
       core::TaskDag dag(
-          fleet_.jobs_.size(), dag_config,
+          fleet_.jobs_.size(), core::TaskDagConfig{.workers = workers_},
           [this](const core::TaskKey& k) {
             run_stage(k.job, k.checkpoint, k.stage);
           },
@@ -531,7 +474,6 @@ struct ShardedMonitor::Impl {
     std::size_t peak_backlog_ NURD_GUARDED_BY(shard_mutex_) = 0;
     std::size_t processed_ NURD_GUARDED_BY(shard_mutex_) = 0;
     std::size_t flags_ NURD_GUARDED_BY(shard_mutex_) = 0;
-    std::size_t shed_count_ NURD_GUARDED_BY(shard_mutex_) = 0;
     double wall_seconds_ NURD_GUARDED_BY(shard_mutex_) = 0.0;
     struct Latency {
       std::uint32_t job = 0;
@@ -586,13 +528,13 @@ struct ShardedMonitor::Impl {
     // stopped. The stepper is the run_job protocol itself, so serialized
     // serving is bit-identical to the batch harness by construction. The
     // DAG needs one scratch cell per in-flight checkpoint of a job (its
-    // window edge makes cell t % window reuse-safe); the serialized loop
+    // window edge makes cell t % kDagWindow reuse-safe); the serialized loop
     // runs one checkpoint at a time and reuses a single cell.
     sessions_.resize(jobs_.size());
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       sessions_[j].predictor = method_.make();
       sessions_[j].run.emplace(jobs_[j], *sessions_[j].predictor);
-      sessions_[j].ring.resize(workers > 1 ? kDagWindow : 1);
+      sessions_[j].ring.resize(workers > 1 ? core::kDagWindow : 1);
     }
 
     // Index the plan by (job, checkpoint) and slice it per shard, in plan
@@ -709,7 +651,6 @@ struct ShardedMonitor::Impl {
           std::count(served[s].begin(), served[s].end(), 1));
       stats.checkpoints = engine.processed_;
       stats.flags = engine.flags_;
-      stats.shed = engine.shed_count_;
       stats.peak_backlog = engine.peak_backlog_;
       stats.wall_seconds = engine.wall_seconds_;
       stats.checkpoints_per_sec =
@@ -748,16 +689,14 @@ struct ShardedMonitor::Impl {
     result.totals.p50_latency_ms = percentile_ms(all_latencies, 0.50);
     result.totals.p99_latency_ms = percentile_ms(all_latencies, 0.99);
 
-    // Tenant stats: plan-plane metrics (deferrals, sheds, virtual
-    // latencies) are exactly reproducible; wall percentiles are not.
-    std::vector<std::vector<double>> tenant_virtual(config_.tenants.size());
+    // Tenant stats: plan-plane deferrals are exactly reproducible; wall
+    // percentiles are not.
     std::vector<std::vector<std::uint8_t>> tenant_jobs(
         config_.tenants.size(),
         std::vector<std::uint8_t>(jobs_.size(), 0));
     result.tenants.resize(config_.tenants.size());
     for (std::size_t t = 0; t < config_.tenants.size(); ++t) {
       result.tenants[t].name = config_.tenants[t].name;
-      result.tenants[t].qos = config_.tenants[t].qos;
     }
     for (const ShardPlan::Event& e : plan_.events) {
       TenantStats& ts = result.tenants[e.tenant];
@@ -768,19 +707,11 @@ struct ShardedMonitor::Impl {
         ts.max_deferral_s =
             std::max(ts.max_deferral_s, e.admission - e.eligible);
       }
-      if (e.shed) ++ts.shed;
-      if (config_.service_rate > 0.0) {
-        tenant_virtual[e.tenant].push_back(e.virtual_latency);
-      }
     }
     for (std::size_t t = 0; t < config_.tenants.size(); ++t) {
       TenantStats& ts = result.tenants[t];
       ts.jobs = static_cast<std::size_t>(std::count(
           tenant_jobs[t].begin(), tenant_jobs[t].end(), 1));
-      auto& virt = tenant_virtual[t];
-      std::sort(virt.begin(), virt.end());
-      ts.p50_virtual_ms = percentile_ms(virt, 0.50);
-      ts.p99_virtual_ms = percentile_ms(virt, 0.99);
       auto& lat = tenant_latencies[t];
       std::sort(lat.begin(), lat.end());
       ts.p50_latency_ms = percentile_ms(lat, 0.50);

@@ -3,9 +3,9 @@
 // jobs stream checkpoints against shared compute. ShardedMonitor is the one
 // serving frontend: N shards, each with its own ThreadPool and task-DAG
 // executor, behind seeded hash placement of jobs onto shards, per-tenant
-// admission quotas, QoS-tiered load-shedding, and graceful shard
-// drain/rebalance. One shard with one worker is the serialized bit-parity
-// reference.
+// admission quotas, and graceful shard drain/rebalance. Every planned
+// checkpoint runs the full protocol. One shard with one worker is the
+// serialized bit-parity reference.
 //
 // Every job gets a managed session: a fresh registry predictor (created
 // with RefitPolicy::kIncremental by default — a serving session maintains
@@ -22,25 +22,23 @@
 //   ─────────────────────────────────────       ─────────────────────────
 //   arrival draws → per-tenant GCRA quota   →   one driver thread per
 //   deferral → placement (+ drain           →   shard admits its slice of
-//   re-placement) → modeled per-shard       →   the plan; handoff waits
-//   backlog → QoS-tiered shed marks         →   order migrated jobs
+//   re-placement)                           →   the plan; handoff waits
+//                                               order migrated jobs
 //
 // Every DECISION — which shard a job serves on, when a tenant's event is
-// admitted, which checkpoints are shed, where a drained shard's jobs go —
-// is computed in the plan plane as a pure function of (jobs, arrival
-// process, seeds, config) before any worker exists. A shard executes the
-// plan events it is given and decides nothing: each one at a time on its
-// driver thread when the shard has one worker, or as pipelined TaskDag
-// tasks on its private pool when it has more, with at most 4 × workers
-// events admitted and not yet retired. Execution timing can reorder WHEN
-// stage work runs, never WHAT it computes. Consequences, pinned by
-// tests/test_shard_pool.cpp:
+// admitted, where a drained shard's jobs go — is computed in the plan plane
+// as a pure function of (jobs, arrival process, seeds, config) before any
+// worker exists. A shard executes the plan events it is given and decides
+// nothing: each one at a time on its driver thread when the shard has one
+// worker, or as pipelined TaskDag tasks on its private pool when it has
+// more, with at most 4 × workers events admitted and not yet retired.
+// Execution timing can reorder WHEN stage work runs, never WHAT it
+// computes. Consequences, pinned by tests/test_shard_pool.cpp:
 //
-//   * flag-set identity across shard count × thread count: with shedding
-//     off, the per-job records (and therefore the flag set) are
-//     bit-identical at shards ∈ {1, 2, 4} × workers ∈ {1, 4} (and at 16
-//     workers on one shard) — and equal to eval::run_method — because
-//     each job's session runs the same
+//   * flag-set identity across shard count × thread count: the per-job
+//     records (and therefore the flag set) are bit-identical at shards ∈
+//     {1, 2, 4} × workers ∈ {1, 4} (and at 16 workers on one shard) — and
+//     equal to eval::run_method — because each job's session runs the same
 //     per-checkpoint protocol wherever it is placed, and the executor
 //     decides only WHEN stage tasks run, never what they compute;
 //   * every FlagDecision carries its plan event's shard, tenant and
@@ -50,11 +48,6 @@
 //     job's checkpoint order is preserved — an over-quota tenant queues
 //     behind its own budget, it does not starve others, and nobody's flags
 //     change;
-//   * shedding is deterministic at a fixed config: shed marks come from the
-//     modeled backlog (per-shard FCFS at `service_rate` in simulated time),
-//     so reruns shed the same checkpoints. Only kBatch and kStandard
-//     events are ever shed, never a job's final checkpoint, and never an
-//     already-admitted event (marks are planned pre-admission);
 //   * drain/rebalance preserves the per-job checkpoint serial lane: a
 //     drained shard finishes its admitted work, its jobs re-place onto open
 //     shards, and a job's first event on its new shard waits until the
@@ -108,20 +101,20 @@ struct FlagDecision {
 /// (see serve::LiveClusterFeed).
 using FlagSink = std::function<void(const FlagDecision&)>;
 
-/// QoS class of a tenant's traffic, lowest first. Shedding consumes kBatch
-/// first, then kStandard; kInteractive is never shed. Admission quotas are
-/// orthogonal.
+/// QoS class of a tenant's traffic, lowest first. A label only: no serving
+/// decision reads it. It is kept because the repository benchmark's tenant
+/// table sets TenantSpec::qos.
 enum class QoS : std::uint8_t {
-  kBatch = 0,        ///< throughput traffic; first to shed
-  kStandard = 1,     ///< default
-  kInteractive = 2,  ///< latency-sensitive; never shed
+  kBatch = 0,
+  kStandard = 1,
+  kInteractive = 2,
 };
 
 /// One tenant of the fleet. Jobs map to tenants via
 /// ShardedMonitorConfig::tenant_of.
 struct TenantSpec {
   std::string name = "default";
-  QoS qos = QoS::kStandard;
+  QoS qos = QoS::kStandard;  ///< label only; nothing reads it
   /// Admission quota: sustained checkpoint events per simulated second a
   /// tenant may admit (GCRA token bucket). 0 = unmetered.
   double quota_rate = 0.0;
@@ -146,7 +139,8 @@ struct ShardedMonitorConfig {
   /// thread; 0 = hardware concurrency). A shard admits at most 4 × workers
   /// checkpoint events at once.
   std::size_t threads = 1;
-  /// Per-job arrival offsets (null = batch). Drawn once from arrival_seed.
+  /// Per-job arrival offsets (null = batch), finite and non-negative.
+  /// Drawn once from arrival_seed.
   sched::ArrivalProcess arrivals;
   std::uint64_t arrival_seed = 0;
   /// Placement seed. A job lands on splitmix64(placement_seed, job) over
@@ -158,15 +152,6 @@ struct ShardedMonitorConfig {
   /// Tenant index per job (empty = every job tenant 0). Values index
   /// `tenants`.
   std::vector<std::size_t> tenant_of;
-  /// Modeled per-shard service rate, checkpoint events per simulated
-  /// second, for the backlog model that drives shedding and the virtual
-  /// latency metrics. 0 = model off (no shedding, no virtual latencies);
-  /// must be finite and non-negative.
-  double service_rate = 0.0;
-  /// Backlog budget (modeled events queued on one shard) above which
-  /// shedding engages. 0 = shedding off. A class q event is shed when the
-  /// modeled backlog exceeds budget * (1 + q) — lower classes shed earlier.
-  std::size_t shed_budget = 0;
   /// Scheduled shard drains (simulated time, finite).
   std::vector<DrainEvent> drains;
   /// Refit policy applied by the name-based constructor.
@@ -179,12 +164,10 @@ struct ShardPlan {
   struct Event {
     double eligible = 0.0;   ///< arrival + τrun: when the event exists
     double admission = 0.0;  ///< eligible + quota deferral
-    double virtual_latency = 0.0;  ///< modeled finish - eligible (model on)
     std::uint32_t job = 0;
     std::uint32_t checkpoint = 0;
     std::uint32_t shard = 0;
     std::uint32_t tenant = 0;
-    bool shed = false;
     bool deferred = false;  ///< admission > eligible (quota held it)
   };
   /// Every checkpoint event, ascending (admission, job, checkpoint).
@@ -203,7 +186,6 @@ struct ShardPlan {
     std::uint32_t boundary = 0;
   };
   std::vector<Handoff> handoffs;
-  std::size_t shed_events = 0;
   std::size_t deferred_events = 0;
 };
 
@@ -233,7 +215,6 @@ struct ShardStats {
   std::size_t jobs = 0;  ///< jobs that served ≥ 1 event here
   std::size_t checkpoints = 0;
   std::size_t flags = 0;
-  std::size_t shed = 0;
   std::size_t peak_backlog = 0;
   double wall_seconds = 0.0;
   double checkpoints_per_sec = 0.0;
@@ -241,29 +222,23 @@ struct ShardStats {
   double p99_latency_ms = 0.0;
 };
 
-/// Per-tenant stats: wall-clock latency plus the plan-plane (virtual)
-/// metrics the fairness contract is asserted on — virtual numbers are
-/// exactly reproducible, wall numbers are not.
+/// Per-tenant stats: wall-clock latency plus the plan-plane deferral
+/// metrics the fairness contract is asserted on — plan numbers are exactly
+/// reproducible, wall numbers are not.
 struct TenantStats {
   std::string name;
-  QoS qos = QoS::kStandard;
   std::size_t jobs = 0;
   std::size_t checkpoints = 0;
   std::size_t deferred = 0;  ///< events the quota held back
-  std::size_t shed = 0;
   double max_deferral_s = 0.0;  ///< simulated seconds
-  /// Modeled admission→finish latency percentiles (simulated ms; 0 when
-  /// the service model is off).
-  double p50_virtual_ms = 0.0;
-  double p99_virtual_ms = 0.0;
   double p50_latency_ms = 0.0;  ///< wall clock
   double p99_latency_ms = 0.0;
 };
 
 /// Outcome of one fleet run.
 struct FleetResult {
-  /// Per-job records in job input order — with shedding off, bit-identical
-  /// to eval::run_method at any shard × thread count.
+  /// Per-job records in job input order — bit-identical to
+  /// eval::run_method at any shard × thread count.
   std::vector<eval::JobRunResult> runs;
   /// Fleet-wide totals (peak_backlog sums the per-shard peaks; lanes is
   /// shards × threads).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -307,6 +308,28 @@ TEST(ClusterSim, RejectsMismatchedInputs) {
   runs.push_back(run_with_flags({0, 1}));  // wrong length
   EXPECT_THROW(simulate_cluster(jobs, runs, config, rng),
                std::invalid_argument);
+}
+
+// An arrival time that is not finite is rejected at construction: an
+// infinite arrival would complete its job at inf and count its tasks as
+// stranded although no pool machine died.
+TEST(ClusterSim, RejectsNonFiniteArrival) {
+  const auto jobs = generated_jobs(2);
+  std::vector<eval::JobRunResult> runs;
+  for (const auto& job : jobs) {
+    runs.push_back(run_with_flags(
+        std::vector<std::size_t>(job.task_count(), eval::kNeverFlagged)));
+  }
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    ClusterConfig config;
+    config.machines = 4;
+    config.arrivals = fixed_arrivals({0.0, bad});
+    Rng rng(1);
+    EXPECT_THROW(simulate_cluster(jobs, runs, config, rng),
+                 std::invalid_argument);
+  }
 }
 
 // Long scenario sweeps, registered under the `slow` ctest label (enable with

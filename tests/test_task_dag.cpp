@@ -1,7 +1,7 @@
 // TaskDag contracts the serving layer leans on:
 //   * every pipeline edge is honored under randomized per-stage delays —
 //     in particular Refit(j,t+1) never starts before Refit(j,t) retired;
-//   * the per-job in-flight window never exceeds W;
+//   * the per-job in-flight window never exceeds W = kDagWindow;
 //   * the emitted flag sequence is bit-identical to the 1-worker run across
 //     100 shuffled schedules (seeded delays × varying worker counts);
 //   * cancellation and stage errors retire every admitted checkpoint exactly
@@ -28,17 +28,16 @@ namespace nurd::core {
 namespace {
 
 // A miniature pipeline with the exact memory discipline the serving layer
-// uses: per-job scratch RINGS of `window` cells. Featurize writes a cell,
+// uses: per-job scratch RINGS of kDagWindow cells. Featurize writes a cell,
 // Refit folds it into the model chain, Predict scores into a second ring,
 // Flag appends to the job's output. Stages take no locks — correctness (and
 // the determinism assertion) rests entirely on the DAG edges.
 struct PipelineSim {
-  PipelineSim(std::size_t jobs, std::size_t checkpoints, TaskDagConfig config)
-      : config(config),
-        checkpoints(checkpoints),
+  PipelineSim(std::size_t jobs, std::size_t checkpoints)
+      : checkpoints(checkpoints),
         model(jobs, 0),
-        feat(jobs, std::vector<std::uint64_t>(config.window, 0)),
-        pred(jobs, std::vector<std::uint64_t>(config.window, 0)),
+        feat(jobs, std::vector<std::uint64_t>(kDagWindow, 0)),
+        pred(jobs, std::vector<std::uint64_t>(kDagWindow, 0)),
         flags(jobs),
         done(jobs),
         inflight(jobs),
@@ -71,9 +70,8 @@ struct PipelineSim {
     switch (k.stage) {
       case Stage::kFeaturize:
         expect(d[0].load() == t);  // Featurize chain in order
-        expect(t < config.featurize_ahead ||
-               d[1].load() >= t - config.featurize_ahead + 1);
-        expect(t < config.window || d[3].load() >= t - config.window + 1);
+        expect(t < kFeaturizeAhead || d[1].load() >= t - kFeaturizeAhead + 1);
+        expect(t < kDagWindow || d[3].load() >= t - kDagWindow + 1);
         break;
       case Stage::kRefit:
         expect(d[0].load() >= t + 1);  // Featurize(t) done
@@ -95,7 +93,7 @@ struct PipelineSim {
   void run_stage(const TaskKey& k) {
     check_edges(k);
     const std::size_t t = k.checkpoint;
-    const std::size_t cell = t % config.window;
+    const std::size_t cell = t % kDagWindow;
     const auto delay = delays_us[k.job][static_cast<std::size_t>(k.stage)][t];
     if (delay > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(delay));
@@ -103,7 +101,7 @@ struct PipelineSim {
     switch (k.stage) {
       case Stage::kFeaturize: {
         const int now = inflight[k.job].fetch_add(1) + 1;
-        if (now > static_cast<int>(config.window)) {
+        if (now > static_cast<int>(kDagWindow)) {
           window_violations.fetch_add(1);
         }
         feat[k.job][cell] = (k.job + 1) * 0x9e3779b97f4a7c15ULL + t;
@@ -123,7 +121,6 @@ struct PipelineSim {
     done[k.job][static_cast<std::size_t>(k.stage)].fetch_add(1);
   }
 
-  TaskDagConfig config;
   std::size_t checkpoints;
   std::vector<std::uint64_t> model;
   std::vector<std::vector<std::uint64_t>> feat;
@@ -144,7 +141,7 @@ std::vector<std::vector<std::uint64_t>> run_pipeline(std::size_t jobs,
                                                      TaskDagConfig config,
                                                      std::uint32_t delay_seed,
                                                      std::uint32_t max_delay_us) {
-  PipelineSim sim(jobs, checkpoints, config);
+  PipelineSim sim(jobs, checkpoints);
   if (max_delay_us > 0) sim.seed_delays(delay_seed, max_delay_us);
   ThreadPool pool(config.workers);
   TaskDag dag(jobs, config, [&](const TaskKey& k) { sim.run_stage(k); });
@@ -158,7 +155,7 @@ std::vector<std::vector<std::uint64_t>> run_pipeline(std::size_t jobs,
   dag.wait();
   EXPECT_EQ(sim.violations.load(), 0) << "dependency edge violated";
   EXPECT_EQ(sim.window_violations.load(), 0)
-      << "more than window=" << config.window << " checkpoints in flight";
+      << "more than kDagWindow=" << kDagWindow << " checkpoints in flight";
   return sim.flags;
 }
 
@@ -200,18 +197,6 @@ TEST(TaskDag, DeterministicFlagsAcross100ShuffledSchedules) {
   }
 }
 
-TEST(TaskDag, WindowOfOneSerializesCheckpoints) {
-  TaskDagConfig config;
-  config.workers = 4;
-  config.window = 1;
-  config.featurize_ahead = 1;
-  TaskDagConfig ref_config;
-  ref_config.workers = 1;
-  const auto reference = run_pipeline(2, 6, ref_config, 0, 0);
-  const auto flags = run_pipeline(2, 6, config, 11, 80);
-  EXPECT_EQ(flags, reference);
-}
-
 TEST(TaskDag, RetireFiresExactlyOncePerCheckpoint) {
   constexpr std::size_t kJobs = 2;
   constexpr std::size_t kCkpts = 9;
@@ -219,7 +204,7 @@ TEST(TaskDag, RetireFiresExactlyOncePerCheckpoint) {
   std::vector<std::vector<std::size_t>> retired(kJobs);
   std::vector<int> incomplete(kJobs, 0);
 
-  PipelineSim sim(kJobs, kCkpts, TaskDagConfig{});
+  PipelineSim sim(kJobs, kCkpts);
   TaskDagConfig config;
   config.workers = 3;
   ThreadPool pool(config.workers);
@@ -256,7 +241,7 @@ TEST(TaskDag, CancelDropsRemainingCheckpointsAndRefusesNewAdmits) {
   std::mutex mu;
   std::vector<std::set<std::size_t>> completed(kJobs), dropped(kJobs);
 
-  PipelineSim sim(kJobs, kCkpts, TaskDagConfig{});
+  PipelineSim sim(kJobs, kCkpts);
   sim.seed_delays(/*seed=*/5, /*max_us=*/300);  // keep work in flight
   TaskDagConfig config;
   config.workers = 4;
@@ -302,7 +287,7 @@ TEST(TaskDag, StageErrorCancelsItsJobOnly) {
   std::atomic<int> errors{0};
   std::string error_what;
 
-  PipelineSim sim(kJobs, kCkpts, TaskDagConfig{});
+  PipelineSim sim(kJobs, kCkpts);
   TaskDagConfig config;
   config.workers = 3;
   ThreadPool pool(config.workers);
@@ -372,7 +357,6 @@ TEST(TaskDag, BeginJobAtRunsAMidStreamSliceInOrder) {
   ThreadPool pool(3);
   TaskDagConfig config;
   config.workers = 3;
-  config.window = 2;
   TaskDag dag(1, config, [&](const TaskKey& k) {
     std::lock_guard<std::mutex> lock(mutex);
     order.emplace_back(k.stage, k.checkpoint);
