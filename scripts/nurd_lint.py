@@ -43,6 +43,15 @@ bug patterns; these rules are NURD-specific):
                  detection only runs on a full-tree lint, since a partial
                  file list cannot prove absence).
 
+  thread-spawn   Threads have owners: under src/, `std::thread`, `std::jthread`
+                 and `std::async` may appear only in the allowlisted owners
+                 (the ThreadPool's workers, the TaskDag's lanes, the serving
+                 fleet's shard drivers). Everything else runs its parallel
+                 work through parallel_for or a TaskDag, so every lane is
+                 accounted for and nested fan-out stays serial.
+                 `std::thread::hardware_concurrency` and `std::thread::id`
+                 spawn nothing and are exempt.
+
   test-only-header
                  Every header under src/ must be reached by code that ships:
                  some file under src/, bench/, benchmark/ or examples/ other
@@ -110,6 +119,12 @@ ORDER_SENSITIVE_DIRS = ("src/eval", "src/serve", "src/core")
 TRACE_INTERNAL_TOKENS = [".store()", "->store()", ".latencies()",
                          "->latencies()"]
 TRACE_DIR = "src/trace"
+
+# Thread spawns outside the owners (thread-spawn); std::thread's static
+# member hardware_concurrency and its id type spawn nothing.
+_THREAD_SPAWN = re.compile(
+    r"\bstd::(?:thread\b(?!\s*::\s*(?:hardware_concurrency|id)\b)"
+    r"|jthread\b|async\b)")
 
 # C++ files the linter reads.
 SOURCE_SUFFIXES = (".h", ".cpp", ".cc", ".hpp")
@@ -303,7 +318,23 @@ def check_trace_access(relpath: str, text: str) -> list[Finding]:
     return findings
 
 
-RULES = (check_wall_clock, check_unordered_iteration, check_trace_access)
+def check_thread_spawn(relpath: str, text: str) -> list[Finding]:
+    if not relpath.replace(os.sep, "/").startswith("src/"):
+        return []
+    findings = []
+    for lineno, line in _scrubbed_lines(text):
+        m = _THREAD_SPAWN.search(line)
+        if m:
+            findings.append(Finding(
+                relpath, lineno, "thread-spawn",
+                f"'{m.group(0)}' outside the thread owners — run parallel "
+                f"work through ThreadPool::parallel_for or a core::TaskDag, "
+                f"or allowlist a new owner with a justification"))
+    return findings
+
+
+RULES = (check_wall_clock, check_unordered_iteration, check_trace_access,
+         check_thread_spawn)
 
 
 def check_lock_table(root: str, relpaths: list[str],

@@ -119,6 +119,45 @@ class LockTableRule(unittest.TestCase):
         self.assertNotIn(10, {f.line for f in findings})
 
 
+class ThreadSpawnRule(unittest.TestCase):
+    PATH = "src/serve/bad_spawn.cpp"
+
+    def test_fires_on_thread_jthread_and_async(self):
+        findings, _ = lint(self.PATH)
+        spawn = [f for f in findings if f.rule == "thread-spawn"]
+        self.assertEqual([f.line for f in spawn], [7, 9, 10])
+
+    def test_static_members_comments_and_strings_do_not_fire(self):
+        findings, _ = lint(self.PATH)
+        lines = {f.line for f in findings}
+        for exempt in (6, 8, 11, 12):
+            self.assertNotIn(exempt, lines)
+
+    def test_owner_entry_suppresses_its_token_only(self):
+        findings, unused = lint(
+            self.PATH,
+            "thread-spawn src/serve/bad_spawn.cpp std::thread"
+            "  # owner of t, test fixture\n")
+        self.assertEqual([f.line for f in findings
+                          if f.rule == "thread-spawn"], [9, 10])
+        self.assertEqual(unused, [])
+
+    def test_real_tree_spawns_only_in_owners(self):
+        root = os.path.dirname(SCRIPTS_DIR)
+        allowlist = os.path.join(SCRIPTS_DIR, "nurd_lint_allowlist.txt")
+        findings, unused = nurd_lint.run(root, allowlist, None)
+        self.assertEqual([f.render() for f in findings
+                          if f.rule == "thread-spawn"], [])
+        with open(allowlist, encoding="utf-8") as f:
+            entries = nurd_lint.parse_allowlist(f.read())
+        owners = sorted(e.path for e in entries if e.rule == "thread-spawn")
+        self.assertEqual(owners, ["src/common/thread_pool.h",
+                                  "src/core/task_dag.cpp",
+                                  "src/serve/shard_pool.cpp"])
+        self.assertEqual([e.path for e in unused
+                          if e.rule == "thread-spawn"], [])
+
+
 class TestOnlyHeaderRule(unittest.TestCase):
     @staticmethod
     def flagged(allowlist=None):

@@ -44,9 +44,9 @@
 // drift apart (missing entry OR stale entry).
 //
 //   [mutex] common/thread_pool.h::mutex_
-//       ThreadPool. Leaf. Workers pop a task under the lock and run it
-//       unlocked; submit()/parallel_for() enqueue under the lock and notify
-//       after (or outside) it.
+//       ThreadPool. Leaf. Workers pop a parallel_for share under the lock
+//       and run it unlocked; parallel_for() enqueues its shares under the
+//       lock and notifies after it.
 //   [mutex] common/thread_pool.cpp::mutex
 //       ThreadPool LoopState. Leaf. Per-parallel_for completion/error
 //       channel; only ever held around error recording and the completion
@@ -54,7 +54,8 @@
 //   [mutex] core/task_dag.cpp::mutex_
 //       core::TaskDag (Impl). Leaf. Graph bookkeeping only. The stage
 //       runner, on_retire and on_error callbacks all run with the registry
-//       lock RELEASED; pump loops hold it only between tasks.
+//       lock RELEASED; the dag's lanes (or, at 0 lanes, the thread inside
+//       admit()) hold it only between tasks.
 //   [mutex] serve/shard_pool.cpp::shard_mutex_
 //       serve::ShardedMonitor's per-shard ShardEngine — the execution core
 //       each shard runs on. Leaf. The FlagSink is deliberately invoked from
@@ -84,10 +85,11 @@
 //
 // A thread therefore holds at most two locks at once (feed → shard), and
 // the pool → DAG → serving-fleet layering can never deadlock: moving DOWN
-// the layering (worker runs pump, pump runs stage, stage emits to sink) is
-// always done lock-free, and the single UP edge (sink querying the monitor)
-// acquires in a fixed order. Any new nesting must be recorded here — the
-// thread-safety CI leg plus this table is the contract TSan spot-checks.
+// the layering (a lane runs a stage, a stage runs a parallel_for or emits
+// to the sink) is always done lock-free, and the single UP edge (sink
+// querying the monitor) acquires in a fixed order. Any new nesting must be
+// recorded here — the thread-safety CI leg plus this table is the contract
+// TSan spot-checks.
 #pragma once
 
 #include <condition_variable>

@@ -9,9 +9,16 @@ namespace nurd {
 
 namespace {
 // True while this thread is executing a parallel_for task (worker or
-// participating caller); nested parallel_for calls then degrade to serial.
+// participating caller) or holds a SerialScope; parallel_for calls then
+// degrade to serial.
 thread_local bool g_in_pool_task = false;
 }  // namespace
+
+ThreadPool::SerialScope::SerialScope() : saved_(g_in_pool_task) {
+  g_in_pool_task = true;
+}
+
+ThreadPool::SerialScope::~SerialScope() { g_in_pool_task = saved_; }
 
 // Shared by the caller and every enqueued worker share of one parallel_for.
 // Indices are claimed through a single atomic counter, so each index runs
@@ -64,8 +71,7 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::run_share(const std::shared_ptr<LoopState>& state) {
-  const bool was_in_task = g_in_pool_task;
-  g_in_pool_task = true;
+  const SerialScope serial;
   for (;;) {
     const std::size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= state->count) break;
@@ -85,27 +91,10 @@ void ThreadPool::run_share(const std::shared_ptr<LoopState>& state) {
       state->cv.notify_all();
     }
   }
-  g_in_pool_task = was_in_task;
-}
-
-bool ThreadPool::poisoned() const {
-  MutexLock lock(mutex_);
-  return detached_error_ != nullptr;
-}
-
-void ThreadPool::surface_poison() {
-  std::exception_ptr error;
-  {
-    MutexLock lock(mutex_);
-    if (!detached_error_) return;
-    std::swap(error, detached_error_);
-  }
-  std::rethrow_exception(error);
 }
 
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
-  surface_poison();
   if (count == 0) return;
   if (workers_.empty() || count == 1 || g_in_pool_task) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
@@ -135,50 +124,19 @@ void ThreadPool::parallel_for(std::size_t count,
   run_share(state);
   // The completion wait and the error read share one locked region: a share
   // that threw recorded state->error under state->mutex before its final
-  // done increment, so reading it here (same lock held) is the annotated
-  // version of the hand-off the old code left to the acq_rel counter alone.
+  // done increment, so reading it here (same lock held) is an annotated
+  // happens-before. The error is MOVED out, so the exception is owned by
+  // this thread alone: a worker that drops the last LoopState reference
+  // later frees an empty slot, never the exception being rethrown here.
   std::exception_ptr error;
   {
     MutexLock lock(state->mutex);
     while (state->done.load(std::memory_order_acquire) != count) {
       state->cv.wait(state->mutex);
     }
-    error = state->error;
+    error = std::move(state->error);
   }
   if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  surface_poison();
-  // The wrapper marks the thread as pool-occupied for the task's duration so
-  // nested parallel_for calls stay serial (see the header: one lane per
-  // submitted task). An exception escaping the task poisons the pool instead
-  // of unwinding the worker thread (which would std::terminate the process
-  // with no diagnostic); the next enqueue surfaces it. Poison is recorded
-  // and surfaced under mutex_ (annotated), so the caller that observes it
-  // also observes everything the dying task wrote before throwing.
-  auto wrapped = [this, task = std::move(task)] {
-    struct FlagGuard {
-      bool saved = g_in_pool_task;
-      FlagGuard() { g_in_pool_task = true; }
-      ~FlagGuard() { g_in_pool_task = saved; }
-    } guard;
-    try {
-      task();
-    } catch (...) {
-      MutexLock lock(mutex_);
-      if (!detached_error_) detached_error_ = std::current_exception();
-    }
-  };
-  if (workers_.empty()) {
-    wrapped();
-    return;
-  }
-  {
-    MutexLock lock(mutex_);
-    queue_.emplace_back(std::move(wrapped));
-  }
-  cv_.notify_one();
 }
 
 void ThreadPool::run_indexed(std::size_t count, std::size_t threads,

@@ -1,9 +1,10 @@
 // A small work-stealing-free thread pool built for deterministic data
 // parallelism. The library's two hot fan-outs — per-feature histogram
 // construction inside RegressionTree and per-job evaluation in the harness —
-// are index-parallel loops whose tasks write to disjoint slots, so the
-// workhorse primitive is a blocking parallel_for; the serving layer
-// additionally dispatches detached per-job tasks through submit().
+// are index-parallel loops whose tasks write to disjoint slots, so the one
+// primitive is a blocking parallel_for. Threads that are lanes of another
+// executor (the task-DAG lanes) hold a SerialScope, so a parallel_for inside
+// their work stays on that lane.
 //
 // Determinism contract: parallel_for(count, fn) calls fn(i) exactly once for
 // every i in [0, count). Which thread runs which index is unspecified, but as
@@ -17,14 +18,12 @@
 // indices) — no deadlock by construction.
 //
 // Lock discipline (compiler-checked via common/sync.h): mutex_ guards the
-// queue, the stop flag, and the detached-poison slot; it is a LEAF lock —
-// tasks always run with it released, so a task may freely call submit() or
-// parallel_for() on this pool again.
+// queue and the stop flag; it is a LEAF lock — tasks always run with it
+// released, so a task may freely call parallel_for() on this pool again.
 #pragma once
 
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -59,30 +58,21 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& fn)
       NURD_EXCLUDES(mutex_);
 
-  /// Enqueues a detached task for the workers and returns immediately — the
-  /// serving layer's dispatch primitive (completion tracking stays with the
-  /// caller; the serving engine counts in-flight events itself). The task runs
-  /// with the nested-parallelism flag set, so parallel_for calls issued from
-  /// inside it degrade to serial loops: a submitted task owns exactly one
-  /// lane, and multi-job throughput comes from many tasks in flight, not
-  /// from each task fanning out again. On a zero-worker pool the task runs
-  /// inline on the calling thread before submit() returns.
-  ///
-  /// Unlike parallel_for, there is no completion channel. A detached task
-  /// SHOULD keep its own try/catch and completion accounting (see the
-  /// serving executors); an exception that does escape one does not unwind
-  /// the worker — the pool catches it, records the first such exception
-  /// under mutex_, and enters a POISONED state: the next submit() or
-  /// parallel_for() call rethrows the recorded exception on the caller (and
-  /// clears it, so the pool stays usable afterwards). The poison write and
-  /// its surfacing read both happen under mutex_, so the hand-off is an
-  /// annotated happens-before, not a convention. Destruction never throws;
-  /// an unread poison is dropped with the pool.
-  void submit(std::function<void()> task) NURD_EXCLUDES(mutex_);
+  /// While alive, every parallel_for issued on the constructing thread runs
+  /// serially on it, as nested calls from inside a pool task do. An
+  /// executor lane holds one for its lifetime: the lane owns exactly one
+  /// core, and throughput comes from many lanes, not from each lane fanning
+  /// out again. Scopes nest; each restores the state it found.
+  class SerialScope {
+   public:
+    SerialScope();
+    ~SerialScope();
+    SerialScope(const SerialScope&) = delete;
+    SerialScope& operator=(const SerialScope&) = delete;
 
-  /// True when a detached task died with an exception that no submit() or
-  /// parallel_for() call has surfaced yet.
-  bool poisoned() const NURD_EXCLUDES(mutex_);
+   private:
+    bool saved_;
+  };
 
   /// Process-wide shared pool sized to the hardware: hardware_concurrency−1
   /// workers (the caller supplies the remaining lane), so a single-core
@@ -103,17 +93,11 @@ class ThreadPool {
   void worker_loop() NURD_EXCLUDES(mutex_);
   static void run_share(const std::shared_ptr<LoopState>& state);
 
-  /// Rethrows (and clears) the recorded detached-task exception if one is
-  /// pending; called at the poison surfacing points.
-  void surface_poison() NURD_EXCLUDES(mutex_);
-
   std::vector<std::thread> workers_;
-  mutable Mutex mutex_;
+  Mutex mutex_;
   CondVar cv_;
   std::deque<std::function<void()>> queue_ NURD_GUARDED_BY(mutex_);
   bool stop_ NURD_GUARDED_BY(mutex_) = false;
-  /// First exception to escape a detached task (see submit()).
-  std::exception_ptr detached_error_ NURD_GUARDED_BY(mutex_);
 };
 
 }  // namespace nurd

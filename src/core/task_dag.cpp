@@ -4,6 +4,7 @@
 #include <array>
 #include <deque>
 #include <exception>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -38,8 +39,9 @@ std::size_t idx(Stage s) { return static_cast<std::size_t>(s); }
 // Lock discipline (compiler-checked): mutex_ is the single registry lock and
 // a LEAF — the stage runner and the on_retire/on_error callbacks always run
 // with it released (see run_one/cancel_job), so callbacks may re-enter admit
-// or cancel_job freely. Helpers named *_locked plus the bookkeeping queries
-// carry NURD_REQUIRES(mutex_) and cannot be called unlocked any more.
+// or cancel_job freely (at 0 lanes a re-entered admit drains inline too).
+// Helpers named *_locked plus the bookkeeping queries carry
+// NURD_REQUIRES(mutex_) and cannot be called unlocked any more.
 struct TaskDag::Impl {
   // One live checkpoint of one job: four stages with outstanding-dependency
   // counts. A stage becomes ready when its count reaches zero; the whole
@@ -56,17 +58,35 @@ struct TaskDag::Impl {
     bool cancelled = false;
     std::size_t next_admit = 0;  ///< ascending-admission cursor
     std::size_t base = 0;        ///< checkpoint index of live.front()
-    std::deque<Node> live;       ///< admitted, not yet retired (ascending)
+    /// Admitted, not yet retired (ascending). A vector, not a deque: it
+    /// allocates nothing until the job's first admission, and every shard
+    /// holds a JobState for every job of the fleet.
+    std::vector<Node> live;
   };
 
-  Impl(std::size_t jobs, TaskDagConfig config, StageFn run, RetireFn retire,
+  Impl(std::size_t jobs, std::size_t lanes, StageFn run, RetireFn retire,
        ErrorFn error)
-      : config_(config),
-        run_(std::move(run)),
+      : run_(std::move(run)),
         on_retire_(std::move(retire)),
         on_error_(std::move(error)),
-        jobs_(jobs) {
+        jobs_(jobs),
+        ready_(std::max<std::size_t>(lanes, 1)) {
     NURD_CHECK(run_ != nullptr, "TaskDag needs a stage runner");
+    // Every field a lane reads is initialized above. A lane holds a
+    // SerialScope for its lifetime: it is one core of the executor, so a
+    // parallel_for inside a stage body stays on it.
+    try {
+      lanes_.reserve(lanes);
+      for (std::size_t w = 0; w < lanes; ++w) {
+        lanes_.emplace_back([this, w] {
+          const ThreadPool::SerialScope serial;
+          pump(w, /*block=*/true);
+        });
+      }
+    } catch (...) {
+      shutdown();  // join the lanes already started before unwinding
+      throw;
+    }
   }
 
   // ---- completion queries --------------------------------------------------
@@ -117,7 +137,16 @@ struct TaskDag::Impl {
   }
 
   // ---- graph construction -------------------------------------------------
+  // With no lanes, the admitting thread runs whatever the admission made
+  // ready (and everything that unlocks in turn) before returning.
   bool admit(std::size_t job, std::size_t checkpoint) NURD_EXCLUDES(mutex_) {
+    if (!insert_checkpoint(job, checkpoint)) return false;
+    if (lanes_.empty()) pump(0, /*block=*/false);
+    return true;
+  }
+
+  bool insert_checkpoint(std::size_t job, std::size_t checkpoint)
+      NURD_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     NURD_CHECK(job < jobs_.size(), "admit: job out of range");
     JobState& js = jobs_[job];
@@ -177,8 +206,8 @@ struct TaskDag::Impl {
   }
 
   // ---- completion bookkeeping ---------------------------------------------
-  // Called on the worker that finished (job, t, s). Decrements dependents,
-  // pushes the newly ready onto this worker's deque, retires the checkpoint
+  // Called on the lane that finished (job, t, s). Decrements dependents,
+  // pushes the newly ready onto this lane's deque, retires the checkpoint
   // when its Flag stage completed. Returns the retired checkpoint (== t) or
   // SIZE_MAX when nothing retired.
   std::size_t complete(std::size_t wid, const TaskKey& task)
@@ -223,7 +252,8 @@ struct TaskDag::Impl {
         // always the oldest live one.
         NURD_CHECK(!js.live.empty() && js.live.front().checkpoint == t,
                    "flag stage retired out of order");
-        js.live.pop_front();
+        // O(live nodes): the caller bounds its in-flight admissions.
+        js.live.erase(js.live.begin());
         ++js.base;
         // live_count_ stays up until finish_retire(): wait() must not return
         // while the on_retire callback is still running.
@@ -280,7 +310,10 @@ struct TaskDag::Impl {
   }
 
   // ---- the pump loop ------------------------------------------------------
-  void pump(std::size_t wid) NURD_EXCLUDES(mutex_) {
+  // Pops and runs ready tasks on the calling thread. A lane (block) sleeps
+  // while nothing is ready and returns once close()d and drained, or at
+  // shutdown; an inline drain (0 lanes) returns as soon as nothing is ready.
+  void pump(std::size_t wid, bool block) NURD_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     for (;;) {
       TaskKey task;
@@ -291,10 +324,9 @@ struct TaskDag::Impl {
         lock.lock();
         continue;
       }
-      if ((closed_ && live_count_ == 0) || stopping_) break;
+      if (!block || (closed_ && live_count_ == 0) || stopping_) return;
       cv_.wait(mutex_);
     }
-    if (--active_pumps_ == 0) cv_.notify_all();
   }
 
   void run_one(std::size_t wid, const TaskKey& task) NURD_EXCLUDES(mutex_) {
@@ -317,29 +349,6 @@ struct TaskDag::Impl {
     }
   }
 
-  void start(ThreadPool& pool) NURD_EXCLUDES(mutex_) {
-    NURD_CHECK(pool.size() >= 1,
-               "TaskDag needs a pool with at least one worker");
-    // One pump per pool worker at most: a pump holds its worker for the
-    // whole run, so surplus pumps would never be scheduled (their deques are
-    // still reachable through stealing, but there is no point creating
-    // them). The guarded setup runs under mutex_ (pumps launched below read
-    // these fields under it); the pump submissions happen OUTSIDE so this
-    // never holds the registry lock while taking the pool's — every lock in
-    // the stack stays a leaf (see common/sync.h).
-    const std::size_t n =
-        std::max<std::size_t>(1, std::min(config_.workers, pool.size()));
-    {
-      MutexLock lock(mutex_);
-      NURD_CHECK(ready_.empty(), "TaskDag started twice");
-      ready_.resize(n);
-      active_pumps_ = n;
-    }
-    for (std::size_t w = 0; w < n; ++w) {
-      pool.submit([this, w] { pump(w); });
-    }
-  }
-
   void close() NURD_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     closed_ = true;
@@ -351,10 +360,12 @@ struct TaskDag::Impl {
     while (!(closed_ && live_count_ == 0)) cv_.wait(mutex_);
   }
 
-  ~Impl() {
-    // Emergency shutdown (normal callers close()+wait() first): drop all
-    // remaining work WITHOUT callbacks — the owning layer is mid-teardown —
-    // and wait for every pump to leave before the state is freed.
+  ~Impl() { shutdown(); }
+
+  // Drops all remaining work WITHOUT callbacks (normal callers close() and
+  // wait() first; otherwise the owning layer is mid-teardown) and joins the
+  // lanes; a stage already running finishes first.
+  void shutdown() NURD_EXCLUDES(mutex_) {
     {
       MutexLock lock(mutex_);
       stopping_ = true;
@@ -362,11 +373,10 @@ struct TaskDag::Impl {
       for (auto& deque : ready_) deque.clear();
       ready_count_ = 0;
       cv_.notify_all();
-      while (active_pumps_ != 0) cv_.wait(mutex_);
     }
+    for (auto& lane : lanes_) lane.join();
   }
 
-  TaskDagConfig config_;
   StageFn run_;
   RetireFn on_retire_;
   ErrorFn on_error_;
@@ -374,27 +384,27 @@ struct TaskDag::Impl {
   Mutex mutex_;
   CondVar cv_;
   std::vector<JobState> jobs_ NURD_GUARDED_BY(mutex_);
-  /// Per-worker ready deques.
+  /// Per-lane ready deques (one when the dag has no lanes).
   std::vector<std::deque<TaskKey>> ready_ NURD_GUARDED_BY(mutex_);
   std::size_t ready_count_ NURD_GUARDED_BY(mutex_) = 0;
   /// Round-robin target for admit() pushes.
   std::size_t inject_next_ NURD_GUARDED_BY(mutex_) = 0;
   /// Admitted checkpoints not yet retired.
   std::size_t live_count_ NURD_GUARDED_BY(mutex_) = 0;
-  std::size_t active_pumps_ NURD_GUARDED_BY(mutex_) = 0;
   bool closed_ NURD_GUARDED_BY(mutex_) = false;
   bool stopping_ NURD_GUARDED_BY(mutex_) = false;
+  /// The executor threads, started last in the constructor (they read
+  /// every field above) and joined by shutdown(); empty at 0 lanes.
+  std::vector<std::thread> lanes_;
 };
 
-TaskDag::TaskDag(std::size_t jobs, TaskDagConfig config, StageFn run,
+TaskDag::TaskDag(std::size_t jobs, std::size_t lanes, StageFn run,
                  RetireFn on_retire, ErrorFn on_error)
-    : impl_(std::make_unique<Impl>(jobs, config, std::move(run),
+    : impl_(std::make_unique<Impl>(jobs, lanes, std::move(run),
                                    std::move(on_retire),
                                    std::move(on_error))) {}
 
 TaskDag::~TaskDag() = default;
-
-void TaskDag::start(ThreadPool& pool) { impl_->start(pool); }
 
 bool TaskDag::admit(std::size_t job, std::size_t checkpoint) {
   return impl_->admit(job, checkpoint);

@@ -1,7 +1,9 @@
-// The pipelined checkpoint executor: a dependency-graph scheduler over the
-// shared ThreadPool that overlaps the STAGES of different checkpoints of one
-// job, instead of running each checkpoint's featurize → refit → predict →
-// flag as one monolithic task.
+// The checkpoint executor: a dependency-graph scheduler that overlaps the
+// STAGES of different checkpoints of one job, instead of running each
+// checkpoint's featurize → refit → predict → flag as one monolithic task.
+// It owns its execution lanes: with `lanes` > 0 it spawns and joins that many
+// threads; with 0 lanes the thread that admits a checkpoint runs every stage
+// the admission makes ready before admit() returns.
 //
 // Tasks are keyed by (job, checkpoint, stage) with the stage pipeline
 //
@@ -36,14 +38,16 @@
 // Refit(j,t), which is the overlap the executor exists for. Checkpoints of
 // DIFFERENT jobs share no edges at all.
 //
-// Scheduling: ready tasks go to per-worker deques — a completing task pushes
-// the dependents it unlocks onto ITS worker's deque (the next stage of the
-// same checkpoint stays cache-warm), workers pop their own deque LIFO and
+// Scheduling: ready tasks go to per-lane deques — a completing task pushes
+// the dependents it unlocks onto ITS lane's deque (the next stage of the
+// same checkpoint stays cache-warm), lanes pop their own deque LIFO and
 // steal FIFO from the others when empty. Graph bookkeeping (dependency
 // counts, admission, retirement) runs under one registry mutex: stage bodies
 // are model fits and O(n) scans, microseconds to milliseconds, so the
 // bookkeeping lock is noise — the deques exist for locality and steal order,
-// not lock avoidance.
+// not lock avoidance. Each lane holds a ThreadPool::SerialScope, so a
+// parallel_for inside a stage (a tree fit's feature fan-out) stays on its
+// lane.
 //
 // Cancellation: every job carries an epoch (generation) counter. cancel_job
 // bumps it and drops the job's queued tasks; a task popped with a stale
@@ -62,12 +66,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
-
-namespace nurd {
-class ThreadPool;
-}
 
 namespace nurd::core {
 
@@ -104,23 +105,21 @@ struct TaskKey {
   std::uint64_t epoch = 0;
 };
 
-struct TaskDagConfig {
-  /// Executor workers (pump loops submitted to the pool). At least 1.
-  std::size_t workers = 1;
-};
-
 /// Dependency-graph executor over the four-stage checkpoint pipeline.
 ///
-/// Lifecycle: construct → start(pool) → admit() checkpoints (any thread,
-/// ascending per job) → close() → wait() → destroy. The runner callback
-/// executes stage bodies on pool workers; on_retire fires once per admitted
+/// Lifecycle: construct (the lanes start) → admit() checkpoints (any
+/// thread, ascending per job) → close() → wait() → destroy (the lanes
+/// join). The runner callback executes stage bodies on the lanes, or on the
+/// admitting thread at 0 lanes; on_retire fires once per admitted
 /// checkpoint (completed or cancelled); on_error fires at most once per job
-/// epoch, after which the job is cancelled.
+/// epoch, after which the job is cancelled. Neither callback may throw: on a
+/// lane there is no caller to rethrow to.
 class TaskDag {
  public:
-  /// Executes the work of one task. Called from pool workers; calls for the
-  /// same job are ordered by the pipeline edges, calls for different jobs
-  /// are concurrent. An exception cancels the task's job (see on_error).
+  /// Executes the work of one task. Calls for the same job are ordered by
+  /// the pipeline edges; calls for different jobs are concurrent when the
+  /// dag has more than one lane. An exception cancels the task's job (see
+  /// on_error).
   using StageFn = std::function<void(const TaskKey&)>;
   /// Called after checkpoint (job, checkpoint) leaves the graph — its Flag
   /// stage completed (completed=true) or its job was cancelled mid-flight
@@ -135,22 +134,22 @@ class TaskDag {
   /// checkpoints retire as cancelled. Runs outside the registry lock.
   using ErrorFn = std::function<void(std::size_t job, std::exception_ptr)>;
 
-  TaskDag(std::size_t jobs, TaskDagConfig config, StageFn run,
+  /// Spawns `lanes` executor threads (0 = run stages inline in admit()).
+  TaskDag(std::size_t jobs, std::size_t lanes, StageFn run,
           RetireFn on_retire = nullptr, ErrorFn on_error = nullptr);
+  /// Drops any work still queued (without callbacks) and joins the lanes.
   ~TaskDag();
 
   TaskDag(const TaskDag&) = delete;
   TaskDag& operator=(const TaskDag&) = delete;
 
-  /// Launches the worker pump loops as detached pool tasks. The pool must
-  /// have at least one worker thread and must outlive wait(). Call once,
-  /// before the first admit().
-  void start(ThreadPool& pool);
-
   /// Admits checkpoint `checkpoint` of job `job` — all four stage tasks with
   /// their edges. Per job, checkpoints must be admitted in ascending order
   /// with no gaps; admissions for different jobs may interleave from any
   /// thread. Returns false (admitting nothing) when the job was cancelled.
+  /// At 0 lanes the calling thread then runs every ready stage, callbacks
+  /// included, before returning: on a single admitting thread each admitted
+  /// checkpoint has retired when admit() returns.
   bool admit(std::size_t job, std::size_t checkpoint);
 
   /// Declares that job `job`'s first admission will be checkpoint
@@ -169,7 +168,8 @@ class TaskDag {
   /// Returns the new epoch.
   std::uint64_t cancel_job(std::size_t job);
 
-  /// Declares admission finished: once the graph drains, the pumps exit.
+  /// Declares admission finished: once the graph drains, the lanes exit
+  /// (the destructor joins them).
   void close();
 
   /// Blocks until close() was called and every admitted checkpoint has

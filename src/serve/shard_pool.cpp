@@ -16,7 +16,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "core/predictor.h"
 #include "core/task_dag.h"
 
@@ -27,6 +26,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kUnplaced = std::numeric_limits<std::size_t>::max();
+
+// GCRA burst allowance of a metered tenant, in events at its quota_rate (the
+// bucket limit is kQuotaBurst / quota_rate seconds).
+constexpr double kQuotaBurst = 8.0;
 
 // Fixed-constant splitmix64, so a job's shard is reproducible from
 // (placement_seed, job) alone on every platform.
@@ -51,7 +54,9 @@ double percentile_ms(std::vector<double>& sorted_seconds, double q) {
 
 /// A job's managed serving session: predictor + harness stepper + the
 /// per-checkpoint scratch ring the DAG stages hand off through (cell
-/// t % ring.size(); reuse is safe under the executor's window edge).
+/// t % ring.size(); reuse is safe under the executor's window edge, and a
+/// one-cell ring is safe at 0 lanes, where each checkpoint retires before
+/// the next is admitted).
 /// Fleet-wide, so it survives a drain handoff between shards.
 struct JobSession {
   std::unique_ptr<core::StragglerPredictor> predictor;
@@ -70,8 +75,7 @@ struct ShardedMonitor::Impl {
     NURD_CHECK(config_.shards >= 1, "need at least one shard");
     if (config_.tenants.empty()) config_.tenants.push_back(TenantSpec{});
     for (const TenantSpec& t : config_.tenants) {
-      NURD_CHECK(t.quota_rate >= 0.0 && t.quota_burst > 0.0,
-                 "tenant quota must be non-negative with a positive burst");
+      NURD_CHECK(t.quota_rate >= 0.0, "tenant quota must be non-negative");
     }
     if (config_.tenant_of.empty()) {
       config_.tenant_of.assign(jobs.size(), 0);
@@ -131,7 +135,7 @@ struct ShardedMonitor::Impl {
     std::sort(plan_.events.begin(), plan_.events.end(), by_eligible);
 
     // 3. Per-tenant admission quotas: the GCRA token bucket in simulated
-    // time. Emission interval I = 1/rate, limit L = burst * I; an event
+    // time. Emission interval I = 1/rate, limit L = kQuotaBurst * I; an event
     // conforming at its eligible time admits immediately, otherwise it
     // queues behind ITS OWN tenant's budget until the bucket conforms.
     // Other tenants' admissions are untouched — that is the whole fairness
@@ -144,7 +148,7 @@ struct ShardedMonitor::Impl {
         const TenantSpec& spec = config_.tenants[e.tenant];
         if (spec.quota_rate <= 0.0) continue;
         const double interval = 1.0 / spec.quota_rate;
-        const double limit = spec.quota_burst * interval;
+        const double limit = kQuotaBurst * interval;
         double& t = tat[e.tenant];
         const double earliest = t - limit;
         e.admission = std::max(e.eligible, earliest);
@@ -214,11 +218,12 @@ struct ShardedMonitor::Impl {
 
   // One shard's execution core. It decides nothing: it executes its slice of
   // the plan (indices into plan_.events, in admission order), admitting
-  // events under a bounded in-flight window and running the four pipeline
-  // stages per checkpoint — inline on its driver thread, in event order,
-  // when it has one worker (the bit-parity reference), or as pipelined
-  // TaskDag tasks on a private pool when it has more. Flags go to the
-  // fleet's sink; retired checkpoints go to the fleet's handoff ledger.
+  // events under a bounded in-flight window into a TaskDag that runs the
+  // four pipeline stages per checkpoint — on the dag's own lanes when the
+  // shard has more than one worker, or inline on this driver thread (0
+  // lanes) when it has one, each checkpoint retiring before the next is
+  // admitted. Flags go to the fleet's sink; retired checkpoints go to the
+  // fleet's handoff ledger.
   struct ShardEngine {
     ShardEngine(Impl& fleet, std::vector<std::uint32_t> events,
                 std::size_t workers)
@@ -255,14 +260,12 @@ struct ShardedMonitor::Impl {
       return true;
     }
 
-    // Executes ONE pipeline stage of checkpoint `t` of `job`, timing its
-    // body into the per-stage busy counters. Both execution paths funnel
-    // through here — the serialized loop runs the four stages back to back,
-    // the DAG runs them as separate tasks — so the stage breakdown is
-    // populated identically everywhere. The Flag stage is where decisions
-    // leave the shard: the sink runs here, OUTSIDE shard_mutex_ and BEFORE
-    // the event's time leaves the in-flight set, so low_watermark() cannot
-    // pass a flag that is still being delivered.
+    // Executes ONE pipeline stage of checkpoint `t` of `job` — the DAG's
+    // stage runner — timing its body into the per-stage busy counters. The
+    // Flag stage is where decisions leave the shard: the sink runs here,
+    // OUTSIDE shard_mutex_ and BEFORE the event's time leaves the in-flight
+    // set, so low_watermark() cannot pass a flag that is still being
+    // delivered.
     void run_stage(std::size_t job, std::size_t t, core::Stage stage)
         NURD_EXCLUDES(shard_mutex_) {
       JobSession& session = fleet_.sessions_[job];
@@ -323,49 +326,15 @@ struct ShardedMonitor::Impl {
              fleet_.wait_handoff(e.job, e.checkpoint);
     }
 
-    // One worker: the bit-parity reference. Each event is admitted and its
-    // four stages run back to back on this thread, in plan order. On a
-    // stage error the event retires, admission stops, and run() rethrows.
-    void run_serialized() NURD_EXCLUDES(shard_mutex_) {
-      std::vector<std::uint8_t> dead(fleet_.jobs_.size(), 0);
-      for (const std::uint32_t i : events_) {
-        const ShardPlan::Event& e = fleet_.plan_.events[i];
-        if (dead[e.job]) continue;
-        if (!handoff_ready(e)) {
-          dead[e.job] = 1;
-          continue;
-        }
-        {
-          MutexLock lock(shard_mutex_);
-          if (!admit_locked(e.admission)) break;
-        }
-        const auto admitted_at = Clock::now();
-        try {
-          for (std::size_t s = 0; s < core::kStageCount; ++s) {
-            run_stage(e.job, e.checkpoint, static_cast<core::Stage>(s));
-          }
-        } catch (...) {
-          MutexLock lock(shard_mutex_);
-          error_ = std::current_exception();
-          retire_locked(e.admission);
-          break;
-        }
-        {
-          MutexLock lock(shard_mutex_);
-          record_latency_locked(e.job, seconds_since(admitted_at));
-          retire_locked(e.admission);
-        }
-        fleet_.note_retired(e.job, e.checkpoint);
-      }
-    }
-
-    // More than one worker: a private pool runs the stage work as pipelined
-    // TaskDag tasks and this thread only admits. The event accounting runs
-    // under shard_mutex_, the executor admit OUTSIDE it (the executor's
-    // callbacks take shard_mutex_ themselves). A refused admit — the job
-    // was cancelled by an earlier stage error — retires the event
-    // immediately so the in-flight count still drains to zero.
-    void run_dag() NURD_EXCLUDES(shard_mutex_) {
+    // Runs the slice to completion on the calling (driver) thread, which
+    // admits events into the DAG. The event accounting runs under
+    // shard_mutex_, the executor admit OUTSIDE it (the executor's callbacks
+    // take shard_mutex_ themselves, on this thread too at 0 lanes). A
+    // refused admit — the job was cancelled by an earlier stage error —
+    // retires the event immediately so the in-flight count still drains to
+    // zero. Throws the first stage error after draining.
+    void run() NURD_EXCLUDES(shard_mutex_) {
+      const auto start = Clock::now();
       {
         MutexLock lock(shard_mutex_);  // preamble, but the field is annotated
         admitted_at_.resize(fleet_.jobs_.size());
@@ -376,11 +345,8 @@ struct ShardedMonitor::Impl {
           }
         }
       }
-      // The dag is declared after the pool so it is destroyed FIRST (its
-      // pumps run on the pool).
-      ThreadPool pool(workers_);
       core::TaskDag dag(
-          fleet_.jobs_.size(), core::TaskDagConfig{.workers = workers_},
+          fleet_.jobs_.size(), workers_ > 1 ? workers_ : 0,
           [this](const core::TaskKey& k) {
             run_stage(k.job, k.checkpoint, k.stage);
           },
@@ -406,7 +372,6 @@ struct ShardedMonitor::Impl {
         const ShardPlan::Event& e = fleet_.plan_.events[i];
         if (fleet_.waits_for_handoff(e)) dag.begin_job_at(e.job, e.checkpoint);
       }
-      dag.start(pool);
 
       // `dead` (handoff-abandoned jobs) is touched only on this thread.
       std::vector<std::uint8_t> dead(fleet_.jobs_.size(), 0);
@@ -433,17 +398,6 @@ struct ShardedMonitor::Impl {
         while (inflight_ != 0) cv_.wait(shard_mutex_);
       }
       dag.wait();
-    }
-
-    // Runs the slice to completion on the calling (driver) thread. Throws
-    // the first stage error after draining.
-    void run() NURD_EXCLUDES(shard_mutex_) {
-      const auto start = Clock::now();
-      if (workers_ > 1) {
-        run_dag();
-      } else {
-        run_serialized();
-      }
       MutexLock lock(shard_mutex_);
       wall_seconds_ = seconds_since(start);
       if (error_) std::rethrow_exception(error_);
@@ -451,7 +405,7 @@ struct ShardedMonitor::Impl {
 
     // ---- owner state, fixed at construction. Sessions are driven without
     // a lock — exactly one stage task of a job runs at a time (the DAG's
-    // edges / the serialized loop).
+    // edges).
     Impl& fleet_;
     const std::vector<std::uint32_t> events_;  ///< plan_.events indices
     const std::size_t workers_;
@@ -465,8 +419,8 @@ struct ShardedMonitor::Impl {
     std::size_t next_event_ NURD_GUARDED_BY(shard_mutex_) = 0;
     double next_ingest_time_ NURD_GUARDED_BY(shard_mutex_);
     std::exception_ptr error_ NURD_GUARDED_BY(shard_mutex_);
-    /// DAG path: admission wall-clock per (job, checkpoint), stamped at
-    /// admit and read at retire.
+    /// Admission wall-clock per (job, checkpoint), stamped at admit and read
+    /// at retire.
     std::vector<std::vector<Clock::time_point>> admitted_at_
         NURD_GUARDED_BY(shard_mutex_);
 
@@ -525,11 +479,11 @@ struct ShardedMonitor::Impl {
 
     // Fleet-wide sessions: a job's session survives handoffs — the
     // receiving shard resumes the same OnlineJobRun where the source
-    // stopped. The stepper is the run_job protocol itself, so serialized
-    // serving is bit-identical to the batch harness by construction. The
-    // DAG needs one scratch cell per in-flight checkpoint of a job (its
-    // window edge makes cell t % kDagWindow reuse-safe); the serialized loop
-    // runs one checkpoint at a time and reuses a single cell.
+    // stopped. The stepper is the run_job protocol itself, so serving is
+    // bit-identical to the batch harness by construction. DAG lanes need
+    // one scratch cell per in-flight checkpoint of a job (the window edge
+    // makes cell t % kDagWindow reuse-safe); at 0 lanes one checkpoint runs
+    // at a time and reuses a single cell.
     sessions_.resize(jobs_.size());
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       sessions_[j].predictor = method_.make();

@@ -1,11 +1,11 @@
 // The serving module: many jobs' checkpoint streams served concurrently, the
 // regime the paper's Algorithm 1 is written for — a monitor watching MANY
 // jobs stream checkpoints against shared compute. ShardedMonitor is the one
-// serving frontend: N shards, each with its own ThreadPool and task-DAG
-// executor, behind seeded hash placement of jobs onto shards, per-tenant
-// admission quotas, and graceful shard drain/rebalance. Every planned
-// checkpoint runs the full protocol. One shard with one worker is the
-// serialized bit-parity reference.
+// serving frontend: N shards, each with its own task-DAG executor, behind
+// seeded hash placement of jobs onto shards, per-tenant admission quotas,
+// and graceful shard drain/rebalance. Every planned checkpoint runs the full
+// protocol. One shard with one worker runs each checkpoint to completion
+// before admitting the next, in plan order.
 //
 // Every job gets a managed session: a fresh registry predictor (created
 // with RefitPolicy::kIncremental by default — a serving session maintains
@@ -22,16 +22,19 @@
 //   ─────────────────────────────────────       ─────────────────────────
 //   arrival draws → per-tenant GCRA quota   →   one driver thread per
 //   deferral → placement (+ drain           →   shard admits its slice of
-//   re-placement)                           →   the plan; handoff waits
-//                                               order migrated jobs
+//   re-placement)                           →   the plan into its TaskDag;
+//                                               handoff waits order
+//                                               migrated jobs
 //
 // Every DECISION — which shard a job serves on, when a tenant's event is
 // admitted, where a drained shard's jobs go — is computed in the plan plane
 // as a pure function of (jobs, arrival process, seeds, config) before any
 // worker exists. A shard executes the plan events it is given and decides
-// nothing: each one at a time on its driver thread when the shard has one
-// worker, or as pipelined TaskDag tasks on its private pool when it has
-// more, with at most 4 × workers events admitted and not yet retired.
+// nothing: its driver thread admits them into one core::TaskDag, with at
+// most 4 × workers events admitted and not yet retired. With more than one
+// worker the dag runs the stages on that many lanes of its own; with one,
+// it has no lanes and the driver runs each admitted checkpoint's four
+// stages inline before admitting the next.
 // Execution timing can reorder WHEN stage work runs, never WHAT it
 // computes. Consequences, pinned by tests/test_shard_pool.cpp:
 //
@@ -116,11 +119,9 @@ struct TenantSpec {
   std::string name = "default";
   QoS qos = QoS::kStandard;  ///< label only; nothing reads it
   /// Admission quota: sustained checkpoint events per simulated second a
-  /// tenant may admit (GCRA token bucket). 0 = unmetered.
+  /// tenant may admit (GCRA token bucket, burst allowance of 8 events).
+  /// 0 = unmetered.
   double quota_rate = 0.0;
-  /// Burst allowance in events at quota_rate (GCRA limit = burst /
-  /// quota_rate seconds). Meaningful only with quota_rate > 0.
-  double quota_burst = 8.0;
 };
 
 /// Scheduled drain: shard `shard` stops accepting placements at simulated
@@ -132,12 +133,13 @@ struct DrainEvent {
 };
 
 struct ShardedMonitorConfig {
-  /// Shard count. 1 with threads == 1 is the serialized bit-parity
-  /// reference.
+  /// Shard count.
   std::size_t shards = 1;
-  /// Stage workers PER SHARD (1 = that shard runs serialized on its driver
-  /// thread; 0 = hardware concurrency). A shard admits at most 4 × workers
-  /// checkpoint events at once.
+  /// Stage workers PER SHARD (0 = hardware concurrency). Above 1, each
+  /// shard's TaskDag runs that many lanes; at 1 it has none, and the
+  /// shard's driver thread runs every checkpoint to retirement before
+  /// admitting the next. A shard admits at most 4 × workers checkpoint
+  /// events at once.
   std::size_t threads = 1;
   /// Per-job arrival offsets (null = batch), finite and non-negative.
   /// Drawn once from arrival_seed.

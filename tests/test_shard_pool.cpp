@@ -1,7 +1,7 @@
 // The serving fleet's contracts (serve/shard_pool.h):
 //   * flag-set identity: shards x workers never changes the
-//     per-job records (and the serialized 1x1 fleet is bit-identical to the
-//     batch harness), including across a mid-stream drain/rebalance, and
+//     per-job records (and the 1x1 fleet, whose 0-lane dag runs one
+//     checkpoint at a time, is bit-identical to the batch harness), including across a mid-stream drain/rebalance, and
 //     every decision carries its plan event's shard, tenant and admission
 //     time;
 //   * hash placement is a pure function of (placement_seed, job) over the
@@ -170,8 +170,8 @@ TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
 // Kill-style drain: shard 0 drains mid-stream, its jobs re-place and resume
 // on open shards, and the final records and flag set are bit-identical to
 // the undrained run. The drain time lands inside the event stream so real
-// handoffs happen (asserted), and the grid covers serialized and DAG
-// execution on the receiving side. The jobs split over two unmetered
+// handoffs happen (asserted), and the grid covers 0-lane (inline) and laned
+// DAG execution on the receiving side. The jobs split over two unmetered
 // tenants, and every decision carries its plan event's shard, tenant and
 // admission time — including the decisions made after a handoff.
 TEST(ShardedMonitor, DrainRebalanceKeepsFlagSetBitIdentical) {
@@ -184,8 +184,8 @@ TEST(ShardedMonitor, DrainRebalanceKeepsFlagSetBitIdentical) {
     config.threads = 1;
     config.arrivals = sched::poisson_arrivals(3.0);
     config.arrival_seed = 11;
-    config.tenants = {TenantSpec{"even", QoS::kStandard, 0.0, 8.0},
-                      TenantSpec{"odd", QoS::kStandard, 0.0, 8.0}};
+    config.tenants = {TenantSpec{"even", QoS::kStandard, 0.0},
+                      TenantSpec{"odd", QoS::kStandard, 0.0}};
     config.tenant_of.resize(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) config.tenant_of[j] = j % 2;
     return config;
@@ -361,8 +361,8 @@ TEST(ShardedMonitor, QuotaShieldsInQuotaTenantFromOverQuotaFlood) {
     config.arrivals = sched::poisson_arrivals(50.0);
     config.arrival_seed = 5;
     config.tenants = {
-        TenantSpec{"steady", QoS::kInteractive, 0.0, 8.0},
-        TenantSpec{"spike", QoS::kBatch, spike_quota_rate, 4.0}};
+        TenantSpec{"steady", QoS::kInteractive, 0.0},
+        TenantSpec{"spike", QoS::kBatch, spike_quota_rate}};
     std::vector<std::size_t> tenant_of(jobs.size(), 1);
     for (std::size_t j = 0; j < steady_jobs.size(); ++j) tenant_of[j] = 0;
     config.tenant_of = tenant_of;
@@ -481,8 +481,8 @@ class FailingRefit : public core::StragglerPredictor {
 };
 
 // A refit that throws mid-stream makes run() rethrow that error — after
-// draining, never hanging — on the inline serialized loop, the DAG, and a
-// multi-shard fleet.
+// draining, never hanging — on a 0-lane dag (stages inline in the driver's
+// admit), a laned dag, and a multi-shard fleet.
 TEST(ShardedMonitor, StageErrorSurfacesFromRun) {
   const auto jobs = generated_jobs(4, 8);
   const auto inner = core::predictor_by_name("HBOS", tuned(true));
@@ -609,7 +609,7 @@ TEST(LiveClusterFeed, RejectsAPlanWithQuotaDeferrals) {
   const auto jobs = generated_jobs(3, /*seed=*/10);
   const auto method = core::predictor_by_name("HBOS", tuned(true));
   auto config = live_config(1, 1, 23);
-  config.tenants = {TenantSpec{"metered", QoS::kBatch, 1e-4, 0.5}};
+  config.tenants = {TenantSpec{"metered", QoS::kBatch, 1e-4}};
   ShardedMonitor monitor(jobs, method, config);
   ASSERT_GT(monitor.plan().deferred_events, 0u);
   EXPECT_THROW(LiveClusterFeed(jobs, small_pool_config(), monitor, 1),

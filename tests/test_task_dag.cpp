@@ -2,8 +2,10 @@
 //   * every pipeline edge is honored under randomized per-stage delays —
 //     in particular Refit(j,t+1) never starts before Refit(j,t) retired;
 //   * the per-job in-flight window never exceeds W = kDagWindow;
-//   * the emitted flag sequence is bit-identical to the 1-worker run across
-//     100 shuffled schedules (seeded delays × varying worker counts);
+//   * the emitted flag sequence is bit-identical to the 0-lane run across
+//     100 shuffled schedules (seeded delays × varying lane counts);
+//   * at 0 lanes admit() runs each checkpoint to retirement on the calling
+//     thread; on a lane, a stage's nested parallel_for stays on the lane;
 //   * cancellation and stage errors retire every admitted checkpoint exactly
 //     once and leave other jobs untouched.
 #include "core/task_dag.h"
@@ -138,14 +140,12 @@ struct PipelineSim {
 // layer's arrival order does.
 std::vector<std::vector<std::uint64_t>> run_pipeline(std::size_t jobs,
                                                      std::size_t checkpoints,
-                                                     TaskDagConfig config,
+                                                     std::size_t lanes,
                                                      std::uint32_t delay_seed,
                                                      std::uint32_t max_delay_us) {
   PipelineSim sim(jobs, checkpoints);
   if (max_delay_us > 0) sim.seed_delays(delay_seed, max_delay_us);
-  ThreadPool pool(config.workers);
-  TaskDag dag(jobs, config, [&](const TaskKey& k) { sim.run_stage(k); });
-  dag.start(pool);
+  TaskDag dag(jobs, lanes, [&](const TaskKey& k) { sim.run_stage(k); });
   for (std::size_t t = 0; t < checkpoints; ++t) {
     for (std::size_t j = 0; j < jobs; ++j) {
       EXPECT_TRUE(dag.admit(j, t)) << "admit refused without cancellation";
@@ -166,35 +166,103 @@ TEST(TaskDag, StageNamesAreStable) {
   EXPECT_STREQ(stage_name(Stage::kFlag), "flag");
 }
 
-TEST(TaskDag, SingleWorkerRunsEveryStageInOrder) {
-  TaskDagConfig config;
-  config.workers = 1;
-  const auto flags = run_pipeline(2, 8, config, 0, 0);
+TEST(TaskDag, SingleLaneRunsEveryStageInOrder) {
+  const auto flags = run_pipeline(2, 8, /*lanes=*/1, 0, 0);
   ASSERT_EQ(flags.size(), 2u);
   for (const auto& f : flags) EXPECT_EQ(f.size(), 8u);
 }
 
-// The satellite pin: randomized seeded per-stage delays, 100 shuffled
-// schedules across worker counts, and (a) Refit(j,t+1) never starts before
-// Refit(j,t) retires — asserted inside check_edges — while (b) the flag
-// sequences stay bit-identical to the 1-worker zero-delay reference.
+// Randomized seeded per-stage delays, 100 shuffled schedules across lane
+// counts, and (a) Refit(j,t+1) never starts before Refit(j,t) retires —
+// asserted inside check_edges — while (b) the flag sequences stay
+// bit-identical to the 0-lane (inline, zero-delay) reference.
 TEST(TaskDag, DeterministicFlagsAcross100ShuffledSchedules) {
   constexpr std::size_t kJobs = 3;
   constexpr std::size_t kCkpts = 12;
-  TaskDagConfig ref_config;
-  ref_config.workers = 1;
-  const auto reference = run_pipeline(kJobs, kCkpts, ref_config, 0, 0);
+  const auto reference = run_pipeline(kJobs, kCkpts, /*lanes=*/0, 0, 0);
 
-  const std::size_t worker_grid[] = {2, 3, 4, 8};
+  const std::size_t lane_grid[] = {1, 2, 3, 4, 8};
   for (std::uint32_t schedule = 0; schedule < 100; ++schedule) {
-    TaskDagConfig config;
-    config.workers = worker_grid[schedule % 4];
+    const std::size_t lanes = lane_grid[schedule % 5];
     const auto flags =
-        run_pipeline(kJobs, kCkpts, config, /*delay_seed=*/schedule * 7919u + 1,
+        run_pipeline(kJobs, kCkpts, lanes, /*delay_seed=*/schedule * 7919u + 1,
                      /*max_delay_us=*/120);
     ASSERT_EQ(flags, reference) << "schedule " << schedule << " diverged at "
-                                << config.workers << " workers";
+                                << lanes << " lanes";
   }
+}
+
+// The one-worker serving path: with no lanes, admit() itself runs the
+// checkpoint's four stages and its retirement on the calling thread, so
+// every admitted checkpoint has retired before admit() returns.
+TEST(TaskDag, ZeroLanesRetireEachAdmitOnTheCallingThread) {
+  constexpr std::size_t kJobs = 2;
+  constexpr std::size_t kCkpts = 6;
+  const auto caller = std::this_thread::get_id();
+  std::size_t stages = 0;
+  std::size_t retired = 0;
+  bool foreign_thread = false;
+  PipelineSim sim(kJobs, kCkpts);
+  TaskDag dag(
+      kJobs, /*lanes=*/0,
+      [&](const TaskKey& k) {
+        foreign_thread |= std::this_thread::get_id() != caller;
+        ++stages;
+        sim.run_stage(k);
+      },
+      [&](std::size_t, std::size_t, bool completed) {
+        foreign_thread |= std::this_thread::get_id() != caller;
+        EXPECT_TRUE(completed);
+        ++retired;
+      });
+  std::size_t admitted = 0;
+  for (std::size_t t = 0; t < kCkpts; ++t) {
+    for (std::size_t j = 0; j < kJobs; ++j) {
+      ASSERT_TRUE(dag.admit(j, t));
+      ++admitted;
+      EXPECT_EQ(retired, admitted) << "job " << j << " checkpoint " << t;
+      EXPECT_EQ(stages, admitted * kStageCount);
+    }
+  }
+  EXPECT_FALSE(foreign_thread) << "a stage or retirement left the caller";
+  dag.close();
+  dag.wait();
+  EXPECT_EQ(sim.violations.load(), 0);
+}
+
+// A lane owns one core: a parallel_for issued inside a stage body on a lane
+// (a tree fit's feature fan-out) runs every index on that lane, even on a
+// pool whose workers are idle.
+TEST(TaskDag, NestedParallelForStaysOnTheLane) {
+  constexpr std::size_t kCkpts = 3;
+  constexpr std::size_t kIndices = 32;
+  ThreadPool pool(3);
+  std::mutex mu;
+  std::size_t stages = 0;
+  std::size_t off_lane = 0;
+  std::size_t on_caller = 0;
+  const auto caller = std::this_thread::get_id();
+  TaskDag dag(1, /*lanes=*/2, [&](const TaskKey&) {
+    const auto lane = std::this_thread::get_id();
+    std::vector<std::thread::id> ran(kIndices);
+    pool.parallel_for(kIndices, [&](std::size_t i) {
+      // Long enough that idle pool workers would claim indices if allowed.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      ran[i] = std::this_thread::get_id();
+    });
+    std::lock_guard<std::mutex> lock(mu);
+    ++stages;
+    if (lane == caller) ++on_caller;
+    off_lane += static_cast<std::size_t>(
+        std::count_if(ran.begin(), ran.end(),
+                      [&](std::thread::id id) { return id != lane; }));
+  });
+  for (std::size_t t = 0; t < kCkpts; ++t) ASSERT_TRUE(dag.admit(0, t));
+  dag.close();
+  dag.wait();
+  EXPECT_EQ(stages, kCkpts * kStageCount);
+  EXPECT_EQ(on_caller, 0u) << "a stage ran on the admitting thread";
+  EXPECT_EQ(off_lane, 0u) << "parallel_for indices left their lane";
 }
 
 TEST(TaskDag, RetireFiresExactlyOncePerCheckpoint) {
@@ -205,17 +273,13 @@ TEST(TaskDag, RetireFiresExactlyOncePerCheckpoint) {
   std::vector<int> incomplete(kJobs, 0);
 
   PipelineSim sim(kJobs, kCkpts);
-  TaskDagConfig config;
-  config.workers = 3;
-  ThreadPool pool(config.workers);
   TaskDag dag(
-      kJobs, config, [&](const TaskKey& k) { sim.run_stage(k); },
+      kJobs, /*lanes=*/3, [&](const TaskKey& k) { sim.run_stage(k); },
       [&](std::size_t job, std::size_t checkpoint, bool completed) {
         std::lock_guard<std::mutex> lock(mu);
         retired[job].push_back(checkpoint);
         if (!completed) ++incomplete[job];
       });
-  dag.start(pool);
   for (std::size_t t = 0; t < kCkpts; ++t) {
     for (std::size_t j = 0; j < kJobs; ++j) EXPECT_TRUE(dag.admit(j, t));
   }
@@ -243,16 +307,12 @@ TEST(TaskDag, CancelDropsRemainingCheckpointsAndRefusesNewAdmits) {
 
   PipelineSim sim(kJobs, kCkpts);
   sim.seed_delays(/*seed=*/5, /*max_us=*/300);  // keep work in flight
-  TaskDagConfig config;
-  config.workers = 4;
-  ThreadPool pool(config.workers);
   TaskDag dag(
-      kJobs, config, [&](const TaskKey& k) { sim.run_stage(k); },
+      kJobs, /*lanes=*/4, [&](const TaskKey& k) { sim.run_stage(k); },
       [&](std::size_t job, std::size_t checkpoint, bool ok) {
         std::lock_guard<std::mutex> lock(mu);
         (ok ? completed : dropped)[job].insert(checkpoint);
       });
-  dag.start(pool);
   std::size_t admitted0 = 0;
   for (std::size_t t = 0; t < kCkpts; ++t) {
     if (dag.admit(0, t)) ++admitted0;
@@ -288,11 +348,8 @@ TEST(TaskDag, StageErrorCancelsItsJobOnly) {
   std::string error_what;
 
   PipelineSim sim(kJobs, kCkpts);
-  TaskDagConfig config;
-  config.workers = 3;
-  ThreadPool pool(config.workers);
   TaskDag dag(
-      kJobs, config,
+      kJobs, /*lanes=*/3,
       [&](const TaskKey& k) {
         if (k.job == 1 && k.checkpoint == 3 && k.stage == Stage::kRefit) {
           throw std::runtime_error("refit exploded");
@@ -313,7 +370,6 @@ TEST(TaskDag, StageErrorCancelsItsJobOnly) {
           error_what = e.what();
         }
       });
-  dag.start(pool);
   for (std::size_t t = 0; t < kCkpts; ++t) {
     for (std::size_t j = 0; j < kJobs; ++j) dag.admit(j, t);
   }
@@ -335,13 +391,11 @@ TEST(TaskDag, StageErrorCancelsItsJobOnly) {
 }
 
 TEST(TaskDag, WaitReturnsImmediatelyWhenNothingAdmitted) {
-  ThreadPool pool(2);
-  TaskDagConfig config;
-  config.workers = 2;
-  TaskDag dag(1, config, [](const TaskKey&) {});
-  dag.start(pool);
-  dag.close();
-  dag.wait();  // must not hang
+  for (const std::size_t lanes : {std::size_t{0}, std::size_t{2}}) {
+    TaskDag dag(1, lanes, [](const TaskKey&) {});
+    dag.close();
+    dag.wait();  // must not hang
+  }
 }
 
 // The migration hook: a job re-placed by the serving fleet resumes
@@ -354,14 +408,10 @@ TEST(TaskDag, BeginJobAtRunsAMidStreamSliceInOrder) {
   std::mutex mutex;
   std::vector<std::pair<Stage, std::size_t>> order;
 
-  ThreadPool pool(3);
-  TaskDagConfig config;
-  config.workers = 3;
-  TaskDag dag(1, config, [&](const TaskKey& k) {
+  TaskDag dag(1, /*lanes=*/3, [&](const TaskKey& k) {
     std::lock_guard<std::mutex> lock(mutex);
     order.emplace_back(k.stage, k.checkpoint);
   });
-  dag.start(pool);
   dag.begin_job_at(0, kFirst);
   for (std::size_t t = kFirst; t < kCkpts; ++t) {
     EXPECT_TRUE(dag.admit(0, t));
@@ -385,11 +435,7 @@ TEST(TaskDag, BeginJobAtRunsAMidStreamSliceInOrder) {
 }
 
 TEST(TaskDag, BeginJobAtRefusesAJobWithAdmissionHistory) {
-  ThreadPool pool(1);
-  TaskDagConfig config;
-  config.workers = 1;
-  TaskDag dag(1, config, [](const TaskKey&) {});
-  dag.start(pool);
+  TaskDag dag(1, /*lanes=*/1, [](const TaskKey&) {});
   ASSERT_TRUE(dag.admit(0, 0));
   EXPECT_THROW(dag.begin_job_at(0, 4), std::invalid_argument);
   dag.close();
