@@ -3,28 +3,16 @@
 //
 //   $ ./run_method NURD
 //   $ ./run_method Grabit --dataset=alibaba --jobs=8 --seed=7
-#include <cstdlib>
+//
+// A malformed integer flag, --jobs=0 or an unknown --dataset exits 2.
+#include <cstdint>
 #include <iostream>
 #include <string>
 
+#include "bench_util.h"
 #include "common/table.h"
 #include "core/registry.h"
 #include "eval/harness.h"
-#include "trace/generator.h"
-
-namespace {
-
-std::string flag_value(int argc, char** argv, const std::string& name,
-                       std::string fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-  }
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace nurd;
@@ -36,29 +24,26 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string name = argv[1];
-  const std::string dataset = flag_value(argc, argv, "dataset", "google");
-  const auto n_jobs = static_cast<std::size_t>(
-      std::strtoul(flag_value(argc, argv, "jobs", "12").c_str(), nullptr, 10));
-  const auto seed = std::strtoull(
-      flag_value(argc, argv, "seed", "0").c_str(), nullptr, 10);
-
-  std::vector<trace::Job> jobs;
-  core::RegistryConfig tuned;
-  if (dataset == "alibaba") {
-    auto c = trace::AlibabaLikeGenerator::alibaba_defaults();
-    c.seed += seed;
-    trace::AlibabaLikeGenerator gen(c);
-    jobs = gen.generate(n_jobs);
-    tuned = core::alibaba_tuned();
-  } else {
-    auto c = trace::GoogleLikeGenerator::google_defaults();
-    c.seed += seed;
-    trace::GoogleLikeGenerator gen(c);
-    jobs = gen.generate(n_jobs);
-    tuned = core::google_tuned();
+  const std::string dataset =
+      bench::arg_string(argc, argv, "dataset", "google");
+  const auto n_jobs =
+      static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 12));
+  const auto seed =
+      static_cast<std::uint64_t>(bench::arg_long(argc, argv, "seed", 0));
+  if (dataset != "google" && dataset != "alibaba") {
+    std::cerr << argv[0] << ": unknown --dataset=" << dataset
+              << " (google|alibaba)\n";
+    return 2;
   }
+  if (n_jobs == 0) {
+    std::cerr << argv[0] << ": --jobs must be at least 1\n";
+    return 2;
+  }
+  const auto d = dataset == "google" ? bench::Dataset::kGoogle
+                                     : bench::Dataset::kAlibaba;
+  const auto jobs = bench::make_jobs(d, n_jobs, seed);
 
-  const auto method = core::predictor_by_name(name, tuned);
+  const auto method = core::predictor_by_name(name, bench::tuned_config(d));
   const auto res = eval::evaluate_method(method, jobs);
 
   std::cout << name << " on " << jobs.size() << " " << dataset

@@ -1,41 +1,34 @@
 // Serving-layer walkthrough: many jobs stream checkpoints concurrently
-// through a one-shard ShardedMonitor, flags are delivered to a sink as they happen,
-// and a live cluster simulation consumes them for relaunch decisions.
+// through a one-shard ShardedMonitor, flags are delivered to a sink as they
+// happen, and the cluster simulator replays the served flags on the served
+// timeline to measure relaunch mitigation.
 //
 //   $ ./stream_service
 //   $ ./stream_service --method=NURD --jobs=8 --threads=4
+//
+// A malformed integer flag or --jobs=0 exits 2.
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "bench_util.h"
 #include "core/registry.h"
 #include "eval/harness.h"
-#include "serve/cluster_sink.h"
+#include "sched/cluster.h"
 #include "serve/shard_pool.h"
 #include "trace/generator.h"
 
-namespace {
-
-std::string flag_value(int argc, char** argv, const std::string& name,
-                       std::string fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace nurd;
-  const std::string method = flag_value(argc, argv, "method", "GBTR");
-  const auto n_jobs = static_cast<std::size_t>(
-      std::strtoul(flag_value(argc, argv, "jobs", "6").c_str(), nullptr, 10));
-  const auto threads = static_cast<std::size_t>(std::strtoul(
-      flag_value(argc, argv, "threads", "4").c_str(), nullptr, 10));
+  const std::string method = bench::arg_string(argc, argv, "method", "GBTR");
+  const auto n_jobs =
+      static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 6));
+  const auto threads =
+      static_cast<std::size_t>(bench::arg_long(argc, argv, "threads", 4));
+  if (n_jobs == 0) {
+    std::fprintf(stderr, "%s: --jobs must be at least 1\n", argv[0]);
+    return 2;
+  }
 
   auto gen_config = trace::GoogleLikeGenerator::google_defaults();
   gen_config.min_tasks = 120;
@@ -55,21 +48,24 @@ int main(int argc, char** argv) {
   serve::ShardedMonitor monitor(jobs, method, core::google_tuned(), config);
 
   // 2. Flags stream into a sink the moment a predictor emits them. Here:
-  //    count them, and feed every one into a LIVE cluster simulation that
-  //    relaunches flagged tasks against a shared 8-machine spare pool.
+  //    count them.
   std::atomic<std::size_t> streamed{0};
-  sched::ClusterConfig cluster;
-  cluster.machines = 8;
-  cluster.reclaim_releases = true;
-  serve::LiveClusterFeed feed(jobs, cluster, monitor, /*seed=*/99);
-  auto cluster_sink = feed.sink();
-  monitor.set_sink([&](const serve::FlagDecision& flag) {
+  monitor.set_sink([&](const serve::FlagDecision&) {
     streamed.fetch_add(1, std::memory_order_relaxed);
-    cluster_sink(flag);
   });
 
   const auto served = monitor.run();
-  const auto live = feed.finish();
+
+  // 3. The served flags relaunch tasks on a cluster with a shared 8-machine
+  //    spare pool, on the same timeline the monitor served: its arrival
+  //    draws are replayed, not re-drawn.
+  sched::ClusterConfig cluster;
+  cluster.machines = 8;
+  cluster.reclaim_releases = true;
+  cluster.arrivals = sched::fixed_arrivals(monitor.plan().arrivals);
+  Rng cluster_rng(/*seed=*/99);
+  const auto mitigated =
+      sched::simulate_cluster(jobs, served.runs, cluster, cluster_rng);
 
   std::printf("served %zu jobs (%zu checkpoints) over %zu workers: "
               "%.0f ckpt/s, p50 %.2f ms, p99 %.2f ms, peak backlog %zu\n",
@@ -78,11 +74,12 @@ int main(int argc, char** argv) {
               served.totals.p50_latency_ms, served.totals.p99_latency_ms,
               served.totals.peak_backlog);
   std::printf("flags streamed to the sink: %zu\n", streamed.load());
-  std::printf("live cluster: %zu relaunches (%zu waited for a machine), "
+  std::printf("cluster: %zu relaunches (%zu waited for a machine), "
               "mean JCT reduction %.1f%%\n",
-              live.relaunched, live.waited, live.mean_reduction_pct());
+              mitigated.relaunched, mitigated.waited,
+              mitigated.mean_reduction_pct());
 
-  // 3. The determinism contract: the served per-job records are
+  // 4. The determinism contract: the served per-job records are
   //    bit-identical to the batch harness over the same jobs.
   const auto tuned = [] {
     auto c = core::google_tuned();

@@ -58,18 +58,9 @@
 //       admit()) hold it only between tasks.
 //   [mutex] serve/shard_pool.cpp::shard_mutex_
 //       serve::ShardedMonitor's per-shard ShardEngine — the execution core
-//       each shard runs on. Leaf. The FlagSink is deliberately invoked from
-//       the Flag stage BEFORE the event retires and OUTSIDE this lock, so a
-//       sink may call back into low_watermark() (which takes it) freely;
-//       wait_handoff / note_retired (which take the fleet's mutex_) are
-//       likewise called with it released.
-//   [mutex] serve/cluster_sink.h::mutex_
-//       serve::LiveClusterFeed. The ONE nested acquisition in the codebase:
-//       sink() holds it while calling ShardedMonitor::low_watermark(),
-//       which takes each shard's shard_mutex_ in turn, one at a time — so
-//       at most two locks are ever held, LiveClusterFeed::mutex_ →
-//       shard_mutex_ in that order, never the reverse (no shard holds its
-//       lock while invoking the sink).
+//       each shard runs on. Leaf. The FlagSink is invoked from the Flag
+//       stage OUTSIDE this lock; wait_handoff / note_retired (which take
+//       the fleet's mutex_) are likewise called with it released.
 //   [mutex] serve/shard_pool.cpp::mutex_
 //       serve::ShardedMonitor (Impl). Leaf. Guards the cross-shard handoff
 //       ledger (retired_through_) and first-error capture. Taken only by
@@ -80,16 +71,16 @@
 //       guarantees the wake (handoffs only leave drained shards; drained
 //       shards never reopen, so waits cannot form a cycle).
 //
-// sched::ClusterEngine has no lock of its own: live engines are guarded by
-// their owner (LiveClusterFeed::mutex_).
+// The cluster simulator (sched/cluster.h) has no lock: each simulation is
+// owned by the one thread that runs it.
 //
-// A thread therefore holds at most two locks at once (feed → shard), and
-// the pool → DAG → serving-fleet layering can never deadlock: moving DOWN
-// the layering (a lane runs a stage, a stage runs a parallel_for or emits
-// to the sink) is always done lock-free, and the single UP edge (sink
-// querying the monitor) acquires in a fixed order. Any new nesting must be
-// recorded here — the thread-safety CI leg plus this table is the contract
-// TSan spot-checks.
+// Every mutex above is a leaf, so a thread holds at most one lock at a
+// time, and the pool → DAG → serving-fleet layering can never deadlock:
+// moving DOWN the layering (a lane runs a stage, a stage runs a
+// parallel_for or emits to the sink) is always done lock-free, and no code
+// calls back UP (a sink must not call into the monitor). Any nesting added
+// later must be recorded here — the thread-safety CI leg plus this table is
+// the contract TSan spot-checks.
 #pragma once
 
 #include <condition_variable>

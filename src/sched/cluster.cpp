@@ -39,9 +39,7 @@ struct TaskState {
   double flag_time = 0.0;  ///< absolute; meaningful iff `flagged`
   double pending_since = 0.0;  ///< when the task last entered the relaunch
                                ///< path (flag, preemption, or failure requeue)
-  double resample = 0.0;   ///< pre-drawn relaunch latency: drawn iff
-                           ///< `flagged` in precomputed mode, for EVERY task
-                           ///< in live mode (flags are unknown up front)
+  double resample = 0.0;   ///< pre-drawn relaunch latency, iff `flagged`
   double straggler_u = 1.0;  ///< heterogeneity luck, drawn iff classes set
   double fail_offset = kInf;  ///< failure offset of the machine this task
                               ///< donates, drawn iff machine_mtbf > 0
@@ -66,17 +64,16 @@ struct MachineRec {
   double fail_at = kInf;   ///< absolute injected death time
 };
 
-}  // namespace
-
-// The event loop. One Impl serves both ClusterEngine modes and
-// simulate_cluster (which constructs a precomputed engine and finishes it
-// immediately); `live_` only changes where flags and their draws come from.
-struct ClusterEngine::Impl {
-  Impl(std::span<const trace::Job> jobs,
-       std::span<const eval::JobRunResult> runs, const ClusterConfig& config,
-       Rng& rng, bool live)
-      : jobs_(jobs), config_(config), live_(live) {
+// The event loop behind simulate_cluster. The constructor consumes all the
+// randomness and seeds the queue; run() drains it and returns the result.
+class Simulation {
+ public:
+  Simulation(std::span<const trace::Job> jobs,
+             std::span<const eval::JobRunResult> runs,
+             const ClusterConfig& config, Rng& rng)
+      : jobs_(jobs), config_(config) {
     const std::size_t J = jobs.size();
+    NURD_CHECK(runs.size() == J, "jobs/runs length mismatch");
     NURD_CHECK(!jobs.empty(), "no jobs");
     unlimited_ = config.machines == kUnlimitedMachines;
     hetero_ = !config.machine_classes.empty();
@@ -108,15 +105,13 @@ struct ClusterEngine::Impl {
     // first (job input order); then initial pool machines in machine-id
     // order (class, failure offset — tracked pools only); then per task in
     // job input order and task-id order: relaunch-latency draw (per VALIDLY
-    // flagged task in precomputed mode, per task in live mode — flags are
-    // unknown up front and the stream must not depend on them), then the
-    // heterogeneity, failure-offset, and preemption draws, each consumed
-    // ONLY when its knob is enabled. Nothing after this touches the RNG, so
-    // the stream is independent of pool sizes, event dynamics, and — live —
-    // flag arrival order.
-    arrivals_ =
+    // flagged task), then the heterogeneity, failure-offset, and preemption
+    // draws, each consumed ONLY when its knob is enabled. Nothing after this
+    // touches the RNG, so the stream is independent of pool sizes and event
+    // dynamics.
+    const std::vector<double> arrivals =
         config.arrivals ? config.arrivals(J, rng) : batch_arrivals()(J, rng);
-    NURD_CHECK(arrivals_.size() == J, "arrival process returned wrong count");
+    NURD_CHECK(arrivals.size() == J, "arrival process returned wrong count");
 
     if (granular_) {
       machines_.resize(config.machines);
@@ -133,27 +128,23 @@ struct ClusterEngine::Impl {
 
     for (std::size_t j = 0; j < J; ++j) {
       const trace::Job& job = jobs[j];
-      NURD_CHECK(std::isfinite(arrivals_[j]) && arrivals_[j] >= 0.0,
+      NURD_CHECK(std::isfinite(arrivals[j]) && arrivals[j] >= 0.0,
                  "arrival times must be finite and non-negative");
 
       ClusterJobStats& stats = result_.jobs[j];
-      stats.arrival = arrivals_[j];
+      stats.arrival = arrivals[j];
       stats.original_jct = job.completion_time();
       remaining_[j] = job.task_count();
 
-      if (!live_) {
-        NURD_CHECK(runs[j].flagged_at.size() == job.task_count(),
-                   "flag vector length mismatch");
-      }
+      const auto& flagged_at = runs[j].flagged_at;
+      NURD_CHECK(flagged_at.size() == job.task_count(),
+                 "flag vector length mismatch");
       auto& tasks = tasks_[j];
       tasks.resize(job.task_count());
       for (std::size_t i = 0; i < job.task_count(); ++i) {
         TaskState& task = tasks[i];
-        task.completion = arrivals_[j] + job.latency(i);
-        if (live_) {
-          task.resample = resample_latency(job, rng);
-        } else if (const auto& flagged_at = runs[j].flagged_at;
-                   flagged_at[i] != eval::kNeverFlagged) {
+        task.completion = arrivals[j] + job.latency(i);
+        if (flagged_at[i] != eval::kNeverFlagged) {
           NURD_CHECK(flagged_at[i] < job.checkpoint_count(),
                      "flag checkpoint out of range");
           const double tau = job.trace.tau_run(flagged_at[i]);
@@ -163,7 +154,7 @@ struct ClusterEngine::Impl {
             ++stats.noop_flags;
           } else {
             task.flagged = true;
-            task.flag_time = arrivals_[j] + tau;
+            task.flag_time = arrivals[j] + tau;
             task.resample = resample_latency(job, rng);
           }
         }
@@ -178,7 +169,7 @@ struct ClusterEngine::Impl {
           const double hit = rng.uniform();
           const double frac = rng.uniform();
           if (hit < config.preemption_rate) {
-            push(arrivals_[j] + frac * job.latency(i), EventKind::kPreempt, j,
+            push(arrivals[j] + frac * job.latency(i), EventKind::kPreempt, j,
                  i);
           }
         }
@@ -189,59 +180,20 @@ struct ClusterEngine::Impl {
     pool_.free = unlimited_ ? 0 : config.machines;
 
     for (std::size_t j = 0; j < J; ++j) {
-      push(arrivals_[j], EventKind::kJobArrival, j, 0);
+      push(arrivals[j], EventKind::kJobArrival, j, 0);
     }
   }
 
-  // Weighted machine-class pick; consumes exactly one uniform.
-  std::uint32_t draw_class(Rng& rng) const {
-    double u = rng.uniform(0.0, class_weight_total_);
-    const auto& classes = config_.machine_classes;
-    for (std::size_t c = 0; c + 1 < classes.size(); ++c) {
-      u -= classes[c].weight;
-      if (u < 0.0) return static_cast<std::uint32_t>(c);
-    }
-    return static_cast<std::uint32_t>(classes.size() - 1);
-  }
-
-  void post_flag(std::size_t job, std::size_t task_id, std::size_t cp) {
-    NURD_CHECK(live_, "post_flag requires a live-mode ClusterEngine");
-    NURD_CHECK(!finished_, "engine already finished");
-    NURD_CHECK(job < jobs_.size(), "flag job out of range");
-    const trace::Job& j = jobs_[job];
-    NURD_CHECK(task_id < j.task_count(), "flag task out of range");
-    NURD_CHECK(cp < j.checkpoint_count(), "flag checkpoint out of range");
-    TaskState& task = tasks_[job][task_id];
-    NURD_CHECK(!task.flagged, "task flagged twice");
-    const double tau = j.trace.tau_run(cp);
-    if (tau >= j.latency(task_id)) {
-      ++result_.jobs[job].noop_flags;
-      return;
-    }
-    const double when = arrivals_[job] + tau;
-    NURD_CHECK(when >= watermark_,
-               "flag posted behind the advanced watermark");
-    task.flagged = true;
-    task.flag_time = when;
-    push(when, EventKind::kFlag, job, task_id);
-  }
-
-  void advance_to(double watermark) {
-    NURD_CHECK(!finished_, "engine already finished");
-    watermark_ = std::max(watermark_, watermark);
-    while (!queue_.empty() && queue_.top().time < watermark_) {
+  // Processes every event in (time, kind, job, task, seq) order until the
+  // queue drains.
+  ClusterResult run() {
+    while (!queue_.empty()) {
       const Event event = queue_.top();
       queue_.pop();
       if (!process(event)) continue;  // stale
       ++result_.events;
       if (config_.observer) config_.observer(event, pool_);
     }
-  }
-
-  ClusterResult finish() {
-    NURD_CHECK(!finished_, "engine already finished");
-    advance_to(std::numeric_limits<double>::infinity());
-    finished_ = true;
     for (std::size_t j = 0; j < result_.jobs.size(); ++j) {
       if (remaining_[j] > 0) {
         // Stranded: injection killed executions the pool could never
@@ -260,6 +212,18 @@ struct ClusterEngine::Impl {
       result_.preempted += stats.preempted;
     }
     return std::move(result_);
+  }
+
+ private:
+  // Weighted machine-class pick; consumes exactly one uniform.
+  std::uint32_t draw_class(Rng& rng) const {
+    double u = rng.uniform(0.0, class_weight_total_);
+    const auto& classes = config_.machine_classes;
+    for (std::size_t c = 0; c + 1 < classes.size(); ++c) {
+      u -= classes[c].weight;
+      if (u < 0.0) return static_cast<std::uint32_t>(c);
+    }
+    return static_cast<std::uint32_t>(classes.size() - 1);
   }
 
   void push(double time, EventKind kind, std::size_t job, std::size_t task) {
@@ -383,10 +347,7 @@ struct ClusterEngine::Impl {
         const auto& tasks = tasks_[e.job];
         for (std::size_t i = 0; i < job.task_count(); ++i) {
           push(tasks[i].completion, EventKind::kTaskFinish, e.job, i);
-          // Live mode: post_flag enqueues each kFlag itself (a flag may be
-          // posted before OR after its job's arrival is processed, so the
-          // arrival handler re-pushing flagged tasks would duplicate them).
-          if (!live_ && tasks[i].flagged) {
+          if (tasks[i].flagged) {
             push(tasks[i].flag_time, EventKind::kFlag, e.job, i);
           }
         }
@@ -499,15 +460,11 @@ struct ClusterEngine::Impl {
 
   std::span<const trace::Job> jobs_;
   const ClusterConfig& config_;
-  bool live_ = false;
   bool unlimited_ = false;
   bool hetero_ = false;    ///< machine classes configured
   bool granular_ = false;  ///< per-machine records tracked (finite pools
                            ///< with classes or failure injection)
-  bool finished_ = false;
-  double watermark_ = 0.0;  ///< highest advance_to() bound reached
   double class_weight_total_ = 0.0;
-  std::vector<double> arrivals_;
 
   std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
   std::uint64_t seq_ = 0;
@@ -522,34 +479,7 @@ struct ClusterEngine::Impl {
   ClusterResult result_;
 };
 
-ClusterEngine::ClusterEngine(std::span<const trace::Job> jobs,
-                             std::span<const eval::JobRunResult> runs,
-                             const ClusterConfig& config, Rng& rng) {
-  NURD_CHECK(jobs.size() == runs.size(), "jobs/runs length mismatch");
-  impl_ = std::make_unique<Impl>(jobs, runs, config, rng, /*live=*/false);
-}
-
-ClusterEngine::ClusterEngine(std::span<const trace::Job> jobs,
-                             const ClusterConfig& config, Rng& rng)
-    : impl_(std::make_unique<Impl>(jobs, std::span<const eval::JobRunResult>{},
-                                   config, rng, /*live=*/true)) {}
-
-ClusterEngine::~ClusterEngine() = default;
-
-std::span<const double> ClusterEngine::arrivals() const {
-  return impl_->arrivals_;
-}
-
-void ClusterEngine::post_flag(std::size_t job, std::size_t task,
-                              std::size_t cp) {
-  impl_->post_flag(job, task, cp);
-}
-
-void ClusterEngine::advance_to(double watermark) {
-  impl_->advance_to(watermark);
-}
-
-ClusterResult ClusterEngine::finish() { return impl_->finish(); }
+}  // namespace
 
 ArrivalProcess batch_arrivals() {
   return [](std::size_t job_count, Rng&) {
@@ -633,7 +563,7 @@ double ClusterResult::mean_reduction_pct() const {
 ClusterResult simulate_cluster(std::span<const trace::Job> jobs,
                                std::span<const eval::JobRunResult> runs,
                                const ClusterConfig& config, Rng& rng) {
-  return ClusterEngine(jobs, runs, config, rng).finish();
+  return Simulation(jobs, runs, config, rng).run();
 }
 
 std::vector<ClusterResult> simulate_cluster_replicated(

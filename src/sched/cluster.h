@@ -41,10 +41,10 @@
 // order — arrival times in job input order; then (heterogeneous pools only)
 // one machine-class draw per initial pool machine in machine-id order; then
 // per task, in job input order and task-id order: the relaunch-latency draw
-// (per validly flagged task in precomputed mode, per task in live mode),
-// the heterogeneity draws (machine class + straggler luck, iff
-// machine_classes is non-empty), the machine-failure offset (iff
-// machine_mtbf > 0), and the preemption draws (iff preemption_rate > 0).
+// (iff the task is validly flagged), the heterogeneity draws (machine class
+// + straggler luck, iff machine_classes is non-empty), the machine-failure
+// offset (iff machine_mtbf > 0), and the preemption draws (iff
+// preemption_rate > 0).
 // The event loop itself draws nothing, so the RNG stream consumed is a
 // function of (jobs, flags, arrival process, injection config) only:
 // sweeping machine counts or observing events never perturbs the draws, and
@@ -57,7 +57,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -127,8 +126,8 @@ ArrivalProcess batch_arrivals();
 
 /// Replays the given absolute arrival times verbatim (consumes no
 /// randomness; `times.size()` must equal the simulated job count). This is
-/// how the serving layer hands the SAME draws to both sides of a live run:
-/// the ShardedMonitor draws its arrival offsets once, and the cluster engine
+/// how a served run hands its timeline to the cluster: the ShardedMonitor
+/// draws its arrival offsets once (ShardPlan::arrivals), and the cluster
 /// replays them instead of re-drawing.
 ArrivalProcess fixed_arrivals(std::vector<double> times);
 
@@ -254,71 +253,6 @@ struct ClusterResult {
 
   /// Mean per-job JCT reduction, percent.
   double mean_reduction_pct() const;
-};
-
-/// The event loop behind simulate_cluster, exposed incrementally so callers
-/// can interleave simulation with flag PRODUCTION — the serving layer
-/// (serve::ShardedMonitor) posts each flag the moment its predictor emits it
-/// and advances the cluster behind the stream's low watermark, so relaunch
-/// decisions are driven live instead of from a precomputed flag table.
-///
-/// Two modes, differing only in when flags (and therefore relaunch-latency
-/// draws) are known:
-///   * Precomputed (jobs + runs): exactly simulate_cluster's semantics and
-///     RNG stream — one pre-drawn relaunch latency per VALIDLY flagged task.
-///     post_flag is forbidden.
-///   * Live (jobs only): flags arrive later through post_flag, so the
-///     canonical draw order cannot depend on them; the engine pre-draws one
-///     relaunch latency per task (job input order, task-id order). The
-///     stream is a function of (jobs, arrivals) alone — identical whatever
-///     order flags arrive in, which is what makes a concurrent serving run
-///     deterministic. Note the live stream therefore differs from the
-///     precomputed one (it draws for never-flagged tasks too); the two modes
-///     agree event-for-event when fed the same flags AND the same per-task
-///     draws, which is what the live parity test pins.
-///
-/// Ordering contract: advance_to(w) processes every queued event with
-/// time < w. A flag must be posted before the watermark passes its
-/// checkpoint time (the engine checks); the serving layer guarantees this by
-/// advancing only behind its ingestion low watermark. finish() drains
-/// everything and returns the result. Not thread-safe — callers serialize
-/// (serve::LiveClusterFeed wraps the engine in a mutex).
-class ClusterEngine {
- public:
-  /// Precomputed mode (the simulate_cluster path). `jobs` and `config` must
-  /// outlive the engine; `rng` is consumed during construction only.
-  ClusterEngine(std::span<const trace::Job> jobs,
-                std::span<const eval::JobRunResult> runs,
-                const ClusterConfig& config, Rng& rng);
-
-  /// Live mode: flags arrive via post_flag (see above for the draw order).
-  ClusterEngine(std::span<const trace::Job> jobs, const ClusterConfig& config,
-                Rng& rng);
-
-  ~ClusterEngine();
-  ClusterEngine(const ClusterEngine&) = delete;
-  ClusterEngine& operator=(const ClusterEngine&) = delete;
-
-  /// Absolute arrival time per job (input order), as drawn at construction.
-  std::span<const double> arrivals() const;
-
-  /// Live mode only: the predictor flagged `task` of `job` at checkpoint
-  /// `cp`. Flags at/after the task's completion count as no-ops (exactly the
-  /// precomputed filter); valid flags enqueue a kFlag event at the
-  /// checkpoint's absolute time, which must not lie below the watermark
-  /// already advanced past.
-  void post_flag(std::size_t job, std::size_t task, std::size_t cp);
-
-  /// Processes every queued event with time strictly below `watermark`
-  /// (monotone; a lower watermark than already reached is a no-op).
-  void advance_to(double watermark);
-
-  /// Drains the remaining events and returns the result. Call once.
-  ClusterResult finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 /// Simulates `jobs` sharing one cluster. `runs[j].flagged_at` supplies each

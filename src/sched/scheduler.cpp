@@ -56,6 +56,10 @@ ScheduleResult schedule_limited(const trace::Job& job,
 
   const std::size_t n = job.task_count();
   const std::size_t T = job.checkpoint_count();
+  for (const std::size_t cp : flagged_at) {
+    NURD_CHECK(cp == eval::kNeverFlagged || cp < T,
+               "flag checkpoint out of range");
+  }
 
   // completion[i] starts at the uninterfered latency and is overwritten when
   // the task is actually relaunched.

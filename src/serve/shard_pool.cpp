@@ -8,7 +8,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -227,45 +226,25 @@ struct ShardedMonitor::Impl {
   struct ShardEngine {
     ShardEngine(Impl& fleet, std::vector<std::uint32_t> events,
                 std::size_t workers)
-        : fleet_(fleet),
-          events_(std::move(events)),
-          workers_(workers),
-          next_ingest_time_(
-              events_.empty()
-                  ? std::numeric_limits<double>::infinity()
-                  : fleet.plan_.events[events_.front()].admission) {}
-
-    double low_watermark() const NURD_EXCLUDES(shard_mutex_) {
-      MutexLock lock(shard_mutex_);
-      return inflight_times_.empty() ? next_ingest_time_
-                                     : *inflight_times_.begin();
-    }
+        : fleet_(fleet), events_(std::move(events)), workers_(workers) {}
 
     // Waits for a free in-flight slot (at most 4 × workers) and accounts
     // the admit. Returns false once a stage error is recorded: admission
     // stops and run() rethrows after the drain.
-    bool admit_locked(double time) NURD_REQUIRES(shard_mutex_) {
+    bool admit_locked() NURD_REQUIRES(shard_mutex_) {
       while (!(inflight_ < 4 * workers_ || error_ != nullptr)) {
         cv_.wait(shard_mutex_);
       }
       if (error_) return false;
       ++inflight_;
-      inflight_times_.insert(time);
       peak_backlog_ = std::max(peak_backlog_, inflight_);
-      ++next_event_;
-      next_ingest_time_ =
-          next_event_ < events_.size()
-              ? fleet_.plan_.events[events_[next_event_]].admission
-              : std::numeric_limits<double>::infinity();
       return true;
     }
 
     // Executes ONE pipeline stage of checkpoint `t` of `job` — the DAG's
     // stage runner — timing its body into the per-stage busy counters. The
     // Flag stage is where decisions leave the shard: the sink runs here,
-    // OUTSIDE shard_mutex_ and BEFORE the event's time leaves the in-flight
-    // set, so low_watermark() cannot pass a flag that is still being
-    // delivered.
+    // OUTSIDE shard_mutex_.
     void run_stage(std::size_t job, std::size_t t, core::Stage stage)
         NURD_EXCLUDES(shard_mutex_) {
       JobSession& session = fleet_.sessions_[job];
@@ -306,9 +285,8 @@ struct ShardedMonitor::Impl {
     }
 
     // Both _locked helpers require shard_mutex_ held (compiler-enforced).
-    void retire_locked(double time) NURD_REQUIRES(shard_mutex_) {
+    void retire_locked() NURD_REQUIRES(shard_mutex_) {
       --inflight_;
-      inflight_times_.erase(inflight_times_.find(time));
       cv_.notify_all();
     }
 
@@ -357,7 +335,7 @@ struct ShardedMonitor::Impl {
                 record_latency_locked(job,
                                       seconds_since(admitted_at_[job][ckpt]));
               }
-              retire_locked(fleet_.event_of(job, ckpt).admission);
+              retire_locked();
             }
             if (completed) fleet_.note_retired(job, ckpt);
           },
@@ -384,12 +362,12 @@ struct ShardedMonitor::Impl {
         }
         {
           MutexLock lock(shard_mutex_);
-          if (!admit_locked(e.admission)) break;
+          if (!admit_locked()) break;
           admitted_at_[e.job][e.checkpoint] = Clock::now();
         }
         const bool accepted = dag.admit(e.job, e.checkpoint);
         MutexLock lock(shard_mutex_);
-        if (!accepted) retire_locked(e.admission);
+        if (!accepted) retire_locked();
         if (error_) break;
       }
       dag.close();
@@ -410,14 +388,10 @@ struct ShardedMonitor::Impl {
     const std::vector<std::uint32_t> events_;  ///< plan_.events indices
     const std::size_t workers_;
 
-    mutable Mutex shard_mutex_;
+    Mutex shard_mutex_;
     CondVar cv_;
+    /// Admitted, not yet retired.
     std::size_t inflight_ NURD_GUARDED_BY(shard_mutex_) = 0;
-    /// Admitted, not yet processed.
-    std::multiset<double> inflight_times_ NURD_GUARDED_BY(shard_mutex_);
-    /// Next events_ index to admit, and its admission time.
-    std::size_t next_event_ NURD_GUARDED_BY(shard_mutex_) = 0;
-    double next_ingest_time_ NURD_GUARDED_BY(shard_mutex_);
     std::exception_ptr error_ NURD_GUARDED_BY(shard_mutex_);
     /// Admission wall-clock per (job, checkpoint), stamped at admit and read
     /// at retire.
@@ -523,9 +497,6 @@ struct ShardedMonitor::Impl {
       retired_through_.assign(jobs_.size(), 0);
     }
 
-    // Every shard exists, its first ingest time set, before any driver
-    // thread starts, so sinks may read low_watermark() over all of them
-    // from the first flag on.
     engines_.reserve(config_.shards);
     for (std::size_t s = 0; s < config_.shards; ++s) {
       engines_.push_back(
@@ -558,20 +529,6 @@ struct ShardedMonitor::Impl {
     const double wall = seconds_since(start);
 
     return assemble(workers, wall);
-  }
-
-  double low_watermark() const {
-    if (engines_.empty()) {
-      return plan_.events.empty() ? std::numeric_limits<double>::infinity()
-                                  : plan_.events.front().admission;
-    }
-    // Shards are read one at a time, and each one's watermark only rises,
-    // so the minimum is never above the fleet's true watermark.
-    double low = std::numeric_limits<double>::infinity();
-    for (const auto& engine : engines_) {
-      low = std::min(low, engine->low_watermark());
-    }
-    return low;
   }
 
   FleetResult assemble(std::size_t workers, double wall) {
@@ -687,7 +644,7 @@ struct ShardedMonitor::Impl {
   std::vector<std::size_t> slot_begin_;
   std::vector<std::uint32_t> event_index_;
   /// One per shard; built in run() before any driver thread starts and
-  /// kept afterwards so low_watermark() stays answerable.
+  /// read by assemble() after they joined.
   std::vector<std::unique_ptr<ShardEngine>> engines_;
   /// 1 where the job appears in some handoff (only those need cv wakeups).
   std::vector<std::uint8_t> handoff_job_;
@@ -721,17 +678,9 @@ ShardedMonitor::~ShardedMonitor() = default;
 
 const ShardPlan& ShardedMonitor::plan() const { return impl_->plan_; }
 
-std::span<const double> ShardedMonitor::arrivals() const {
-  return impl_->plan_.arrivals;
-}
-
 void ShardedMonitor::set_sink(FlagSink sink) {
   NURD_CHECK(!impl_->ran_, "set_sink after run()");
   impl_->sink_ = std::move(sink);
-}
-
-double ShardedMonitor::low_watermark() const {
-  return impl_->low_watermark();
 }
 
 FleetResult ShardedMonitor::run() { return impl_->run(); }

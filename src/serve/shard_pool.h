@@ -13,8 +13,10 @@
 // exact per-checkpoint protocol run_job uses, labelling stragglers at p90
 // like eval::run_method. Each checkpoint event executes as four stage
 // tasks — featurize → refit → predict → flag — and every flag decision is
-// pushed to the FlagSink installed with set_sink() the moment it is emitted
-// (serve::LiveClusterFeed forwards them into a live cluster simulation).
+// pushed to the FlagSink installed with set_sink() the moment it is emitted.
+// Mitigation is measured after run(): FleetResult::runs is the flag table
+// sched::simulate_cluster takes, with ShardPlan::arrivals replayed through
+// sched::fixed_arrivals as the cluster's timeline.
 //
 // Two planes, strictly one-way:
 //
@@ -45,7 +47,8 @@
 //     per-checkpoint protocol wherever it is placed, and the executor
 //     decides only WHEN stage tasks run, never what they compute;
 //   * every FlagDecision carries its plan event's shard, tenant and
-//     admission time;
+//     admission time, and the sink receives exactly the flags recorded in
+//     FleetResult::runs, each once;
 //   * quotas never change decisions: GCRA deferral shifts an event's
 //     ADMISSION time, and per-tenant token times are monotone, so each
 //     job's checkpoint order is preserved — an over-quota tenant queues
@@ -65,7 +68,7 @@
 // (construct, run(), collect). The FlagSink is the one callback that
 // crosses threads: calls for a single job arrive in checkpoint order, calls
 // for different jobs arrive concurrently — the sink synchronizes
-// internally. low_watermark() is safe from sinks mid-run.
+// internally and must not call back into the monitor.
 //
 // Lock ordering (see common/sync.h): each shard's shard_mutex_ and the
 // fleet's handoff mutex_ are leaves — no code holds one while taking the
@@ -98,10 +101,11 @@ struct FlagDecision {
   std::size_t tenant = 0;      ///< tenant id
 };
 
-/// Flag sink. Invoked from shard workers (inside the Flag stage) while
-/// run() is in progress: calls for one job arrive in checkpoint order;
-/// calls for different jobs may be concurrent — implementations synchronize
-/// (see serve::LiveClusterFeed).
+/// Flag sink: the monitor's online output. Invoked from shard workers
+/// (inside the Flag stage) while run() is in progress: calls for one job
+/// arrive in checkpoint order; calls for different jobs may be concurrent —
+/// implementations synchronize. Every decision the sink receives is also
+/// recorded in FleetResult::runs.
 using FlagSink = std::function<void(const FlagDecision&)>;
 
 /// QoS class of a tenant's traffic, lowest first. A label only: no serving
@@ -269,22 +273,9 @@ class ShardedMonitor {
   /// The deterministic admission plan (valid from construction).
   const ShardPlan& plan() const;
 
-  /// Arrival offsets as drawn (== plan().arrivals).
-  std::span<const double> arrivals() const;
-
   /// Installs (or replaces) the flag sink before run(); without one,
-  /// decisions are counted but not delivered. A setter rather than a config
-  /// field because a sink like LiveClusterFeed is constructed FROM the
-  /// monitor (it replays the monitor's arrival schedule).
+  /// decisions are counted but not delivered.
   void set_sink(FlagSink sink);
-
-  /// Stream low watermark, in admission time: every checkpoint event
-  /// admitted strictly below it has been fully processed (its flags
-  /// emitted). Before run() it is the first planned admission time; during
-  /// and after run() it is the minimum over the shards. Callable
-  /// from sinks mid-run; this is the bound LiveClusterFeed advances the
-  /// cluster engine to.
-  double low_watermark() const;
 
   /// Serves the whole plan. Call once.
   FleetResult run();

@@ -218,6 +218,17 @@ TEST(ScheduleLimited, NoopFlagCountedNotQueued) {
   EXPECT_DOUBLE_EQ(r.mitigated_jct, r.original_jct);
 }
 
+// A flag checkpoint past the job's last checkpoint is a malformed flag
+// vector: both schedulers reject it rather than drop the flag silently.
+TEST(ScheduleLimited, RejectsOutOfRangeFlagCheckpoint) {
+  const auto job = toy_job();
+  std::vector<std::size_t> flags(job.task_count(), eval::kNeverFlagged);
+  flags[9] = job.checkpoint_count();
+  Rng ra(9), rb(9);
+  EXPECT_THROW(schedule_limited(job, flags, 5, ra), std::invalid_argument);
+  EXPECT_THROW(schedule_unlimited(job, flags, rb), std::invalid_argument);
+}
+
 TEST(ScheduleLimited, MoreMachinesNeverWorseOnAverage) {
   auto c = trace::GoogleLikeGenerator::google_defaults();
   c.min_tasks = 100;

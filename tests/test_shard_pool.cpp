@@ -1,19 +1,18 @@
 // The serving fleet's contracts (serve/shard_pool.h):
-//   * flag-set identity: shards x workers never changes the
-//     per-job records (and the 1x1 fleet, whose 0-lane dag runs one
-//     checkpoint at a time, is bit-identical to the batch harness), including across a mid-stream drain/rebalance, and
-//     every decision carries its plan event's shard, tenant and admission
-//     time;
+//   * flag-set identity: shards x workers never changes the per-job
+//     records (and the 1x1 fleet, whose 0-lane dag runs one checkpoint at a
+//     time, is bit-identical to the batch harness), including across a
+//     mid-stream drain/rebalance;
+//   * the sink receives exactly the flags recorded in FleetResult::runs,
+//     and every decision carries its plan event's shard, tenant and
+//     admission time;
 //   * hash placement is a pure function of (placement_seed, job) over the
 //     open shards, so the same config places every job on the same shard;
 //   * per-tenant admission quotas defer ONLY the over-quota tenant, and
 //     never change anybody's flags;
 //   * arrival and drain times must be finite: the plan rejects the rest;
 //   * a stage error surfaces from run() on every execution path, without
-//     hanging;
-//   * the live cluster feed is a deterministic function of the flag set,
-//     identical to posting the same flags up front, at any shard x worker
-//     count.
+//     hanging.
 #include "serve/shard_pool.h"
 
 #include <gtest/gtest.h>
@@ -32,7 +31,6 @@
 #include "core/registry.h"
 #include "core/task_dag.h"
 #include "eval/harness.h"
-#include "serve/cluster_sink.h"
 #include "trace/generator.h"
 
 namespace nurd::serve {
@@ -74,6 +72,23 @@ void expect_runs_identical(const std::vector<eval::JobRunResult>& a,
   }
 }
 
+using FlagTriple = std::tuple<std::size_t, std::size_t, std::size_t>;
+
+// The recorded flags of `runs` as sorted (job, task, flagged_at) triples.
+std::vector<FlagTriple> recorded_flags(
+    const std::vector<eval::JobRunResult>& runs) {
+  std::vector<FlagTriple> out;
+  for (std::size_t j = 0; j < runs.size(); ++j) {
+    for (std::size_t i = 0; i < runs[j].flagged_at.size(); ++i) {
+      if (runs[j].flagged_at[i] != eval::kNeverFlagged) {
+        out.emplace_back(j, i, runs[j].flagged_at[i]);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 // Records decisions concurrently and reduces them to the canonical flag
 // SET — (job, task, checkpoint) — plus per-job order checking.
 struct RecordingSink {
@@ -92,8 +107,8 @@ struct RecordingSink {
     };
   }
 
-  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> flag_set() {
-    std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> out;
+  std::vector<FlagTriple> flag_set() {
+    std::vector<FlagTriple> out;
     out.reserve(decisions.size());
     for (const auto& d : decisions) {
       out.emplace_back(d.job, d.task, d.checkpoint);
@@ -123,11 +138,12 @@ TEST(ShardedMonitor, SerializedFleetIsBitIdenticalToRunMethod) {
   }
 }
 
-// The headline acceptance pin: identical per-job records AND flag set at
-// shards in {1, 2, 4} x workers in {1, 4}, plus 16 workers on one shard,
-// for both tuned configs, under Poisson arrivals, so jobs interleave on
-// every shard and the admission window mixes their checkpoints. The
-// RecordingSink checks per-job checkpoint order on every delivery.
+// The headline acceptance pin: identical per-job records at shards in
+// {1, 2, 4} x workers in {1, 4}, plus 16 workers on one shard, for both
+// tuned configs, under Poisson arrivals, so jobs interleave on every shard
+// and the admission window mixes their checkpoints. At every shape the sink
+// delivers exactly the recorded flags, each once, and the RecordingSink
+// checks per-job checkpoint order on every delivery.
 TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
   struct Shape {
     std::size_t shards, workers;
@@ -139,9 +155,6 @@ TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
     SCOPED_TRACE(google ? "google_tuned" : "alibaba_tuned");
     const auto method = core::predictor_by_name("GBTR", tuned(google));
     const auto reference = eval::run_method(method, jobs);
-
-    std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> flags0;
-    bool first = true;
     for (const Shape& shape : shapes) {
       SCOPED_TRACE("shards=" + std::to_string(shape.shards) +
                    " workers=" + std::to_string(shape.workers));
@@ -156,12 +169,8 @@ TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
       const auto served = fleet.run();
 
       expect_runs_identical(served.runs, reference);
-      if (first) {
-        flags0 = sink.flag_set();
-        first = false;
-      } else {
-        EXPECT_EQ(sink.flag_set(), flags0);
-      }
+      EXPECT_EQ(sink.flag_set(), recorded_flags(served.runs));
+      EXPECT_EQ(sink.decisions.size(), served.totals.flags);
       EXPECT_EQ(served.totals.lanes, shape.shards * shape.workers);
     }
   }
@@ -501,119 +510,6 @@ TEST(ShardedMonitor, StageErrorSurfacesFromRun) {
     ShardedMonitor fleet(jobs, failing, config);
     EXPECT_THROW(fleet.run(), RefitFailure);
   }
-}
-
-// ---- live cluster feed ------------------------------------------------------
-
-sched::ClusterConfig small_pool_config() {
-  sched::ClusterConfig config;
-  config.machines = 4;
-  config.reclaim_releases = true;  // the regime where the pool binds
-  return config;
-}
-
-void expect_cluster_identical(const sched::ClusterResult& a,
-                              const sched::ClusterResult& b) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t j = 0; j < a.jobs.size(); ++j) {
-    EXPECT_DOUBLE_EQ(a.jobs[j].mitigated_jct, b.jobs[j].mitigated_jct);
-    EXPECT_DOUBLE_EQ(a.jobs[j].completion, b.jobs[j].completion);
-    EXPECT_EQ(a.jobs[j].relaunched, b.jobs[j].relaunched);
-    EXPECT_EQ(a.jobs[j].waited, b.jobs[j].waited);
-    EXPECT_EQ(a.jobs[j].noop_flags, b.jobs[j].noop_flags);
-  }
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.relaunched, b.relaunched);
-  EXPECT_EQ(a.waited, b.waited);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.peak_waiting, b.peak_waiting);
-}
-
-// Reference for the live path: a live-mode engine fed every flag up front
-// (watermark never advanced until finish), which by the engine's
-// determinism contract must equal any interleaved advance schedule.
-sched::ClusterResult posted_upfront(std::span<const trace::Job> jobs,
-                                    const ShardedMonitor& monitor,
-                                    std::span<const eval::JobRunResult> runs,
-                                    std::uint64_t seed) {
-  auto config = small_pool_config();
-  const auto times = monitor.arrivals();
-  config.arrivals =
-      sched::fixed_arrivals(std::vector<double>(times.begin(), times.end()));
-  Rng rng(seed);
-  sched::ClusterEngine engine(jobs, config, rng);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    for (std::size_t i = 0; i < runs[j].flagged_at.size(); ++i) {
-      if (runs[j].flagged_at[i] != eval::kNeverFlagged) {
-        engine.post_flag(j, i, runs[j].flagged_at[i]);
-      }
-    }
-  }
-  return engine.finish();
-}
-
-ShardedMonitorConfig live_config(std::size_t shards, std::size_t workers,
-                                 std::uint64_t arrival_seed) {
-  ShardedMonitorConfig config;
-  config.shards = shards;
-  config.threads = workers;
-  config.arrivals = sched::poisson_arrivals(0.02);
-  config.arrival_seed = arrival_seed;
-  return config;
-}
-
-TEST(LiveClusterFeed, MatchesFlagsPostedUpfront) {
-  const auto jobs = generated_jobs(5, /*seed=*/7);
-  const auto method = core::predictor_by_name("HBOS", tuned(true));
-  const std::uint64_t seed = 29;
-
-  ShardedMonitor monitor(jobs, method, live_config(1, 1, 13));
-  LiveClusterFeed feed(jobs, small_pool_config(), monitor, seed);
-  monitor.set_sink(feed.sink());
-  const auto served = monitor.run();
-  const auto live = feed.finish();
-
-  const auto reference = posted_upfront(jobs, monitor, served.runs, seed);
-  expect_cluster_identical(live, reference);
-  EXPECT_GT(live.relaunched, 0u);  // the scenario actually exercises flags
-}
-
-TEST(LiveClusterFeed, ShardAndThreadCountDoNotChangeTheCluster) {
-  const auto jobs = generated_jobs(5, /*seed=*/9);
-  const auto method = core::predictor_by_name("HBOS", tuned(true));
-  const std::uint64_t seed = 31;
-
-  auto run_at = [&](std::size_t shards, std::size_t workers) {
-    ShardedMonitor monitor(jobs, method, live_config(shards, workers, 19));
-    LiveClusterFeed feed(jobs, small_pool_config(), monitor, seed);
-    monitor.set_sink(feed.sink());
-    monitor.run();
-    return feed.finish();
-  };
-
-  const auto serial = run_at(1, 1);
-  {
-    SCOPED_TRACE("1 shard x 4 workers");
-    expect_cluster_identical(serial, run_at(1, 4));
-  }
-  {
-    SCOPED_TRACE("4 shards x 1 worker");
-    expect_cluster_identical(serial, run_at(4, 1));
-  }
-}
-
-// The fleet's watermark runs in admission time and the cluster places flags
-// at eligible time; a quota deferral splits the two, so the feed refuses
-// such a plan at construction instead of failing mid-run.
-TEST(LiveClusterFeed, RejectsAPlanWithQuotaDeferrals) {
-  const auto jobs = generated_jobs(3, /*seed=*/10);
-  const auto method = core::predictor_by_name("HBOS", tuned(true));
-  auto config = live_config(1, 1, 23);
-  config.tenants = {TenantSpec{"metered", QoS::kBatch, 1e-4}};
-  ShardedMonitor monitor(jobs, method, config);
-  ASSERT_GT(monitor.plan().deferred_events, 0u);
-  EXPECT_THROW(LiveClusterFeed(jobs, small_pool_config(), monitor, 1),
-               std::invalid_argument);
 }
 
 }  // namespace
