@@ -128,8 +128,7 @@ void run_ablations(nurd::bench::Dataset dataset, std::size_t n_jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto n_jobs = static_cast<std::size_t>(
-      nurd::bench::arg_long(argc, argv, "jobs", 24));
+  const auto n_jobs = nurd::bench::arg_count(argc, argv, "jobs", 24);
   for (const auto dataset : nurd::bench::arg_datasets(argc, argv, "google")) {
     run_ablations(dataset, n_jobs);
   }

@@ -102,8 +102,7 @@ double late_quartile_mean(const std::vector<double>& seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto n_jobs =
-      static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 16));
+  const auto n_jobs = bench::arg_count(argc, argv, "jobs", 16);
   const auto min_tasks = static_cast<std::size_t>(
       bench::arg_long(argc, argv, "min-tasks", 100));
   const auto max_tasks = static_cast<std::size_t>(

@@ -95,6 +95,20 @@ inline long arg_long(int argc, char** argv, std::string_view name,
   return out;
 }
 
+/// Reads a positive count flag ("--jobs"); returns fallback when absent. A
+/// value arg_long rejects, or 0, is a usage error (exit 2): an empty job set
+/// has nothing to report.
+inline std::size_t arg_count(int argc, char** argv, std::string_view name,
+                             std::size_t fallback) {
+  const long value = arg_long(argc, argv, name, static_cast<long>(fallback));
+  if (value == 0) {
+    std::fprintf(stderr, "%s: --%s must be at least 1\n", argv[0],
+                 std::string(name).c_str());
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(value);
+}
+
 /// Reads "--dataset=google|alibaba|both"; returns fallback's datasets when
 /// absent. An unknown name is a usage error (exit 2), so a typo cannot run
 /// nothing and exit 0.

@@ -1,5 +1,6 @@
 // Figures 4 and 5 reproduction: average reduction in job completion time
-// with unlimited machines (Algorithm 2), per method, on both datasets.
+// with unlimited machines (Algorithm 2: the cluster simulator with
+// kUnlimitedMachines and batch arrivals), per method, on both datasets.
 //
 //   $ ./fig4_5_jct_unlimited [--jobs=40] [--dataset=google|alibaba|both]
 //
@@ -14,15 +15,17 @@
 #include "common/table.h"
 #include "core/registry.h"
 #include "eval/harness.h"
-#include "sched/scheduler.h"
+#include "sched/cluster.h"
 
 int main(int argc, char** argv) {
   using namespace nurd;
-  const auto n_jobs =
-      static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 40));
+  const auto n_jobs = bench::arg_count(argc, argv, "jobs", 40);
   const auto datasets = bench::arg_datasets(argc, argv, "both");
   const auto seed =
       static_cast<std::uint64_t>(bench::arg_long(argc, argv, "seed", 99));
+
+  sched::ClusterConfig unlimited;
+  unlimited.machines = sched::kUnlimitedMachines;
 
   for (const auto dataset : datasets) {
     const auto jobs = bench::make_jobs(dataset, n_jobs);
@@ -37,7 +40,9 @@ int main(int argc, char** argv) {
     for (const auto& method :
          core::all_predictors(bench::tuned_config(dataset))) {
       const auto runs = eval::run_method(method, jobs);
-      const double red = sched::mean_reduction_unlimited(jobs, runs, seed);
+      Rng rng(seed);
+      const auto result = sched::simulate_cluster(jobs, runs, unlimited, rng);
+      const double red = result.mean_reduction_pct();
       table.add_row({method.name, TextTable::num(red, 1)});
       if (red > best) {
         best = red;

@@ -20,8 +20,7 @@
 
 int main(int argc, char** argv) {
   using namespace nurd;
-  const auto n_jobs =
-      static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 40));
+  const auto n_jobs = bench::arg_count(argc, argv, "jobs", 40);
   const auto datasets = bench::arg_datasets(argc, argv, "both");
   const auto seed =
       static_cast<std::uint64_t>(bench::arg_long(argc, argv, "seed", 99));

@@ -26,17 +26,12 @@ int main(int argc, char** argv) {
   const std::string name = argv[1];
   const std::string dataset =
       bench::arg_string(argc, argv, "dataset", "google");
-  const auto n_jobs =
-      static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 12));
+  const auto n_jobs = bench::arg_count(argc, argv, "jobs", 12);
   const auto seed =
       static_cast<std::uint64_t>(bench::arg_long(argc, argv, "seed", 0));
   if (dataset != "google" && dataset != "alibaba") {
     std::cerr << argv[0] << ": unknown --dataset=" << dataset
               << " (google|alibaba)\n";
-    return 2;
-  }
-  if (n_jobs == 0) {
-    std::cerr << argv[0] << ": --jobs must be at least 1\n";
     return 2;
   }
   const auto d = dataset == "google" ? bench::Dataset::kGoogle

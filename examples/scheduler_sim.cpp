@@ -6,10 +6,12 @@
 // event-driven simulator, with batch and Poisson arrivals.
 //
 //   $ ./scheduler_sim [--jobs=10] [--machines=40]
-#include <cstdlib>
+//
+// A malformed integer flag or --jobs=0 exits 2.
 #include <iostream>
 #include <string>
 
+#include "bench_util.h"
 #include "common/table.h"
 #include "core/registry.h"
 #include "eval/harness.h"
@@ -17,27 +19,11 @@
 #include "sched/scheduler.h"
 #include "trace/generator.h"
 
-namespace {
-
-long flag_value(int argc, char** argv, const std::string& name,
-                long fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::strtol(arg.substr(prefix.size()).c_str(), nullptr, 10);
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace nurd;
-  const auto n_jobs = static_cast<std::size_t>(flag_value(argc, argv, "jobs", 10));
+  const auto n_jobs = bench::arg_count(argc, argv, "jobs", 10);
   const auto machines =
-      static_cast<std::size_t>(flag_value(argc, argv, "machines", 40));
+      static_cast<std::size_t>(bench::arg_long(argc, argv, "machines", 40));
 
   auto config = trace::GoogleLikeGenerator::google_defaults();
   trace::GoogleLikeGenerator generator(config);
@@ -50,14 +36,17 @@ int main(int argc, char** argv) {
   std::cout << "NURD + schedulers over " << jobs.size() << " Google-like jobs\n\n";
   TextTable table({"job", "tasks", "orig JCT(s)", "Alg2 JCT(s)", "Alg2 red%",
                    "Alg3 JCT(s)", "Alg3 red%", "relaunches", "waited"});
+  // Algorithm 2 is the cluster simulator with unlimited machines: every job
+  // arrives at t = 0 and each flagged task relaunches at once.
+  sched::ClusterConfig alg2;
+  alg2.machines = sched::kUnlimitedMachines;
   Rng rng_a(99), rng_b(99);
-  double sum_a = 0.0, sum_b = 0.0;
+  const auto alg2_result = sched::simulate_cluster(jobs, runs, alg2, rng_a);
+  double sum_b = 0.0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto unlimited =
-        sched::schedule_unlimited(jobs[j], runs[j].flagged_at, rng_a);
+    const auto& unlimited = alg2_result.jobs[j];
     const auto limited = sched::schedule_limited(
         jobs[j], runs[j].flagged_at, machines, rng_b);
-    sum_a += unlimited.reduction_pct();
     sum_b += limited.reduction_pct();
     table.add_row({jobs[j].id, std::to_string(jobs[j].task_count()),
                    TextTable::num(unlimited.original_jct, 0),
@@ -70,7 +59,7 @@ int main(int argc, char** argv) {
   }
   std::cout << table.render();
   std::cout << "\nmean reduction: Algorithm 2 (unlimited) "
-            << TextTable::num(sum_a / static_cast<double>(jobs.size()), 1)
+            << TextTable::num(alg2_result.mean_reduction_pct(), 1)
             << "%, Algorithm 3 (" << machines << " spare machines) "
             << TextTable::num(sum_b / static_cast<double>(jobs.size()), 1)
             << "%\n";

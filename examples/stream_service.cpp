@@ -21,14 +21,9 @@
 int main(int argc, char** argv) {
   using namespace nurd;
   const std::string method = bench::arg_string(argc, argv, "method", "GBTR");
-  const auto n_jobs =
-      static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 6));
+  const auto n_jobs = bench::arg_count(argc, argv, "jobs", 6);
   const auto threads =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "threads", 4));
-  if (n_jobs == 0) {
-    std::fprintf(stderr, "%s: --jobs must be at least 1\n", argv[0]);
-    return 2;
-  }
 
   auto gen_config = trace::GoogleLikeGenerator::google_defaults();
   gen_config.min_tasks = 120;
@@ -93,7 +88,8 @@ int main(int argc, char** argv) {
     identical = identical &&
                 served.runs[j].flagged_at == reference[j].flagged_at;
   }
-  std::printf("parity with eval::run_method at %zu workers: %s\n", threads,
+  std::printf("parity with eval::run_method at %zu workers: %s\n",
+              served.totals.lanes,
               identical ? "bit-identical" : "DIVERGED (bug!)");
   return identical ? 0 : 1;
 }

@@ -50,9 +50,6 @@ class Rng {
   /// Derives an independent child RNG (for parallel-safe per-job streams).
   Rng fork();
 
-  /// Underlying engine, for use with std:: distributions.
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };

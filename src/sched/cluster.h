@@ -1,7 +1,7 @@
 // Event-driven cluster scheduler simulation.
 //
-// The per-job schedulers in scheduler.h evaluate mitigation one job at a
-// time on a checkpoint-quantized clock. This module generalizes them to a
+// The per-job Algorithm 3 in scheduler.h evaluates mitigation one job at a
+// time on a checkpoint-quantized clock. This module generalizes it to a
 // shared cluster: many jobs run concurrently against ONE spare-machine pool,
 // jobs arrive over continuous time under a pluggable arrival process, and
 // every state change is an event on a global priority queue:
@@ -29,13 +29,13 @@
 //                   task re-enters the relaunch path, exactly as if flagged —
 //                   but without a predictor decision behind it
 //
-// Algorithms 2 and 3 are the single-job special cases: with
-// machines = kUnlimitedMachines and batch arrivals the simulation reproduces
-// schedule_unlimited bit-identically, and with a finite pool it is the
-// continuous-time refinement of schedule_limited (relaunches fire at release
-// instants instead of the next checkpoint, and releases after the last
-// checkpoint still drain the queue — the artifacts the checkpoint-quantized
-// loop used to exhibit by construction).
+// Algorithms 2 and 3 are the single-job special cases. With
+// machines = kUnlimitedMachines and batch arrivals the simulation IS
+// Algorithm 2 (a flagged task relaunches at once on a fresh machine) — the
+// repository's only implementation of it. With a finite pool it is the
+// continuous-time refinement of schedule_limited: relaunches fire at release
+// instants instead of the next checkpoint, so fig6–9 numbers differ from
+// the published checkpoint-quantized Algorithm 3.
 //
 // Determinism contract: ALL randomness is consumed in a canonical setup
 // order — arrival times in job input order; then (heterogeneous pools only)
@@ -67,7 +67,8 @@
 
 namespace nurd::sched {
 
-/// Pool size meaning "a machine is always free" (Algorithm 2 semantics).
+/// Pool size meaning "a machine is always free": with it, simulate_cluster
+/// runs Algorithm 2.
 inline constexpr std::size_t kUnlimitedMachines =
     std::numeric_limits<std::size_t>::max();
 
@@ -218,7 +219,8 @@ struct ClusterConfig {
   EventObserver observer;
 };
 
-/// Per-job outcome, mirroring ScheduleResult plus cluster timing.
+/// Per-job mitigation outcome — the one record for every scheduler
+/// (schedule_limited fills it with arrival = 0).
 struct ClusterJobStats {
   double arrival = 0.0;         ///< absolute arrival time
   double completion = 0.0;      ///< absolute time the last task finished

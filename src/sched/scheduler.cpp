@@ -16,42 +16,12 @@ double resample_latency(const trace::Job& job, Rng& rng) {
   return job.latency(idx);
 }
 
-ScheduleResult schedule_unlimited(const trace::Job& job,
-                                  std::span<const std::size_t> flagged_at,
-                                  Rng& rng) {
+ClusterJobStats schedule_limited(const trace::Job& job,
+                                 std::span<const std::size_t> flagged_at,
+                                 std::size_t machines, Rng& rng) {
   NURD_CHECK(flagged_at.size() == job.task_count(),
              "flag vector length mismatch");
-  ScheduleResult result;
-  result.original_jct = job.completion_time();
-
-  double jct = 0.0;
-  for (std::size_t i = 0; i < job.task_count(); ++i) {
-    double completion = job.latency(i);
-    if (flagged_at[i] != eval::kNeverFlagged) {
-      const double t_flag = job.trace.tau_run(flagged_at[i]);
-      if (t_flag < job.latency(i)) {
-        // The relaunched copy starts immediately on a fresh machine.
-        completion = t_flag + resample_latency(job, rng);
-        ++result.relaunched;
-      } else {
-        // The flag lands at or after the task's completion (synthetic flag
-        // vectors only — the harness flags running tasks): ignore it without
-        // consuming a draw rather than phantom-relaunch a finished task.
-        ++result.noop_flags;
-      }
-    }
-    jct = std::max(jct, completion);
-  }
-  result.mitigated_jct = jct;
-  return result;
-}
-
-ScheduleResult schedule_limited(const trace::Job& job,
-                                std::span<const std::size_t> flagged_at,
-                                std::size_t machines, Rng& rng) {
-  NURD_CHECK(flagged_at.size() == job.task_count(),
-             "flag vector length mismatch");
-  ScheduleResult result;
+  ClusterJobStats result;
   result.original_jct = job.completion_time();
 
   const std::size_t n = job.task_count();
@@ -84,7 +54,7 @@ ScheduleResult schedule_limited(const trace::Job& job,
 
     // Tasks flagged at this checkpoint join the queue. A flag on a task that
     // already finished by the flag's checkpoint time (synthetic flag vectors
-    // only) is a no-op, matching schedule_unlimited.
+    // only) is a no-op, matching simulate_cluster.
     for (std::size_t i = 0; i < n; ++i) {
       if (flagged_at[i] != t) continue;
       if (job.latency(i) > tau) {
@@ -159,22 +129,8 @@ ScheduleResult schedule_limited(const trace::Job& job,
 
   double jct = 0.0;
   for (std::size_t i = 0; i < n; ++i) jct = std::max(jct, completion[i]);
-  result.mitigated_jct = jct;
+  result.completion = result.mitigated_jct = jct;
   return result;
-}
-
-double mean_reduction_unlimited(std::span<const trace::Job> jobs,
-                                std::span<const eval::JobRunResult> runs,
-                                std::uint64_t seed) {
-  NURD_CHECK(jobs.size() == runs.size(), "jobs/runs length mismatch");
-  NURD_CHECK(!jobs.empty(), "no jobs");
-  Rng rng(seed);
-  double total = 0.0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    total +=
-        schedule_unlimited(jobs[j], runs[j].flagged_at, rng).reduction_pct();
-  }
-  return total / static_cast<double>(jobs.size());
 }
 
 double mean_reduction_limited(std::span<const trace::Job> jobs,

@@ -1,77 +1,47 @@
-// Straggler-mitigation schedulers (paper §5) and the job-completion-time
-// simulation behind Figures 4–9.
+// Algorithm 3 of paper §5 as published — the checkpoint-quantized,
+// per-job finite-pool scheduler behind Figures 6–9 — and the relaunch
+// latency draw it shares with the cluster simulator.
 //
-// Both schedulers terminate a predicted straggler and relaunch it on a new
-// machine; the relaunched copy's execution time is resampled from the job's
-// empirical task latencies (§7.3: "the new completion time for a rescheduled
-// task is randomly sampled from the existing execution times").
+// A flagged task is terminated and relaunched on a new machine; the
+// relaunched copy's execution time is resampled from the job's empirical
+// task latencies (§7.3: "the new completion time for a rescheduled task is
+// randomly sampled from the existing execution times"). Relaunches draw
+// from a finite machine pool that starts with `machines` spares and grows as
+// tasks finish and release their machines. Flagged tasks that cannot get a
+// machine wait in FIFO order and keep running in the meantime; a terminated
+// task's own machine is not reused (it is the suspected slow/faulty one —
+// the premise of relaunch-based mitigation).
 //
-//  * Algorithm 2 (more machines than tasks): a flagged task relaunches
-//    immediately at the flagging checkpoint's time.
-//  * Algorithm 3 (fewer machines than tasks): relaunches draw from a finite
-//    machine pool that starts with `machines` spares and grows as tasks
-//    finish and release their machines. Flagged tasks that cannot get a
-//    machine wait in FIFO order and keep running in the meantime; a
-//    terminated task's own machine is not reused (it is the suspected
-//    slow/faulty one — the premise of relaunch-based mitigation).
+// Algorithm 2 (more machines than tasks: a flagged task relaunches
+// immediately) is simulate_cluster with machines = kUnlimitedMachines.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/rng.h"
 #include "eval/harness.h"
+#include "sched/cluster.h"
 #include "trace/job.h"
 
 namespace nurd::sched {
 
-/// Outcome of simulating one job under a scheduler.
-struct ScheduleResult {
-  double original_jct = 0.0;   ///< completion time without intervention
-  double mitigated_jct = 0.0;  ///< completion time with relaunches
-  std::size_t relaunched = 0;  ///< tasks actually relaunched
-  std::size_t waited = 0;      ///< flagged tasks that had to wait ≥1 checkpoint
-  std::size_t noop_flags = 0;  ///< flags at/after the task's completion,
-                               ///< ignored rather than phantom-relaunched
-
-  /// Reduction in job completion time, percent (positive = improvement).
-  double reduction_pct() const {
-    return original_jct > 0.0
-               ? 100.0 * (original_jct - mitigated_jct) / original_jct
-               : 0.0;
-  }
-};
-
 /// A relaunched copy's execution time: one draw from the job's empirical
-/// latency distribution (§7.3). Shared by the per-job schedulers and the
+/// latency distribution (§7.3). Shared by schedule_limited and the
 /// event-driven cluster simulator so their draws are interchangeable.
 double resample_latency(const trace::Job& job, Rng& rng);
-
-/// Algorithm 2: unlimited machines; flagged tasks relaunch immediately.
-/// `flagged_at` maps each task to the checkpoint where the predictor flagged
-/// it (eval::kNeverFlagged = never); `rng` drives the latency resampling.
-/// A flag whose checkpoint time is at or after the task's completion is a
-/// no-op (counted in `noop_flags`, consuming no randomness): the harness
-/// never produces such flags, but synthetic flag vectors do, and relaunching
-/// an already-finished task would fabricate negative "mitigation".
-ScheduleResult schedule_unlimited(const trace::Job& job,
-                                  std::span<const std::size_t> flagged_at,
-                                  Rng& rng);
 
 /// Algorithm 3: a finite machine pool of `machines` spares (plus machines
 /// released by finishing tasks). Queued tasks relaunch at checkpoint times
 /// within the horizon; after the final checkpoint the remaining releases and
 /// relaunches drain in event order at their actual (continuous) times, so a
-/// machine freed past the horizon still serves the FIFO queue.
-ScheduleResult schedule_limited(const trace::Job& job,
-                                std::span<const std::size_t> flagged_at,
-                                std::size_t machines, Rng& rng);
-
-/// Mean JCT reduction of a method over a job set under Algorithm 2.
-double mean_reduction_unlimited(std::span<const trace::Job> jobs,
-                                std::span<const eval::JobRunResult> runs,
-                                std::uint64_t seed);
+/// machine freed past the horizon still serves the FIFO queue. The job
+/// starts at t = 0: `arrival` is 0 and `completion` equals `mitigated_jct`.
+/// A flag at or after its task's completion is a no-op, counted in
+/// `noop_flags` and consuming no randomness.
+ClusterJobStats schedule_limited(const trace::Job& job,
+                                 std::span<const std::size_t> flagged_at,
+                                 std::size_t machines, Rng& rng);
 
 /// Mean JCT reduction over a job set under Algorithm 3 with `machines`
 /// spare machines per job.

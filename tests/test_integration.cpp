@@ -5,6 +5,7 @@
 
 #include "core/registry.h"
 #include "eval/harness.h"
+#include "sched/cluster.h"
 #include "sched/scheduler.h"
 #include "trace/generator.h"
 
@@ -72,8 +73,15 @@ TEST(Integration, NurdJctReductionPositiveAndAboveNc) {
       eval::run_method(core::predictor_by_name("NURD", cfg), jobs);
   const auto nc_runs =
       eval::run_method(core::predictor_by_name("NURD-NC", cfg), jobs);
-  const double nurd_red = sched::mean_reduction_unlimited(jobs, nurd_runs, 7);
-  const double nc_red = sched::mean_reduction_unlimited(jobs, nc_runs, 7);
+  // Algorithm 2: the cluster simulator with unlimited machines.
+  sched::ClusterConfig unlimited;
+  unlimited.machines = sched::kUnlimitedMachines;
+  Rng nurd_rng(7), nc_rng(7);
+  const auto nurd =
+      sched::simulate_cluster(jobs, nurd_runs, unlimited, nurd_rng);
+  const auto nc = sched::simulate_cluster(jobs, nc_runs, unlimited, nc_rng);
+  const double nurd_red = nurd.mean_reduction_pct();
+  const double nc_red = nc.mean_reduction_pct();
   EXPECT_GT(nurd_red, 5.0);       // meaningful reduction
   EXPECT_GT(nurd_red, nc_red);    // calibration pays off in JCT too
 }

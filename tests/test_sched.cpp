@@ -17,18 +17,28 @@ trace::Job toy_job() {
                        {12.5, 20.0, 50.0, 99.0});
 }
 
-TEST(ScheduleUnlimited, NoFlagsNoChange) {
+// Algorithm 2: the cluster simulator with unlimited machines, on one job.
+ClusterJobStats algorithm2(const trace::Job& job,
+                           std::vector<std::size_t> flags, Rng& rng) {
+  eval::JobRunResult run;
+  run.flagged_at = std::move(flags);
+  ClusterConfig config;
+  config.machines = kUnlimitedMachines;
+  return simulate_cluster({&job, 1}, {&run, 1}, config, rng).jobs[0];
+}
+
+TEST(Algorithm2, NoFlagsNoChange) {
   const auto job = toy_job();
   std::vector<std::size_t> flags(job.task_count(), eval::kNeverFlagged);
   Rng rng(1);
-  const auto r = schedule_unlimited(job, flags, rng);
+  const auto r = algorithm2(job, flags, rng);
   EXPECT_DOUBLE_EQ(r.original_jct, 100.0);
   EXPECT_DOUBLE_EQ(r.mitigated_jct, 100.0);
   EXPECT_EQ(r.relaunched, 0u);
   EXPECT_DOUBLE_EQ(r.reduction_pct(), 0.0);
 }
 
-TEST(ScheduleUnlimited, EarlyFlagOnStragglerReducesJct) {
+TEST(Algorithm2, EarlyFlagOnStragglerReducesJct) {
   const auto job = toy_job();
   std::vector<std::size_t> flags(job.task_count(), eval::kNeverFlagged);
   flags[9] = 0;  // flag the straggler at τ = 12.5
@@ -40,7 +50,7 @@ TEST(ScheduleUnlimited, EarlyFlagOnStragglerReducesJct) {
   const int trials = 50;
   for (int seed = 0; seed < trials; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed));
-    const auto r = schedule_unlimited(job, flags, rng);
+    const auto r = algorithm2(job, flags, rng);
     total_reduction += r.reduction_pct();
     relaunched += r.relaunched;
   }
@@ -48,7 +58,7 @@ TEST(ScheduleUnlimited, EarlyFlagOnStragglerReducesJct) {
   EXPECT_GT(total_reduction / trials, 30.0);
 }
 
-TEST(ScheduleUnlimited, LateFlagHelpsLess) {
+TEST(Algorithm2, LateFlagHelpsLess) {
   const auto job = toy_job();
   std::vector<std::size_t> early(job.task_count(), eval::kNeverFlagged);
   std::vector<std::size_t> late(job.task_count(), eval::kNeverFlagged);
@@ -57,13 +67,13 @@ TEST(ScheduleUnlimited, LateFlagHelpsLess) {
   double early_total = 0.0, late_total = 0.0;
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     Rng ra(seed), rb(seed);
-    early_total += schedule_unlimited(job, early, ra).mitigated_jct;
-    late_total += schedule_unlimited(job, late, rb).mitigated_jct;
+    early_total += algorithm2(job, early, ra).mitigated_jct;
+    late_total += algorithm2(job, late, rb).mitigated_jct;
   }
   EXPECT_LT(early_total, late_total);
 }
 
-TEST(ScheduleUnlimited, FalsePositiveCanHurt) {
+TEST(Algorithm2, FalsePositiveCanHurt) {
   // Flagging a fast task wastes a relaunch: its new completion is flag time
   // + resample, which can exceed its natural latency. With the straggler
   // untreated the JCT cannot improve.
@@ -71,16 +81,9 @@ TEST(ScheduleUnlimited, FalsePositiveCanHurt) {
   std::vector<std::size_t> flags(job.task_count(), eval::kNeverFlagged);
   flags[0] = 0;
   Rng rng(3);
-  const auto r = schedule_unlimited(job, flags, rng);
+  const auto r = algorithm2(job, flags, rng);
   EXPECT_DOUBLE_EQ(r.original_jct, 100.0);
   EXPECT_GE(r.mitigated_jct, 100.0);  // straggler still finishes at 100
-}
-
-TEST(ScheduleUnlimited, RejectsLengthMismatch) {
-  const auto job = toy_job();
-  std::vector<std::size_t> flags(3, eval::kNeverFlagged);
-  Rng rng(1);
-  EXPECT_THROW(schedule_unlimited(job, flags, rng), std::invalid_argument);
 }
 
 TEST(ScheduleLimited, ZeroSparesStillFreesFinishedMachines) {
@@ -99,7 +102,7 @@ TEST(ScheduleLimited, PlentyOfSparesMatchesImmediateRelaunch) {
   std::vector<std::size_t> flags(job.task_count(), eval::kNeverFlagged);
   flags[9] = 0;
   Rng ra(5), rb(5);
-  const auto unlimited = schedule_unlimited(job, flags, ra);
+  const auto unlimited = algorithm2(job, flags, ra);
   const auto limited = schedule_limited(job, flags, 100, rb);
   EXPECT_DOUBLE_EQ(unlimited.mitigated_jct, limited.mitigated_jct);
 }
@@ -129,22 +132,7 @@ TEST(ScheduleLimited, FlaggedTaskThatFinishesLeavesQueue) {
   EXPECT_DOUBLE_EQ(r.mitigated_jct, r.original_jct);
 }
 
-TEST(ScheduleUnlimited, FlagAtOrAfterCompletionIsNoop) {
-  // Task 0 (latency 10) has long finished by checkpoint 3 (τ = 99). The
-  // pre-fix code unconditionally relaunched it, fabricating a completion of
-  // 99 + resample ≥ 109 — negative "mitigation" out of thin air.
-  const auto job = toy_job();
-  std::vector<std::size_t> flags(job.task_count(), eval::kNeverFlagged);
-  flags[0] = 3;
-  Rng rng(9);
-  const auto r = schedule_unlimited(job, flags, rng);
-  EXPECT_EQ(r.relaunched, 0u);
-  EXPECT_EQ(r.noop_flags, 1u);
-  EXPECT_DOUBLE_EQ(r.mitigated_jct, r.original_jct);
-  EXPECT_DOUBLE_EQ(r.reduction_pct(), 0.0);
-}
-
-TEST(ScheduleUnlimited, NoopFlagConsumesNoRandomness) {
+TEST(Algorithm2, NoopFlagConsumesNoRandomness) {
   // A no-op flag must leave the RNG stream untouched so that mixed flag
   // vectors stay reproducible: the straggler's resample below is the first
   // draw either way.
@@ -156,8 +144,8 @@ TEST(ScheduleUnlimited, NoopFlagConsumesNoRandomness) {
   std::vector<std::size_t> real_only(job.task_count(), eval::kNeverFlagged);
   real_only[9] = 0;
   Rng a(13), b(13);
-  const auto mixed = schedule_unlimited(job, noop_then_real, a);
-  const auto clean = schedule_unlimited(job, real_only, b);
+  const auto mixed = algorithm2(job, noop_then_real, a);
+  const auto clean = algorithm2(job, real_only, b);
   EXPECT_DOUBLE_EQ(mixed.mitigated_jct, clean.mitigated_jct);
   EXPECT_EQ(mixed.relaunched, 1u);
   EXPECT_EQ(mixed.noop_flags, 1u);
@@ -219,14 +207,14 @@ TEST(ScheduleLimited, NoopFlagCountedNotQueued) {
 }
 
 // A flag checkpoint past the job's last checkpoint is a malformed flag
-// vector: both schedulers reject it rather than drop the flag silently.
+// vector: both algorithms reject it rather than drop the flag silently.
 TEST(ScheduleLimited, RejectsOutOfRangeFlagCheckpoint) {
   const auto job = toy_job();
   std::vector<std::size_t> flags(job.task_count(), eval::kNeverFlagged);
   flags[9] = job.checkpoint_count();
   Rng ra(9), rb(9);
   EXPECT_THROW(schedule_limited(job, flags, 5, ra), std::invalid_argument);
-  EXPECT_THROW(schedule_unlimited(job, flags, rb), std::invalid_argument);
+  EXPECT_THROW(algorithm2(job, flags, rb), std::invalid_argument);
 }
 
 TEST(ScheduleLimited, MoreMachinesNeverWorseOnAverage) {
@@ -253,12 +241,12 @@ TEST(MeanReduction, RejectsMismatchedInputs) {
   const auto job = toy_job();
   std::vector<trace::Job> jobs{job};
   std::vector<eval::JobRunResult> runs;
-  EXPECT_THROW(mean_reduction_unlimited(jobs, runs, 1),
+  EXPECT_THROW(mean_reduction_limited(jobs, runs, 5, 1),
                std::invalid_argument);
 }
 
-TEST(ScheduleResult, ReductionPctSign) {
-  ScheduleResult r;
+TEST(ClusterJobStats, ReductionPctSign) {
+  ClusterJobStats r;
   r.original_jct = 100.0;
   r.mitigated_jct = 80.0;
   EXPECT_DOUBLE_EQ(r.reduction_pct(), 20.0);
