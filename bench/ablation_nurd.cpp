@@ -128,6 +128,7 @@ void run_ablations(nurd::bench::Dataset dataset, std::size_t n_jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  nurd::bench::accept_flags(argc, argv, {"jobs", "dataset"});
   const auto n_jobs = nurd::bench::arg_count(argc, argv, "jobs", 24);
   for (const auto dataset : nurd::bench::arg_datasets(argc, argv, "google")) {
     run_ablations(dataset, n_jobs);

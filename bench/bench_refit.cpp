@@ -25,8 +25,8 @@
 // --check=1 (the CI smoke mode) exits non-zero unless the late-checkpoint
 // ratio is >= 3 and |macro-F1 drift| <= 0.01 for every method on both tuned
 // configs — the acceptance bar for the incremental refit path. A check
-// that covered no (dataset, method) cell fails too, and an unknown
-// --dataset exits 2.
+// that covered no (dataset, method) cell fails too. An unknown flag,
+// --dataset or --methods name exits 2 before any job is generated.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -102,6 +102,9 @@ double late_quartile_mean(const std::vector<double>& seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::accept_flags(argc, argv,
+                      {"jobs", "min-tasks", "max-tasks", "checkpoints",
+                       "check", "dataset", "methods"});
   const auto n_jobs = bench::arg_count(argc, argv, "jobs", 16);
   const auto min_tasks = static_cast<std::size_t>(
       bench::arg_long(argc, argv, "min-tasks", 100));
@@ -114,6 +117,10 @@ int main(int argc, char** argv) {
   const auto methods =
       bench::split_csv(bench::arg_string(argc, argv, "methods",
                                   "NURD,NURD-NC,GBTR,Grabit"));
+  // Every name is checked before any job is generated.
+  for (const auto& name : methods) {
+    bench::method_by_name(argv[0], name, core::google_tuned());
+  }
 
   const auto make_scaled_jobs = [&](bench::Dataset dataset) {
     if (dataset == bench::Dataset::kGoogle) {

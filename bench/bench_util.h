@@ -1,11 +1,17 @@
 // Shared helpers for the reproduction benches: dataset construction with the
-// per-dataset defaults and simple --flag=value argument parsing.
+// per-dataset defaults, method lookup, and simple --flag=value argument
+// parsing. Every main declares the flags it accepts (accept_flags); any
+// other flag, a bare "--flag", a malformed value or an unknown method name
+// is a usage error (exit 2).
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -43,6 +49,46 @@ inline std::vector<trace::Job> make_jobs(Dataset d, std::size_t count,
   config.seed += seed_offset;
   trace::AlibabaLikeGenerator gen(config);
   return gen.generate(count);
+}
+
+/// The registry method `name` under `config`. An unknown name is a usage
+/// error (exit 2) that prints the registry's message, which lists every
+/// valid name.
+inline core::NamedPredictor method_by_name(const char* program,
+                                           const std::string& name,
+                                           core::RegistryConfig config) {
+  try {
+    return core::predictor_by_name(name, std::move(config));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", program, e.what());
+    std::exit(2);
+  }
+}
+
+/// Declares the flags a main accepts. Any "--name=value" whose name is not
+/// in `accepted` is a usage error (exit 2): a misspelled "--chek=1" must
+/// not silently leave a gate off.
+inline void accept_flags(int argc, char** argv,
+                         std::initializer_list<std::string_view> accepted) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    if (!arg.starts_with("--")) continue;
+    const auto eq = arg.find('=');
+    const auto name = arg.substr(2, eq == std::string_view::npos
+                                        ? std::string_view::npos
+                                        : eq - 2);
+    if (std::find(accepted.begin(), accepted.end(), name) != accepted.end()) {
+      continue;
+    }
+    std::string valid;
+    for (const auto flag : accepted) {
+      valid += valid.empty() ? "--" : ", --";
+      valid += flag;
+    }
+    std::fprintf(stderr, "%s: unknown flag %s (accepted: %s)\n", argv[0],
+                 argv[i], valid.c_str());
+    std::exit(2);
+  }
 }
 
 namespace detail {

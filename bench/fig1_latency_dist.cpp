@@ -14,6 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace nurd;
+  bench::accept_flags(argc, argv, {"bins"});
   const auto bins =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "bins", 20));
 

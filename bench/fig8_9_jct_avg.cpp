@@ -19,6 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace nurd;
+  bench::accept_flags(argc, argv, {"jobs", "dataset", "seed", "reps"});
   const auto n_jobs = bench::arg_count(argc, argv, "jobs", 40);
   const auto datasets = bench::arg_datasets(argc, argv, "both");
   const auto seed =

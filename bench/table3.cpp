@@ -19,6 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace nurd;
+  bench::accept_flags(argc, argv, {"jobs", "seed-offset", "dataset"});
   const auto n_jobs = bench::arg_count(argc, argv, "jobs", 40);
   const auto seed_offset = static_cast<std::uint64_t>(
       bench::arg_long(argc, argv, "seed-offset", 0));

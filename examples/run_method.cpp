@@ -4,7 +4,8 @@
 //   $ ./run_method NURD
 //   $ ./run_method Grabit --dataset=alibaba --jobs=8 --seed=7
 //
-// A malformed integer flag, --jobs=0 or an unknown --dataset exits 2.
+// An unknown method or flag, a malformed integer flag, --jobs=0 or an
+// unknown --dataset exits 2.
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -16,6 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace nurd;
+  bench::accept_flags(argc, argv, {"dataset", "jobs", "seed"});
   if (argc < 2 || argv[1][0] == '-') {
     std::cerr << "usage: run_method <METHOD> [--dataset=google|alibaba] "
                  "[--jobs=N] [--seed=S]\nmethods:";
@@ -36,9 +38,9 @@ int main(int argc, char** argv) {
   }
   const auto d = dataset == "google" ? bench::Dataset::kGoogle
                                      : bench::Dataset::kAlibaba;
+  const auto method =
+      bench::method_by_name(argv[0], name, bench::tuned_config(d));
   const auto jobs = bench::make_jobs(d, n_jobs, seed);
-
-  const auto method = core::predictor_by_name(name, bench::tuned_config(d));
   const auto res = eval::evaluate_method(method, jobs);
 
   std::cout << name << " on " << jobs.size() << " " << dataset

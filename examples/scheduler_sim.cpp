@@ -7,7 +7,7 @@
 //
 //   $ ./scheduler_sim [--jobs=10] [--machines=40]
 //
-// A malformed integer flag or --jobs=0 exits 2.
+// An unknown flag, a malformed integer flag or --jobs=0 exits 2.
 #include <iostream>
 #include <string>
 
@@ -21,6 +21,7 @@
 
 int main(int argc, char** argv) {
   using namespace nurd;
+  bench::accept_flags(argc, argv, {"jobs", "machines"});
   const auto n_jobs = bench::arg_count(argc, argv, "jobs", 10);
   const auto machines =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "machines", 40));

@@ -6,7 +6,8 @@
 //   $ ./stream_service
 //   $ ./stream_service --method=NURD --jobs=8 --threads=4
 //
-// A malformed integer flag or --jobs=0 exits 2.
+// An unknown flag or --method name, a malformed integer flag or --jobs=0
+// exits 2.
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -20,10 +21,17 @@
 
 int main(int argc, char** argv) {
   using namespace nurd;
-  const std::string method = bench::arg_string(argc, argv, "method", "GBTR");
+  bench::accept_flags(argc, argv, {"method", "jobs", "threads"});
   const auto n_jobs = bench::arg_count(argc, argv, "jobs", 6);
   const auto threads =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "threads", 4));
+  // One incremental method serves the jobs and, in step 4, re-runs them
+  // through the batch harness: a serving session maintains its models
+  // between checkpoints.
+  auto tuned = core::google_tuned();
+  tuned.refit = core::RefitPolicy::kIncremental;
+  const auto method = bench::method_by_name(
+      argv[0], bench::arg_string(argc, argv, "method", "GBTR"), tuned);
 
   auto gen_config = trace::GoogleLikeGenerator::google_defaults();
   gen_config.min_tasks = 120;
@@ -34,13 +42,13 @@ int main(int argc, char** argv) {
   // 1. A one-shard ShardedMonitor serves every job's checkpoint stream over
   //    one shared pool; jobs arrive over continuous time (Poisson), and each job's
   //    managed session maintains its models incrementally between
-  //    checkpoints (RefitPolicy::kIncremental by default).
+  //    checkpoints.
   serve::ShardedMonitorConfig config;
   config.shards = 1;
   config.threads = threads;
   config.arrivals = sched::poisson_arrivals(0.01);
   config.arrival_seed = 7;
-  serve::ShardedMonitor monitor(jobs, method, core::google_tuned(), config);
+  serve::ShardedMonitor monitor(jobs, method, config);
 
   // 2. Flags stream into a sink the moment a predictor emits them. Here:
   //    count them.
@@ -76,13 +84,7 @@ int main(int argc, char** argv) {
 
   // 4. The determinism contract: the served per-job records are
   //    bit-identical to the batch harness over the same jobs.
-  const auto tuned = [] {
-    auto c = core::google_tuned();
-    c.refit = core::RefitPolicy::kIncremental;
-    return c;
-  }();
-  const auto reference =
-      eval::run_method(core::predictor_by_name(method, tuned), jobs);
+  const auto reference = eval::run_method(method, jobs);
   bool identical = true;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     identical = identical &&

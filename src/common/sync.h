@@ -52,10 +52,11 @@
 //       channel; only ever held around error recording and the completion
 //       notify/wait.
 //   [mutex] core/task_dag.cpp::mutex_
-//       core::TaskDag (Impl). Leaf. Graph bookkeeping only. The stage
-//       runner, on_retire and on_error callbacks all run with the registry
-//       lock RELEASED; the dag's lanes (or, at 0 lanes, the thread inside
-//       admit()) hold it only between tasks.
+//       core::TaskDag (Impl). Leaf. Guards the per-job chains (admitted
+//       range, running/cancelled flags) and the ready queue only. The
+//       checkpoint runner, on_retire and on_error callbacks all run with it
+//       RELEASED; the dag's lanes (or, at 0 lanes, the thread inside
+//       admit()) hold it only between checkpoints.
 //   [mutex] serve/shard_pool.cpp::shard_mutex_
 //       serve::ShardedMonitor's per-shard ShardEngine — the execution core
 //       each shard runs on. Leaf. The FlagSink is invoked from the Flag

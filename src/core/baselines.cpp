@@ -38,16 +38,12 @@ void GbtrPredictor::initialize(const JobContext& context) {
   fitted_checkpoint_ = trace::kNoCheckpoint;
 }
 
-void GbtrPredictor::featurize_checkpoint(const trace::CheckpointView& view) {
-  session_.stage(view, kFinishedBlock);
-}
-
 void GbtrPredictor::refit_checkpoint(const trace::CheckpointView& view,
                                      std::span<const std::size_t> candidates) {
   // The same skip guard as predict_stragglers: an untouched checkpoint must
   // stay untouched on both paths or warm-model trajectories diverge.
   if (view.finished().empty() || candidates.empty()) return;
-  session_.promote(view);
+  session_.observe(view);
   refit_finished_gbt(session_, params_, &model_);
   fitted_checkpoint_ = view.index();
 }
@@ -57,7 +53,7 @@ std::vector<std::size_t> GbtrPredictor::predict_stragglers(
     std::span<const std::size_t> candidates) {
   if (view.finished().empty() || candidates.empty()) return {};
   if (fitted_checkpoint_ != view.index()) {
-    session_.promote(view);  // falls back to observe() when nothing staged
+    session_.observe(view);
     refit_finished_gbt(session_, params_, &model_);
   }
   std::vector<std::size_t> flagged;

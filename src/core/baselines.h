@@ -47,11 +47,8 @@ class GbtrPredictor final : public StragglerPredictor {
       const trace::CheckpointView& view,
       std::span<const std::size_t> candidates) override;
 
-  /// Staged pipeline (see StragglerPredictor): featurize stages the
-  /// finished block, refit replicates the guard-then-fit sequence,
-  /// predict_stragglers then only scores.
-  bool staged() const override { return true; }
-  void featurize_checkpoint(const trace::CheckpointView& view) override;
+  /// Refit stage (see StragglerPredictor): replicates the guard-then-fit
+  /// sequence; predict_stragglers then only scores.
   void refit_checkpoint(const trace::CheckpointView& view,
                         std::span<const std::size_t> candidates) override;
 

@@ -90,72 +90,32 @@ void FitSession::reset() {
   advanced_ = false;
   newly_finished_.clear();
   changed_rows_.clear();
-  slots_[0].invalidate();
-  slots_[1].invalidate();
-  cur_ = 0;
+  invalidate_blocks();
 }
 
-// Shared tail of observe() and promote(): computes the delta of `view`
-// against the last observed checkpoint and makes it current.
-void FitSession::adopt_view(const trace::CheckpointView& view) {
+void FitSession::invalidate_blocks() {
+  fin_as_of_ = trace::kNoCheckpoint;
+  member_as_of_ = trace::kNoCheckpoint;
+  snapshot_as_of_ = trace::kNoCheckpoint;
+}
+
+void FitSession::observe(const trace::CheckpointView& view) {
   const trace::TraceStore* stream = &view.store();
-  const bool same_stream = stream == stream_ && t_ != trace::kNoCheckpoint;
-  if (same_stream && view.index() >= t_) {
+  advanced_ = stream == stream_ && t_ != trace::kNoCheckpoint &&
+              view.index() >= t_;
+  if (advanced_) {
     // Forward step (or a repeated view, whose delta is empty) of the stream
-    // we have been watching: the delta is a true increment.
-    advanced_ = true;
+    // we have been watching: the delta is a true increment, and every block
+    // assembled so far is a valid base.
     view.delta_since(t_, &newly_finished_, &changed_rows_);
   } else {
     // First observe, a different job, or a rewind: everything is new.
-    advanced_ = false;
     view.delta_since(trace::kNoCheckpoint, &newly_finished_, &changed_rows_);
+    invalidate_blocks();
   }
   view_ = &view;
   stream_ = stream;
   t_ = view.index();
-}
-
-void FitSession::observe(const trace::CheckpointView& view) {
-  const bool rebuild = !(&view.store() == stream_ &&
-                         t_ != trace::kNoCheckpoint && view.index() >= t_);
-  adopt_view(view);
-  if (rebuild) current().invalidate();
-  ensure_stream(view, &current());
-}
-
-void FitSession::ensure_stream(const trace::CheckpointView& view,
-                               Blocks* slot) {
-  if (slot->stream_tag != &view.store()) {
-    slot->invalidate();
-    slot->stream_tag = &view.store();
-  }
-}
-
-void FitSession::stage(const trace::CheckpointView& view, unsigned mask) {
-  Blocks& slot = slots_[view.index() % 2];
-  ensure_stream(view, &slot);
-  if (mask & kFinishedBlock) assemble_fin(view, &slot);
-  if (mask & kMemberBlock) assemble_member(view, &slot);
-  if (mask & kSnapshotBlock) assemble_snapshot(view, &slot);
-  slot.staged_index = view.index();
-}
-
-void FitSession::promote(const trace::CheckpointView& view) {
-  Blocks& slot = slots_[view.index() % 2];
-  if (slot.stream_tag != &view.store() ||
-      slot.staged_index != view.index()) {
-    // Nothing (or a different checkpoint) staged: behave like the
-    // monolithic path.
-    observe(view);
-    return;
-  }
-  // The staged blocks are bitwise what observe(view) would assemble, so
-  // adoption is just a slot flip plus the delta bookkeeping — computed here,
-  // not at stage() time, because only the refit chain knows which
-  // checkpoint was REALLY observed last (skipped refits never promote).
-  adopt_view(view);
-  cur_ = view.index() % 2;
-  slot.staged_index = trace::kNoCheckpoint;  // consumed
 }
 
 const trace::CheckpointView* FitSession::view() const {
@@ -164,9 +124,9 @@ const trace::CheckpointView* FitSession::view() const {
   return view_;
 }
 
-void FitSession::assemble_fin(const trace::CheckpointView& view,
-                              Blocks* slot) {
-  if (slot->fin_as_of == view.index()) return;
+void FitSession::assemble_fin() {
+  const trace::CheckpointView& view = *this->view();
+  if (fin_as_of_ == view.index()) return;
   // The seed's exact assembly under BOTH policies: finished rows gathered in
   // ascending task id. Bitwise-identical blocks are what let an incremental
   // refresh rebuild the exact reference ensemble (boosted-tree fits are
@@ -174,16 +134,16 @@ void FitSession::assemble_fin(const trace::CheckpointView& view,
   // O(n_fin·d) copy — noise next to any fit on the block — so kIncremental
   // buys nothing by appending here and instead hands warm models the splice
   // positions (refit_finished_gbt).
-  view.gather_rows(view.finished(), &slot->x_fin);
-  view.finished_latencies(&slot->y_fin);
+  view.gather_rows(view.finished(), &x_fin_);
+  view.finished_latencies(&y_fin_);
   const auto fin = view.finished();
-  slot->fin_ids.assign(fin.begin(), fin.end());
-  slot->fin_as_of = view.index();
+  fin_ids_.assign(fin.begin(), fin.end());
+  fin_as_of_ = view.index();
 }
 
-void FitSession::assemble_member(const trace::CheckpointView& view,
-                                 Blocks* slot) {
-  if (slot->member_as_of == view.index()) return;
+void FitSession::assemble_member() {
+  const trace::CheckpointView& view = *this->view();
+  if (member_as_of_ == view.index()) return;
   // The seed's exact propensity assembly under BOTH policies: finished rows
   // (label 1) followed by running rows (label 0). An id-ordered design would
   // be cheaper to maintain from the delta, but the assembly is an O(n·d)
@@ -193,68 +153,69 @@ void FitSession::assemble_member(const trace::CheckpointView& view,
   // chaotic reweighting consumers. Same bytes, same model.
   const auto fin = view.finished();
   const auto run = view.running();
-  slot->x_member.reset(view.feature_count());
-  slot->x_member.reserve_rows(fin.size() + run.size());
-  slot->y_member.clear();
-  slot->y_member.reserve(fin.size() + run.size());
+  x_member_.reset(view.feature_count());
+  x_member_.reserve_rows(fin.size() + run.size());
+  y_member_.clear();
+  y_member_.reserve(fin.size() + run.size());
   for (const auto task : fin) {
-    slot->x_member.push_row(view.row(task));
-    slot->y_member.push_back(1.0);
+    x_member_.push_row(view.row(task));
+    y_member_.push_back(1.0);
   }
   for (const auto task : run) {
-    slot->x_member.push_row(view.row(task));
-    slot->y_member.push_back(0.0);
+    x_member_.push_row(view.row(task));
+    y_member_.push_back(0.0);
   }
-  slot->member_as_of = view.index();
+  member_as_of_ = view.index();
 }
 
-void FitSession::assemble_snapshot(const trace::CheckpointView& view,
-                                   Blocks* slot) {
-  if (slot->snapshot_as_of == view.index()) return;
-  if (incremental() && slot->snapshot_as_of != trace::kNoCheckpoint &&
-      slot->snapshot_as_of < view.index()) {
+void FitSession::assemble_snapshot() {
+  const trace::CheckpointView& view = *this->view();
+  if (snapshot_as_of_ == view.index()) return;
+  if (incremental() && snapshot_as_of_ != trace::kNoCheckpoint &&
+      snapshot_as_of_ < view.index()) {
     // Patch exactly the rows the store change-detected since the checkpoint
-    // THIS slot last reflected (two checkpoints back on the staged path);
-    // every other row is bitwise what a full rebuild would write.
-    view.delta_since(slot->snapshot_as_of, nullptr, &slot->delta_scratch);
-    for (const auto task : slot->delta_scratch) {
+    // the snapshot last reflected (several back when a predictor skipped
+    // checkpoints); every other row is bitwise what a full rebuild would
+    // write.
+    view.delta_since(snapshot_as_of_, nullptr, &delta_scratch_);
+    for (const auto task : delta_scratch_) {
       const auto src = view.row(task);
-      std::copy(src.begin(), src.end(), slot->snapshot.row(task).begin());
+      std::copy(src.begin(), src.end(), snapshot_.row(task).begin());
     }
   } else {
-    view.snapshot(&slot->snapshot);
+    view.snapshot(&snapshot_);
   }
-  slot->snapshot_as_of = view.index();
+  snapshot_as_of_ = view.index();
 }
 
 const Matrix& FitSession::x_fin() {
-  assemble_fin(*view(), &current());
-  return current().x_fin;
+  assemble_fin();
+  return x_fin_;
 }
 
 std::span<const double> FitSession::y_fin() {
-  x_fin();
-  return current().y_fin;
+  assemble_fin();
+  return y_fin_;
 }
 
 std::span<const std::size_t> FitSession::fin_ids() {
-  x_fin();
-  return current().fin_ids;
+  assemble_fin();
+  return fin_ids_;
 }
 
 const Matrix& FitSession::x_member() {
-  assemble_member(*view(), &current());
-  return current().x_member;
+  assemble_member();
+  return x_member_;
 }
 
 std::span<const double> FitSession::y_member() {
-  x_member();
-  return current().y_member;
+  assemble_member();
+  return y_member_;
 }
 
 const Matrix& FitSession::snapshot() {
-  assemble_snapshot(*view(), &current());
-  return current().snapshot;
+  assemble_snapshot();
+  return snapshot_;
 }
 
 }  // namespace nurd::core

@@ -42,7 +42,6 @@
 
 #include "common/aligned.h"
 #include "common/matrix.h"
-#include "core/task_dag.h"
 #include "ml/gbt.h"
 #include "trace/checkpoint_view.h"
 
@@ -97,33 +96,9 @@ struct GbtRefitState {
 void refit_finished_gbt(FitSession& session, const ml::GbtParams& params,
                         GbtRefitState* state);
 
-/// Which design blocks a staged featurization pass should assemble (the
-/// predictor's featurize hook knows its own consumption; see
-/// FitSession::stage).
-enum BlockMask : unsigned {
-  kFinishedBlock = 1u << 0,
-  kMemberBlock = 1u << 1,
-  kSnapshotBlock = 1u << 2,
-};
-
-/// Per-job featurization session. Two usage modes:
-///
-/// Monolithic (the seed path): call observe() once per checkpoint, then read
-/// the blocks you need — each is assembled lazily, at most once per
+/// Per-job featurization session: call observe() once per checkpoint, then
+/// read the blocks you need — each is assembled lazily, at most once per
 /// checkpoint, into reused capacity.
-///
-/// Staged (the task-DAG pipeline): the Featurize stage calls
-/// stage(view, mask) to assemble blocks AHEAD of the refit that consumes
-/// them, and the Refit stage calls promote(view) to adopt them. Storage is
-/// double-buffered — checkpoint t stages into slot t % 2 — so staging
-/// checkpoint t+1 never touches the blocks checkpoint t's refit is still
-/// reading. The executor's Featurize(t) ◄─ Refit(t-kFeaturizeAhead) edge,
-/// with kFeaturizeAhead = 2 (core/task_dag.h), is what makes the slot reuse
-/// safe.
-/// Every block a stage/promote pair produces is bitwise identical to what
-/// observe() would have assembled (same gathers, same order; the snapshot
-/// patches from its own slot's delta), so the policy contract above holds
-/// unchanged on the staged path.
 class FitSession {
  public:
   explicit FitSession(RefitPolicy policy = RefitPolicy::kFull)
@@ -137,29 +112,10 @@ class FitSession {
 
   /// Observes the next checkpoint. The view must stay alive until the last
   /// block accessor call for this checkpoint (predictors observe and read
-  /// within one predict_stragglers call, which satisfies this by
-  /// construction).
+  /// within one refit_checkpoint or predict_stragglers call, which satisfies
+  /// this by construction). Observing fewer than every checkpoint is fine:
+  /// the deltas then span every checkpoint since the last observe.
   void observe(const trace::CheckpointView& view);
-
-  /// (staged pipeline) Assembles the blocks in `mask` for `view` into the
-  /// slot for view.index(), leaving whatever the current checkpoint's
-  /// readers see untouched — safe to run concurrently with block reads for
-  /// a DIFFERENT checkpoint, per the double-buffer contract above. Calls for
-  /// one session must themselves be serialized (the executor's Featurize
-  /// chain does this). The view must stay alive through the promote/read
-  /// cycle for this checkpoint (the serving layer's scratch ring satisfies
-  /// this).
-  void stage(const trace::CheckpointView& view, unsigned mask);
-
-  /// (staged pipeline) Adopts the slot staged for `view` as the current
-  /// checkpoint — the blocks observe(view) would have assembled, already
-  /// built — and recomputes the delta markers (advanced / newly_finished /
-  /// changed_rows) against the checkpoint actually observed last, which may
-  /// be further back than view.index()-1 when intervening refits were
-  /// skipped. Falls back to a plain observe(view) when nothing (or a
-  /// different checkpoint) is staged in the slot. Must run on the refit
-  /// chain, like observe().
-  void promote(const trace::CheckpointView& view);
 
   /// Checkpoint index of the last observe.
   std::size_t checkpoint() const { return t_; }
@@ -209,54 +165,12 @@ class FitSession {
   const Matrix& snapshot();
 
  private:
-  // One buffer of assembled design blocks. The session keeps two: the
-  // monolithic path only ever touches the current one; the staged path
-  // alternates by checkpoint parity. Each block carries the checkpoint it
-  // reflects (as_of markers) plus a stream tag, so a slot is valid for reuse
-  // exactly when both match.
-  struct Blocks {
-    const trace::TraceStore* stream_tag = nullptr;
-    std::size_t staged_index = trace::kNoCheckpoint;  ///< set by stage()
-
-    // Finished block (fin_as_of = checkpoint the block reflects). Label
-    // scratch is 32-byte aligned: these spans feed straight into
-    // kernel-layer batch primitives (loss grad/hess, logistic labels).
-    Matrix x_fin;
-    AlignedVector<double> y_fin;
-    std::vector<std::size_t> fin_ids;
-    std::size_t fin_as_of = trace::kNoCheckpoint;
-
-    // Membership block ([finished; running] assembly, both policies).
-    Matrix x_member;
-    AlignedVector<double> y_member;
-    std::size_t member_as_of = trace::kNoCheckpoint;
-
-    // Snapshot block.
-    Matrix snapshot;
-    std::size_t snapshot_as_of = trace::kNoCheckpoint;
-    std::vector<std::size_t> delta_scratch;
-
-    void invalidate() {
-      stream_tag = nullptr;
-      staged_index = trace::kNoCheckpoint;
-      fin_as_of = trace::kNoCheckpoint;
-      member_as_of = trace::kNoCheckpoint;
-      snapshot_as_of = trace::kNoCheckpoint;
-    }
-  };
-
   const trace::CheckpointView* view() const;
-  Blocks& current() { return slots_[cur_]; }
-
-  /// Retags `slot` for the view's stream, dropping every block that was
-  /// assembled for a different job.
-  static void ensure_stream(const trace::CheckpointView& view, Blocks* slot);
-  void assemble_fin(const trace::CheckpointView& view, Blocks* slot);
-  void assemble_member(const trace::CheckpointView& view, Blocks* slot);
-  void assemble_snapshot(const trace::CheckpointView& view, Blocks* slot);
-  /// Sets the delta markers for adopting `view` after the last observed
-  /// checkpoint (shared tail of observe() and promote()).
-  void adopt_view(const trace::CheckpointView& view);
+  /// Drops every assembled block (a new job, or a rewind).
+  void invalidate_blocks();
+  void assemble_fin();
+  void assemble_member();
+  void assemble_snapshot();
 
   RefitPolicy policy_;
   const trace::CheckpointView* view_ = nullptr;
@@ -266,11 +180,19 @@ class FitSession {
   std::vector<std::size_t> newly_finished_;
   std::vector<std::size_t> changed_rows_;
 
-  Blocks slots_[2];
-  std::size_t cur_ = 0;
+  // The design blocks, each tagged with the checkpoint it reflects. Label
+  // scratch is 32-byte aligned: these spans feed straight into kernel-layer
+  // batch primitives (loss grad/hess, logistic labels).
+  Matrix x_fin_;
+  AlignedVector<double> y_fin_;
+  std::vector<std::size_t> fin_ids_;
+  std::size_t fin_as_of_ = trace::kNoCheckpoint;
+  Matrix x_member_;  ///< [finished; running] assembly, both policies
+  AlignedVector<double> y_member_;
+  std::size_t member_as_of_ = trace::kNoCheckpoint;
+  Matrix snapshot_;
+  std::size_t snapshot_as_of_ = trace::kNoCheckpoint;
+  std::vector<std::size_t> delta_scratch_;
 };
-
-static_assert(kFeaturizeAhead <= 2,
-              "FitSession double-buffers its staged blocks");
 
 }  // namespace nurd::core

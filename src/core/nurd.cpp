@@ -61,9 +61,7 @@ double NurdPredictor::weight(double propensity) const {
 
 NurdPredictor::CheckpointModels NurdPredictor::fit_models(
     const trace::CheckpointView& view) {
-  // promote() adopts blocks the featurize stage pre-assembled and degrades
-  // to a plain observe() when nothing is staged (the monolithic path).
-  session_.promote(view);
+  session_.observe(view);
   CheckpointModels models;
   if (view.finished().empty()) {
     ht_.reset();
@@ -98,13 +96,6 @@ NurdPredictor::CheckpointModels NurdPredictor::fit_models(
     gt_.reset();
   }
   return models;
-}
-
-void NurdPredictor::featurize_checkpoint(const trace::CheckpointView& view) {
-  // Everything fit_models reads from the session: the finished block for ht,
-  // the membership block for gt. Model state is untouched — that is the
-  // staged-hook contract.
-  session_.stage(view, kFinishedBlock | kMemberBlock);
 }
 
 void NurdPredictor::refit_checkpoint(const trace::CheckpointView& view,

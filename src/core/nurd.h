@@ -69,12 +69,9 @@ class NurdPredictor final : public StragglerPredictor {
       const trace::CheckpointView& view,
       std::span<const std::size_t> candidates) override;
 
-  /// Staged pipeline: featurize stages the finished + membership blocks in
-  /// the session's double buffer; refit replicates predict_stragglers'
-  /// calibrate-then-guard-then-fit sequence; predict_stragglers detects the
-  /// pre-fitted checkpoint and only scores.
-  bool staged() const override { return true; }
-  void featurize_checkpoint(const trace::CheckpointView& view) override;
+  /// Refit stage: replicates predict_stragglers' calibrate-then-guard-then-
+  /// fit sequence; predict_stragglers detects the pre-fitted checkpoint and
+  /// only scores.
   void refit_checkpoint(const trace::CheckpointView& view,
                         std::span<const std::size_t> candidates) override;
 

@@ -76,28 +76,20 @@ struct JobContext {
 /// Thread-safety and ordering contract (relied on by eval::run_method and
 /// serve::ShardedMonitor alike):
 ///   * an instance is NOT thread-safe — it is confined to one job and
-///     driven by one thread at a time. Concurrency comes from many
-///     instances on many jobs, never from sharing one;
+///     driven by one thread at a time, with no exceptions. Concurrency comes
+///     from many instances on many jobs, never from sharing one;
 ///   * initialize() happens-before the first predict_stragglers(), and
 ///     views arrive strictly in ascending checkpoint order with no gaps —
-///     the serving layer's task-DAG executor orders the refit chain so
-///     checkpoint t+1 never observes state newer than t's model even
-///     though stages of different checkpoints overlap;
+///     the serving layer's executor runs one checkpoint of a job at a time,
+///     so checkpoint t+1 never observes state newer than t's model;
 ///   * a driver may hand the instance between threads across checkpoints
-///     (a stage task can run on any pool worker) as long as the hand-off
-///     synchronizes (the executor's edges do), so implementations must
+///     (a checkpoint can run on any executor lane) as long as the hand-off
+///     synchronizes (the executor's lock does), so implementations must
 ///     not cache thread-local state across calls;
 ///   * predictions must be a deterministic function of the views observed
 ///     so far (all randomness from explicit seeds) — this is what makes a
 ///     concurrent serving run's flag set bit-identical to the serialized
-///     one;
-///   * the staged hooks below relax single-threadedness in ONE controlled
-///     way: featurize_checkpoint(t) may run concurrently with
-///     refit/predict work for checkpoints < t of the SAME instance (at
-///     most core::kFeaturizeAhead = 2 ahead; see core/task_dag.h). Staged
-///     implementations confine featurization writes to double-buffered
-///     scratch (FitSession::stage) so the overlap never touches model
-///     state.
+///     one.
 class StragglerPredictor {
  public:
   virtual ~StragglerPredictor() = default;
@@ -118,32 +110,32 @@ class StragglerPredictor {
       const trace::CheckpointView& view,
       std::span<const std::size_t> candidates) = 0;
 
-  // ---- staged-pipeline hooks (the task-DAG executor) ----------------------
-  // A staged predictor splits its per-checkpoint work so the executor can
-  // overlap checkpoints: featurize_checkpoint(t) assembles feature blocks
-  // ahead of time, refit_checkpoint(t) adopts them and updates the models,
-  // and predict_stragglers(t) then only scores. The split must be
-  // semantics-preserving: driving a staged predictor through
-  // featurize → refit → predict yields bit-identical flags to calling
-  // predict_stragglers alone, including the skip guards (which is why
-  // refit_checkpoint receives the candidate set — guards like "no finished
-  // tasks or no candidates ⇒ don't touch the models" must fire identically
-  // on both paths). Monolithic predictors keep the defaults: the harness
-  // then runs all the work inside the Predict stage, still correct under
-  // the executor's edge chain.
+  // ---- stage hooks (eval::OnlineJobRun's featurize and refit stages) ------
+  // A checkpoint runs as featurize → refit → predict → flag, back to back.
+  // A predictor may split its work so that refit_checkpoint(t) updates the
+  // models and predict_stragglers(t) then only scores; the split must be
+  // semantics-preserving: refit → predict yields bit-identical flags to
+  // calling predict_stragglers alone, including the skip guards (which is
+  // why refit_checkpoint receives the candidate set — guards like "no
+  // finished tasks or no candidates ⇒ don't touch the models" must fire
+  // identically on both paths). Predictors that do not split keep the
+  // defaults and do all their work in predict_stragglers.
 
-  /// True when featurize_checkpoint/refit_checkpoint carry real work.
+  /// No predictor in src/ overrides this; it stays, with its default,
+  /// because the repository benchmark's timing wrapper (nurd_bench's
+  /// TimedPredictor) overrides it.
   virtual bool staged() const { return false; }
 
-  /// (Featurize stage) Assembles feature blocks for `view`, up to two
-  /// checkpoints ahead of the refit chain. Must not read or write model
-  /// state.
+  /// (Featurize stage) No predictor in src/ overrides this — featurization
+  /// happens inside refit_checkpoint (FitSession::observe). The default
+  /// no-op stays because nurd_bench's TimedPredictor overrides it to time
+  /// the featurize stage.
   virtual void featurize_checkpoint(const trace::CheckpointView& view) {
     (void)view;
   }
 
-  /// (Refit stage) Adopts the staged blocks and refits the models exactly
-  /// as predict_stragglers(view, candidates) would have. A following
+  /// (Refit stage) Featurizes and refits the models exactly as
+  /// predict_stragglers(view, candidates) would have. A following
   /// predict_stragglers call with the same view must not refit again.
   virtual void refit_checkpoint(const trace::CheckpointView& view,
                                 std::span<const std::size_t> candidates) {

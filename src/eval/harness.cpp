@@ -42,62 +42,47 @@ OnlineJobRun::OnlineJobRun(const trace::Job& job,
 }
 
 std::size_t OnlineJobRun::next_checkpoint() const {
-  NURD_CHECK(flagged_through_ < checkpoint_count_,
-             "job run already complete");
-  return flagged_through_;
+  NURD_CHECK(!done(), "job run already complete");
+  return checkpoint_;
 }
 
-void OnlineJobRun::featurize(std::size_t t, CheckpointScratch* scratch) {
-  NURD_CHECK(t == featurized_through_,
-             "featurize stages must advance checkpoints in order");
-  ++featurized_through_;
-  // Bind the checkpoint view into the cell — rebinding in place once bound,
-  // reusing the partition capacity.
-  if (scratch->view.has_value() && &scratch->view->store() == &job_->trace) {
-    scratch->view->rebind(t);
+void OnlineJobRun::enter(std::size_t t, core::Stage stage) {
+  NURD_CHECK(t == checkpoint_ && t < checkpoint_count_ &&
+                 stage == next_stage_,
+             "stages must run featurize, refit, predict, flag, one "
+             "checkpoint at a time in order");
+  next_stage_ = static_cast<core::Stage>(
+      (static_cast<std::size_t>(stage) + 1) % core::kStageCount);
+}
+
+void OnlineJobRun::featurize(std::size_t t) {
+  enter(t, core::Stage::kFeaturize);
+  if (view_.has_value()) {
+    view_->rebind(t);
   } else {
-    scratch->view.emplace(job_->trace, t);
+    view_.emplace(job_->trace, t);
   }
-  predictor_->featurize_checkpoint(*scratch->view);
+  predictor_->featurize_checkpoint(*view_);
 }
 
-void OnlineJobRun::refit(std::size_t t, CheckpointScratch* scratch) {
-  NURD_CHECK(t == refitted_through_,
-             "refit stages must advance checkpoints in order");
-  // "featurize ran first" is checked through the cell, not the featurize
-  // cursor: featurize(t+1) may legally run concurrently with refit(t) (the
-  // executor's overlap), so reading featurized_through_ here would race.
-  // The cell's view is written by featurize(t) itself, which the
-  // Refit(t) ◄─ Featurize(t) edge orders before this call.
-  NURD_CHECK(scratch->view.has_value() && scratch->view->index() == t,
-             "refit before featurize");
-  ++refitted_through_;
-  const trace::CheckpointView& view = *scratch->view;
-  // Candidates: running tasks that have not been flagged yet. The flag
-  // record is complete through t-1 here (the executor's Refit ◄─ Predict
-  // edge; inline composition trivially), so this is exactly the monolithic
-  // candidate set.
-  const auto running = view.running();
-  scratch->candidates.clear();
-  scratch->candidates.reserve(running.size());
+void OnlineJobRun::refit(std::size_t t) {
+  enter(t, core::Stage::kRefit);
+  // Candidates: running tasks that have not been flagged yet (the flag
+  // record is complete through t-1).
+  const auto running = view_->running();
+  candidates_.clear();
+  candidates_.reserve(running.size());
   for (auto i : running) {
-    if (result_.flagged_at[i] == kNeverFlagged) {
-      scratch->candidates.push_back(i);
-    }
+    if (result_.flagged_at[i] == kNeverFlagged) candidates_.push_back(i);
   }
-  predictor_->refit_checkpoint(view, scratch->candidates);
+  predictor_->refit_checkpoint(*view_, candidates_);
 }
 
-void OnlineJobRun::predict(std::size_t t, CheckpointScratch* scratch) {
-  NURD_CHECK(t == predicted_through_,
-             "predict stages must advance checkpoints in order");
-  NURD_CHECK(t < refitted_through_, "predict before refit");
-  ++predicted_through_;
+void OnlineJobRun::predict(std::size_t t) {
+  enter(t, core::Stage::kPredict);
   const std::size_t n = job_->task_count();
-  const trace::CheckpointView& view = *scratch->view;
-  scratch->newly_flagged =
-      predictor_->predict_stragglers(view, scratch->candidates);
-  for (auto i : scratch->newly_flagged) {
+  newly_flagged_ = predictor_->predict_stragglers(*view_, candidates_);
+  for (auto i : newly_flagged_) {
     NURD_CHECK(i < n, "predictor flagged an invalid task id");
     NURD_CHECK(result_.flagged_at[i] == kNeverFlagged,
                "predictor flagged a task twice");
@@ -105,18 +90,10 @@ void OnlineJobRun::predict(std::size_t t, CheckpointScratch* scratch) {
   }
 }
 
-std::span<const std::size_t> OnlineJobRun::flag(std::size_t t,
-                                                CheckpointScratch* scratch) {
-  NURD_CHECK(t == flagged_through_,
-             "flag stages must advance checkpoints in order");
-  NURD_CHECK(t < predicted_through_, "flag before predict");
-  ++flagged_through_;
+std::span<const std::size_t> OnlineJobRun::flag(std::size_t t) {
+  enter(t, core::Stage::kFlag);
   // Cumulative confusion at this checkpoint: every unflagged true straggler
-  // counts as a provisional miss. flagged_at entries written by LATER
-  // predicts carry indices > t, so the <= t test is stable even while
-  // predict(t+1) runs concurrently... except that concurrent writes to
-  // other slots are real; the executor's Predict(t+1) ◄─ Flag(t) edge is
-  // what rules them out.
+  // counts as a provisional miss.
   const std::size_t n = job_->task_count();
   Confusion& c = result_.per_checkpoint[t];
   for (std::size_t i = 0; i < n; ++i) {
@@ -126,18 +103,18 @@ std::span<const std::size_t> OnlineJobRun::flag(std::size_t t,
     if (!flagged_yet && labels_[i] == 1) ++c.fn;
     if (!flagged_yet && labels_[i] == 0) ++c.tn;
   }
-  if (flagged_through_ == checkpoint_count_) {
+  if (++checkpoint_ == checkpoint_count_) {
     result_.final = result_.per_checkpoint.back();
   }
-  return scratch->newly_flagged;
+  return newly_flagged_;
 }
 
 std::span<const std::size_t> OnlineJobRun::step() {
   const std::size_t t = next_checkpoint();
-  featurize(t, &step_scratch_);
-  refit(t, &step_scratch_);
-  predict(t, &step_scratch_);
-  return flag(t, &step_scratch_);
+  featurize(t);
+  refit(t);
+  predict(t);
+  return flag(t);
 }
 
 JobRunResult OnlineJobRun::take_result() {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/predictor.h"
+#include "core/task_dag.h"
 #include "eval/metrics.h"
 #include "trace/checkpoint_view.h"
 #include "trace/job.h"
@@ -42,19 +43,6 @@ struct JobRunResult {
 /// caller mirrors the harness protocol exactly.
 core::JobContext make_job_context(const trace::Job& job, double tau_stra);
 
-/// Per-checkpoint scratch cell handed between the pipeline stages of ONE
-/// checkpoint: featurize() binds the view, refit() fills the candidate set,
-/// predict() fills the newly-flagged set, flag() consumes both. The serving
-/// layer keeps a ring of these per job (one cell per in-flight checkpoint,
-/// reused modulo the executor's window); the batch harness reuses a single
-/// cell. A default-constructed cell is ready for any checkpoint — the view
-/// rebinds in place, reusing partition capacity, once bound.
-struct CheckpointScratch {
-  std::optional<trace::CheckpointView> view;
-  std::vector<std::size_t> candidates;
-  std::vector<std::size_t> newly_flagged;
-};
-
 /// The §7.1 protocol, one checkpoint at a time. OnlineJobRun owns exactly
 /// the state run_job used to keep on its stack — the labels, the checkpoint
 /// cursors, the growing flag/confusion record — and step() advances one
@@ -66,15 +54,14 @@ struct CheckpointScratch {
 /// harness by construction rather than by parallel maintenance.
 ///
 /// step() is itself the composition of four STAGE methods — featurize,
-/// refit, predict, flag — so the task-DAG executor can run the stages of
-/// different checkpoints concurrently (core/task_dag.h) while the batch
-/// path runs them back to back; one code path, bit-identical flags.
+/// refit, predict, flag — which the serving layer calls one by one to time
+/// each; one code path, bit-identical flags.
 ///
-/// Threading: one OnlineJobRun per (job, predictor instance). The stage
-/// methods may run on different pool workers, but calls must honor the
-/// executor's edges — per stage strictly ascending checkpoints, and the
-/// cross-stage edges documented on each method. step() (all four inline) is
-/// the fully serialized special case.
+/// Threading: one OnlineJobRun per (job, predictor instance), driven by one
+/// thread at a time. The stages of a checkpoint run in order, and the next
+/// checkpoint starts only after the previous one's flag stage; a driver may
+/// move the run between threads across checkpoints if the hand-off
+/// synchronizes.
 class OnlineJobRun {
  public:
   /// Binds to a job and a fresh predictor (both must outlive the run) and
@@ -83,8 +70,8 @@ class OnlineJobRun {
   OnlineJobRun(const trace::Job& job, core::StragglerPredictor& predictor,
                double pct = 90.0);
 
-  /// Checkpoints remaining (i.e. flag() not yet called for the last one)?
-  bool done() const { return flagged_through_ >= checkpoint_count_; }
+  /// True once flag() ran for the last checkpoint.
+  bool done() const { return checkpoint_ >= checkpoint_count_; }
 
   /// Index of the checkpoint the next step() will process.
   std::size_t next_checkpoint() const;
@@ -94,32 +81,27 @@ class OnlineJobRun {
   std::span<const std::size_t> step();
 
   // ---- the pipeline stages ------------------------------------------------
-  // Each takes the checkpoint index (strictly ascending per stage, no gaps)
-  // and the checkpoint's scratch cell; the same cell must flow through all
-  // four stages of one checkpoint. Concurrency limits are exactly the
-  // executor's edges (core/task_dag.h).
+  // Each takes the checkpoint index: the stages of checkpoint t run in the
+  // order below, then those of t+1.
 
-  /// Stage 1 — binds the checkpoint view into the cell and runs the
-  /// predictor's featurize hook (block staging; a no-op for monolithic
-  /// methods). May run while refit/predict/flag of checkpoints < t are
-  /// still in flight, up to the executor's featurize-ahead bound.
-  void featurize(std::size_t t, CheckpointScratch* scratch);
+  /// Stage 1 — binds the checkpoint view (rebinding in place once bound)
+  /// and runs the predictor's featurize hook.
+  void featurize(std::size_t t);
 
-  /// Stage 2 — computes the candidate set (running tasks unflagged through
-  /// t-1; requires predict(t-1) retired) and runs the predictor's refit
-  /// hook with it, replicating the monolithic skip guards.
-  void refit(std::size_t t, CheckpointScratch* scratch);
+  /// Stage 2 — computes the candidate set (running tasks not yet flagged)
+  /// and runs the predictor's refit hook with it, replicating the
+  /// monolithic skip guards.
+  void refit(std::size_t t);
 
-  /// Stage 3 — predict_stragglers on the candidates (a staged predictor
-  /// only scores here; a monolithic one does all its work) and records the
-  /// flags permanently. Requires flag(t-1) retired (it writes the record
-  /// flag(t-1) reads).
-  void predict(std::size_t t, CheckpointScratch* scratch);
+  /// Stage 3 — predict_stragglers on the candidates (a predictor that
+  /// refitted in stage 2 only scores here; any other does all its work) and
+  /// records the flags permanently.
+  void predict(std::size_t t);
 
   /// Stage 4 — cumulative confusion accounting; populates `final` on the
-  /// last checkpoint. Returns the newly flagged tasks (valid while the cell
-  /// is). Never blocks the next refit — that is the executor's non-edge.
-  std::span<const std::size_t> flag(std::size_t t, CheckpointScratch* scratch);
+  /// last checkpoint. Returns the newly flagged tasks (valid until the next
+  /// checkpoint's predict).
+  std::span<const std::size_t> flag(std::size_t t);
 
   /// The accumulated record; `final` is populated once done().
   const JobRunResult& result() const { return result_; }
@@ -128,19 +110,23 @@ class OnlineJobRun {
   JobRunResult take_result();
 
  private:
+  /// Checks that stage `stage` of checkpoint `t` is the one due, and moves
+  /// on to the next stage.
+  void enter(std::size_t t, core::Stage stage);
+
   const trace::Job* job_;
   core::StragglerPredictor* predictor_;
   std::vector<int> labels_;
   std::optional<core::OfflineSample> offline_;
   std::size_t checkpoint_count_ = 0;
-  // Per-stage cursors: the next checkpoint each stage expects. Between
-  // step() calls all four agree; under the executor they fan out by at most
-  // the in-flight window.
-  std::size_t featurized_through_ = 0;
-  std::size_t refitted_through_ = 0;
-  std::size_t predicted_through_ = 0;
-  std::size_t flagged_through_ = 0;
-  CheckpointScratch step_scratch_;  ///< the batch path's single cell
+  /// Checkpoint in progress (or next), and the stage it expects next.
+  std::size_t checkpoint_ = 0;
+  core::Stage next_stage_ = core::Stage::kFeaturize;
+  /// The checkpoint's view, bound once and rebound in place, reusing the
+  /// partition capacity.
+  std::optional<trace::CheckpointView> view_;
+  std::vector<std::size_t> candidates_;
+  std::vector<std::size_t> newly_flagged_;
   JobRunResult result_;
 };
 

@@ -51,16 +51,11 @@ double percentile_ms(std::vector<double>& sorted_seconds, double q) {
   return sorted_seconds[idx] * 1e3;
 }
 
-/// A job's managed serving session: predictor + harness stepper + the
-/// per-checkpoint scratch ring the DAG stages hand off through (cell
-/// t % ring.size(); reuse is safe under the executor's window edge, and a
-/// one-cell ring is safe at 0 lanes, where each checkpoint retires before
-/// the next is admitted).
+/// A job's managed serving session: predictor + harness stepper.
 /// Fleet-wide, so it survives a drain handoff between shards.
 struct JobSession {
   std::unique_ptr<core::StragglerPredictor> predictor;
   std::optional<eval::OnlineJobRun> run;
-  std::vector<eval::CheckpointScratch> ring;
 };
 
 }  // namespace
@@ -217,12 +212,12 @@ struct ShardedMonitor::Impl {
 
   // One shard's execution core. It decides nothing: it executes its slice of
   // the plan (indices into plan_.events, in admission order), admitting
-  // events under a bounded in-flight window into a TaskDag that runs the
-  // four pipeline stages per checkpoint — on the dag's own lanes when the
-  // shard has more than one worker, or inline on this driver thread (0
-  // lanes) when it has one, each checkpoint retiring before the next is
-  // admitted. Flags go to the fleet's sink; retired checkpoints go to the
-  // fleet's handoff ledger.
+  // events under a bounded in-flight window into a TaskDag that runs each
+  // job's checkpoints one at a time — on the dag's own lanes when the shard
+  // has more than one worker, or inline on this driver thread (0 lanes) when
+  // it has one, each checkpoint retiring before the next is admitted. Flags
+  // go to the fleet's sink; retired checkpoints go to the fleet's handoff
+  // ledger.
   struct ShardEngine {
     ShardEngine(Impl& fleet, std::vector<std::uint32_t> events,
                 std::size_t workers)
@@ -241,47 +236,43 @@ struct ShardedMonitor::Impl {
       return true;
     }
 
-    // Executes ONE pipeline stage of checkpoint `t` of `job` — the DAG's
-    // stage runner — timing its body into the per-stage busy counters. The
-    // Flag stage is where decisions leave the shard: the sink runs here,
-    // OUTSIDE shard_mutex_.
-    void run_stage(std::size_t job, std::size_t t, core::Stage stage)
+    // Executes checkpoint `t` of `job` — the DAG's checkpoint runner — as
+    // its four stages back to back, timing each into the per-stage busy
+    // counters. The Flag stage is where decisions leave the shard: the sink
+    // runs here, OUTSIDE shard_mutex_.
+    void run_checkpoint(std::size_t job, std::size_t t)
         NURD_EXCLUDES(shard_mutex_) {
-      JobSession& session = fleet_.sessions_[job];
-      eval::CheckpointScratch& cell = session.ring[t % session.ring.size()];
-      const auto began = Clock::now();
-      switch (stage) {
-        case core::Stage::kFeaturize:
-          session.run->featurize(t, &cell);
-          break;
-        case core::Stage::kRefit:
-          session.run->refit(t, &cell);
-          break;
-        case core::Stage::kPredict:
-          session.run->predict(t, &cell);
-          break;
-        case core::Stage::kFlag: {
-          const auto flagged = session.run->flag(t, &cell);
-          if (!flagged.empty()) {
-            if (fleet_.sink_) {
-              const ShardPlan::Event& event = fleet_.event_of(job, t);
-              for (auto task : flagged) {
-                fleet_.sink_({job, task, t, event.admission, event.shard,
-                              event.tenant});
-              }
-            }
-            MutexLock lock(shard_mutex_);
-            flags_ += flagged.size();
+      eval::OnlineJobRun& run = *fleet_.sessions_[job].run;
+      auto mark = Clock::now();
+      const auto lap = [&](core::Stage stage) {
+        const auto now = Clock::now();
+        stage_nanos_[static_cast<std::size_t>(stage)].fetch_add(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(now -
+                                                                     mark)
+                    .count()),
+            std::memory_order_relaxed);
+        mark = now;
+      };
+      run.featurize(t);
+      lap(core::Stage::kFeaturize);
+      run.refit(t);
+      lap(core::Stage::kRefit);
+      run.predict(t);
+      lap(core::Stage::kPredict);
+      const auto flagged = run.flag(t);
+      if (!flagged.empty()) {
+        if (fleet_.sink_) {
+          const ShardPlan::Event& event = fleet_.event_of(job, t);
+          for (auto task : flagged) {
+            fleet_.sink_({job, task, t, event.admission, event.shard,
+                          event.tenant});
           }
-          break;
         }
+        MutexLock lock(shard_mutex_);
+        flags_ += flagged.size();
       }
-      stage_nanos_[static_cast<std::size_t>(stage)].fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  Clock::now() - began)
-                  .count()),
-          std::memory_order_relaxed);
+      lap(core::Stage::kFlag);
     }
 
     // Both _locked helpers require shard_mutex_ held (compiler-enforced).
@@ -325,9 +316,7 @@ struct ShardedMonitor::Impl {
       }
       core::TaskDag dag(
           fleet_.jobs_.size(), workers_ > 1 ? workers_ : 0,
-          [this](const core::TaskKey& k) {
-            run_stage(k.job, k.checkpoint, k.stage);
-          },
+          [this](std::size_t job, std::size_t t) { run_checkpoint(job, t); },
           [this](std::size_t job, std::size_t ckpt, bool completed) {
             {
               MutexLock lock(shard_mutex_);
@@ -344,12 +333,6 @@ struct ShardedMonitor::Impl {
             if (!error_) error_ = e;
             cv_.notify_all();
           });
-      // Migrated-in jobs start their pipeline at the handoff boundary; the
-      // executor treats everything below it as already complete.
-      for (const std::uint32_t i : events_) {
-        const ShardPlan::Event& e = fleet_.plan_.events[i];
-        if (fleet_.waits_for_handoff(e)) dag.begin_job_at(e.job, e.checkpoint);
-      }
 
       // `dead` (handoff-abandoned jobs) is touched only on this thread.
       std::vector<std::uint8_t> dead(fleet_.jobs_.size(), 0);
@@ -382,8 +365,7 @@ struct ShardedMonitor::Impl {
     }
 
     // ---- owner state, fixed at construction. Sessions are driven without
-    // a lock — exactly one stage task of a job runs at a time (the DAG's
-    // edges).
+    // a lock — the DAG runs one checkpoint of a job at a time.
     Impl& fleet_;
     const std::vector<std::uint32_t> events_;  ///< plan_.events indices
     const std::size_t workers_;
@@ -454,15 +436,11 @@ struct ShardedMonitor::Impl {
     // Fleet-wide sessions: a job's session survives handoffs — the
     // receiving shard resumes the same OnlineJobRun where the source
     // stopped. The stepper is the run_job protocol itself, so serving is
-    // bit-identical to the batch harness by construction. DAG lanes need
-    // one scratch cell per in-flight checkpoint of a job (the window edge
-    // makes cell t % kDagWindow reuse-safe); at 0 lanes one checkpoint runs
-    // at a time and reuses a single cell.
+    // bit-identical to the batch harness by construction.
     sessions_.resize(jobs_.size());
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       sessions_[j].predictor = method_.make();
       sessions_[j].run.emplace(jobs_[j], *sessions_[j].predictor);
-      sessions_[j].ring.resize(workers > 1 ? core::kDagWindow : 1);
     }
 
     // Index the plan by (job, checkpoint) and slice it per shard, in plan
@@ -664,15 +642,6 @@ ShardedMonitor::ShardedMonitor(std::span<const trace::Job> jobs,
                                ShardedMonitorConfig config)
     : impl_(std::make_unique<Impl>(jobs, std::move(method),
                                    std::move(config))) {}
-
-ShardedMonitor::ShardedMonitor(std::span<const trace::Job> jobs,
-                               const std::string& method,
-                               core::RegistryConfig registry,
-                               ShardedMonitorConfig config) {
-  registry.refit = config.refit;
-  impl_ = std::make_unique<Impl>(
-      jobs, core::predictor_by_name(method, registry), std::move(config));
-}
 
 ShardedMonitor::~ShardedMonitor() = default;
 

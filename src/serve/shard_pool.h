@@ -7,13 +7,15 @@
 // protocol. One shard with one worker runs each checkpoint to completion
 // before admitting the next, in plan order.
 //
-// Every job gets a managed session: a fresh registry predictor (created
-// with RefitPolicy::kIncremental by default — a serving session maintains
-// its models between checkpoints) plus an eval::OnlineJobRun stepper, the
-// exact per-checkpoint protocol run_job uses, labelling stragglers at p90
-// like eval::run_method. Each checkpoint event executes as four stage
-// tasks — featurize → refit → predict → flag — and every flag decision is
-// pushed to the FlagSink installed with set_sink() the moment it is emitted.
+// Every job gets a managed session: a fresh predictor from the method's
+// factory (callers serve the registry's RefitPolicy::kIncremental methods —
+// a serving session maintains its models between checkpoints) plus an
+// eval::OnlineJobRun stepper, the exact per-checkpoint protocol run_job
+// uses, labelling stragglers at p90 like eval::run_method. Each checkpoint
+// event runs its four stages — featurize → refit → predict → flag — back to
+// back on one executor lane, one checkpoint of a job at a time, and every
+// flag decision is pushed to the FlagSink installed with set_sink() the
+// moment it is emitted.
 // Mitigation is measured after run(): FleetResult::runs is the flag table
 // sched::simulate_cluster takes, with ShardPlan::arrivals replayed through
 // sched::fixed_arrivals as the cluster's timeline.
@@ -34,18 +36,19 @@
 // worker exists. A shard executes the plan events it is given and decides
 // nothing: its driver thread admits them into one core::TaskDag, with at
 // most 4 × workers events admitted and not yet retired. With more than one
-// worker the dag runs the stages on that many lanes of its own; with one,
-// it has no lanes and the driver runs each admitted checkpoint's four
-// stages inline before admitting the next.
-// Execution timing can reorder WHEN stage work runs, never WHAT it
-// computes. Consequences, pinned by tests/test_shard_pool.cpp:
+// worker the dag runs jobs' checkpoint chains on that many lanes of its
+// own, different jobs in parallel; with one, it has no lanes and the driver
+// runs each admitted checkpoint inline before admitting the next.
+// Execution timing can reorder WHEN checkpoints of different jobs run,
+// never WHAT they compute. Consequences, pinned by
+// tests/test_shard_pool.cpp:
 //
 //   * flag-set identity across shard count × thread count: the per-job
 //     records (and therefore the flag set) are bit-identical at shards ∈
 //     {1, 2, 4} × workers ∈ {1, 4} (and at 16 workers on one shard) — and
 //     equal to eval::run_method — because each job's session runs the same
-//     per-checkpoint protocol wherever it is placed, and the executor
-//     decides only WHEN stage tasks run, never what they compute;
+//     per-checkpoint protocol wherever it is placed, and the executor runs
+//     a job's checkpoints one at a time, in order;
 //   * every FlagDecision carries its plan event's shard, tenant and
 //     admission time, and the sink receives exactly the flags recorded in
 //     FleetResult::runs, each once;
@@ -84,7 +87,8 @@
 #include <string>
 #include <vector>
 
-#include "core/registry.h"
+#include "core/fit_session.h"
+#include "core/predictor.h"
 #include "eval/harness.h"
 #include "sched/cluster.h"
 #include "trace/job.h"
@@ -160,7 +164,9 @@ struct ShardedMonitorConfig {
   std::vector<std::size_t> tenant_of;
   /// Scheduled shard drains (simulated time, finite).
   std::vector<DrainEvent> drains;
-  /// Refit policy applied by the name-based constructor.
+  /// Read by nothing in src/: the monitor serves the method it is given.
+  /// Kept only because the repository benchmark's fleet config
+  /// (nurd_bench.cpp) sets it.
   core::RefitPolicy refit = core::RefitPolicy::kIncremental;
 };
 
@@ -260,11 +266,6 @@ class ShardedMonitor {
  public:
   ShardedMonitor(std::span<const trace::Job> jobs,
                  core::NamedPredictor method, ShardedMonitorConfig config);
-
-  /// Registry convenience: looks up `method` with `registry.refit` forced
-  /// to `config.refit`.
-  ShardedMonitor(std::span<const trace::Job> jobs, const std::string& method,
-                 core::RegistryConfig registry, ShardedMonitorConfig config);
 
   ~ShardedMonitor();
   ShardedMonitor(const ShardedMonitor&) = delete;

@@ -133,115 +133,45 @@ TEST(FitSession, IncrementalFinishedBlockIsBitwiseTheFullBlock) {
   }
 }
 
-// The staged (task-DAG) path: stage() assembles blocks ahead in the double
-// buffer, promote() adopts them. Every block and every delta marker must be
-// bitwise/exactly what the monolithic observe() chain produces, in the
-// executor's real interleaving — Featurize runs up to two checkpoints ahead
-// of the Refit that promotes (the F(t) ◄─ R(t-2) edge).
-TEST(FitSession, StagedPipelineMatchesObserveBitwise) {
+// Predictors skip checkpoints (the empty-finished / empty-candidate
+// guards never observe), so a sparse observe chain must report deltas that
+// span every checkpoint since the last observe, and the incremental
+// snapshot, patched across the gap, must stay bitwise the kFull rebuild.
+TEST(FitSession, SparseIncrementalObserveMatchesFullBitwise) {
   const auto jobs = small_jobs(1);
   const auto& job = jobs.front();
-  for (const auto policy : {RefitPolicy::kFull, RefitPolicy::kIncremental}) {
-    FitSession staged(policy);
-    FitSession mono(policy);
-    const std::size_t T = job.checkpoint_count();
-    std::vector<trace::CheckpointView> views;
-    views.reserve(T);
-    for (std::size_t t = 0; t < T; ++t) views.push_back(job.checkpoint(t));
-
-    constexpr unsigned kAll =
-        core::kFinishedBlock | core::kMemberBlock | core::kSnapshotBlock;
-    // The executor's overlap order: F(0) and F(1) both precede R(0); F(t+2)
-    // follows R(t).
-    staged.stage(views[0], kAll);
-    if (T > 1) staged.stage(views[1], kAll);
-    for (std::size_t t = 0; t < T; ++t) {
-      staged.promote(views[t]);
-      mono.observe(views[t]);
-      if (t + 2 < T) staged.stage(views[t + 2], kAll);
-
-      EXPECT_EQ(staged.checkpoint(), mono.checkpoint());
-      EXPECT_EQ(staged.advanced(), mono.advanced());
-      ASSERT_TRUE(std::equal(staged.newly_finished().begin(),
-                             staged.newly_finished().end(),
-                             mono.newly_finished().begin(),
-                             mono.newly_finished().end()));
-      ASSERT_TRUE(std::equal(staged.changed_rows().begin(),
-                             staged.changed_rows().end(),
-                             mono.changed_rows().begin(),
-                             mono.changed_rows().end()));
-
-      const Matrix& fin_a = staged.x_fin();
-      const Matrix& fin_b = mono.x_fin();
-      ASSERT_EQ(fin_a.rows(), fin_b.rows());
-      EXPECT_TRUE(std::equal(fin_a.flat().begin(), fin_a.flat().end(),
-                             fin_b.flat().begin()));
-      EXPECT_TRUE(std::equal(staged.y_fin().begin(), staged.y_fin().end(),
-                             mono.y_fin().begin()));
-      const Matrix& mem_a = staged.x_member();
-      const Matrix& mem_b = mono.x_member();
-      ASSERT_EQ(mem_a.rows(), mem_b.rows());
-      EXPECT_TRUE(std::equal(mem_a.flat().begin(), mem_a.flat().end(),
-                             mem_b.flat().begin()));
-      const Matrix& snap_a = staged.snapshot();
-      const Matrix& snap_b = mono.snapshot();
-      ASSERT_EQ(snap_a.rows(), snap_b.rows());
-      EXPECT_TRUE(std::equal(snap_a.flat().begin(), snap_a.flat().end(),
-                             snap_b.flat().begin()))
-          << "checkpoint " << t;
-    }
-  }
-}
-
-// Skipped refits never promote (the predictors' empty-finished /
-// empty-candidate guards), so the delta a later promote reports must span
-// ALL the checkpoints since the last one actually adopted — exactly like
-// the monolithic observe chain with the same gaps.
-TEST(FitSession, PromoteAfterSkippedCheckpointsMatchesSparseObserve) {
-  const auto jobs = small_jobs(1);
-  const auto& job = jobs.front();
-  FitSession staged(RefitPolicy::kIncremental);
-  FitSession mono(RefitPolicy::kIncremental);
+  FitSession inc(RefitPolicy::kIncremental);
+  FitSession full(RefitPolicy::kFull);
   const std::size_t T = job.checkpoint_count();
   std::vector<trace::CheckpointView> views;
   views.reserve(T);
   for (std::size_t t = 0; t < T; ++t) views.push_back(job.checkpoint(t));
 
-  for (std::size_t t = 0; t < T; ++t) {
-    staged.stage(views[t], core::kFinishedBlock | core::kSnapshotBlock);
-    if (t % 3 != 0) continue;  // the guard "skipped" the other checkpoints
-    staged.promote(views[t]);
-    mono.observe(views[t]);
-    EXPECT_EQ(staged.advanced(), mono.advanced());
-    ASSERT_TRUE(std::equal(staged.newly_finished().begin(),
-                           staged.newly_finished().end(),
-                           mono.newly_finished().begin(),
-                           mono.newly_finished().end()))
+  std::size_t last = trace::kNoCheckpoint;
+  for (std::size_t t = 0; t < T; t += 3) {  // the guard skipped the others
+    inc.observe(views[t]);
+    full.observe(views[t]);
+    EXPECT_EQ(inc.advanced(), full.advanced());
+    ASSERT_TRUE(std::equal(inc.newly_finished().begin(),
+                           inc.newly_finished().end(),
+                           full.newly_finished().begin(),
+                           full.newly_finished().end()))
         << "checkpoint " << t;
-    const Matrix& snap_a = staged.snapshot();
-    const Matrix& snap_b = mono.snapshot();
+    // The delta spans the whole gap: exactly the tasks finished since the
+    // last observed view.
+    std::vector<std::size_t> expected;
+    views[t].delta_since(last, &expected, nullptr);
+    EXPECT_TRUE(std::equal(inc.newly_finished().begin(),
+                           inc.newly_finished().end(), expected.begin(),
+                           expected.end()))
+        << "checkpoint " << t;
+    const Matrix& snap_a = inc.snapshot();
+    const Matrix& snap_b = full.snapshot();
+    ASSERT_EQ(snap_a.rows(), snap_b.rows());
     EXPECT_TRUE(std::equal(snap_a.flat().begin(), snap_a.flat().end(),
-                           snap_b.flat().begin()));
-  }
-}
-
-// promote() without a matching stage() degrades to observe(): the blocks
-// still come out right, just assembled on the refit chain.
-TEST(FitSession, PromoteWithoutStageFallsBackToObserve) {
-  const auto jobs = small_jobs(1);
-  const auto& job = jobs.front();
-  FitSession a(RefitPolicy::kFull);
-  FitSession b(RefitPolicy::kFull);
-  for (std::size_t t = 0; t < job.checkpoint_count(); t += 2) {
-    const auto view = job.checkpoint(t);
-    a.promote(view);  // nothing staged
-    b.observe(view);
-    EXPECT_EQ(a.advanced(), b.advanced());
-    const Matrix& fin_a = a.x_fin();
-    const Matrix& fin_b = b.x_fin();
-    ASSERT_EQ(fin_a.rows(), fin_b.rows());
-    EXPECT_TRUE(std::equal(fin_a.flat().begin(), fin_a.flat().end(),
-                           fin_b.flat().begin()));
+                           snap_b.flat().begin()))
+        << "checkpoint " << t;
+    last = t;
   }
 }
 

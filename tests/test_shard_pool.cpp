@@ -298,11 +298,13 @@ void expect_fleet_matches_one_shard(std::size_t job_count) {
   auto registry = core::google_tuned();
   registry.gbt_rounds = 10;
   registry.nurd_gbt_rounds = 10;
+  registry.refit = core::RefitPolicy::kIncremental;
+  const auto method = core::predictor_by_name("GBTR", registry);
   auto serve = [&](std::size_t shards, RecordingSink* sink) {
     ShardedMonitorConfig config;
     config.shards = shards;
     config.threads = 4;
-    ShardedMonitor fleet(jobs, "GBTR", registry, config);
+    ShardedMonitor fleet(jobs, method, config);
     fleet.set_sink(sink->sink());
     return fleet.run();
   };
@@ -473,10 +475,6 @@ class FailingRefit : public core::StragglerPredictor {
       const trace::CheckpointView& view,
       std::span<const std::size_t> candidates) override {
     return inner_->predict_stragglers(view, candidates);
-  }
-  bool staged() const override { return inner_->staged(); }
-  void featurize_checkpoint(const trace::CheckpointView& view) override {
-    inner_->featurize_checkpoint(view);
   }
   void refit_checkpoint(const trace::CheckpointView& view,
                         std::span<const std::size_t> candidates) override {

@@ -1,26 +1,28 @@
 // TaskDag contracts the serving layer leans on:
-//   * every pipeline edge is honored under randomized per-stage delays —
-//     in particular Refit(j,t+1) never starts before Refit(j,t) retired;
-//   * the per-job in-flight window never exceeds W = kDagWindow;
-//   * the emitted flag sequence is bit-identical to the 0-lane run across
-//     100 shuffled schedules (seeded delays × varying lane counts);
+//   * per job, checkpoints run in admission order with no gaps from the
+//     first admission (which may be mid-stream), one at a time;
+//   * the per-job results are bit-identical to the 0-lane run, whatever the
+//     lane count and timing — 200 seeded random plans;
+//   * every admitted checkpoint retires exactly once, and a job's
+//     completed retirements arrive in order;
+//   * a throwing checkpoint cancels its own job only: the job's remaining
+//     checkpoints retire as cancelled and its later admits are refused;
 //   * at 0 lanes admit() runs each checkpoint to retirement on the calling
-//     thread; on a lane, a stage's nested parallel_for stays on the lane;
-//   * cancellation and stage errors retire every admitted checkpoint exactly
-//     once and leave other jobs untouched.
+//     thread; on a lane, a nested parallel_for stays on the lane.
 #include "core/task_dag.h"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <numeric>
 #include <random>
-#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,134 +31,235 @@
 namespace nurd::core {
 namespace {
 
-// A miniature pipeline with the exact memory discipline the serving layer
-// uses: per-job scratch RINGS of kDagWindow cells. Featurize writes a cell,
-// Refit folds it into the model chain, Predict scores into a second ring,
-// Flag appends to the job's output. Stages take no locks — correctness (and
-// the determinism assertion) rests entirely on the DAG edges.
-struct PipelineSim {
-  PipelineSim(std::size_t jobs, std::size_t checkpoints)
-      : checkpoints(checkpoints),
-        model(jobs, 0),
-        feat(jobs, std::vector<std::uint64_t>(kDagWindow, 0)),
-        pred(jobs, std::vector<std::uint64_t>(kDagWindow, 0)),
-        flags(jobs),
-        done(jobs),
-        inflight(jobs),
-        delays_us(jobs) {
-    for (std::size_t j = 0; j < jobs; ++j) {
-      flags[j].reserve(checkpoints);
-      for (auto& stage : delays_us[j]) stage.assign(checkpoints, 0);
-    }
-  }
+constexpr std::size_t kNoFailure = SIZE_MAX;
 
-  void seed_delays(std::uint32_t seed, std::uint32_t max_us) {
-    std::mt19937 rng(seed);
-    std::uniform_int_distribution<std::uint32_t> dist(0, max_us);
-    for (auto& job : delays_us) {
-      for (auto& stage : job) {
-        for (auto& d : stage) d = dist(rng);
-      }
-    }
-  }
+// One random executor workload: per-job checkpoint ranges, one interleaved
+// admission order with pauses, per-checkpoint delays and at most one
+// throwing checkpoint. The pauses let lanes drain, so admissions also
+// arrive while a job's checkpoint runs.
+struct Plan {
+  std::size_t lanes = 0;
+  std::vector<std::size_t> first;  ///< first admitted checkpoint per job
+  std::vector<std::size_t> count;  ///< admissions per job
+  std::vector<std::size_t> order;  ///< job of each admission, in order
+  std::vector<std::uint32_t> pause_us;  ///< before each admission
+  std::vector<std::vector<std::uint32_t>> delay_us;  ///< per job, per offset
+  std::size_t fail_job = kNoFailure;
+  std::size_t fail_checkpoint = kNoFailure;
 
-  // Start-of-stage edge asserts, phrased against per-(job,stage) retired
-  // counters. Each stage chain is serialized by its own edge, so the
-  // equality checks cannot race.
-  void check_edges(const TaskKey& k) {
-    const std::size_t t = k.checkpoint;
-    const auto& d = done[k.job];
-    auto expect = [&](bool ok) {
-      if (!ok) violations.fetch_add(1);
-    };
-    switch (k.stage) {
-      case Stage::kFeaturize:
-        expect(d[0].load() == t);  // Featurize chain in order
-        expect(t < kFeaturizeAhead || d[1].load() >= t - kFeaturizeAhead + 1);
-        expect(t < kDagWindow || d[3].load() >= t - kDagWindow + 1);
-        break;
-      case Stage::kRefit:
-        expect(d[0].load() >= t + 1);  // Featurize(t) done
-        expect(d[1].load() == t);      // Refit(t-1) RETIRED before this start
-        expect(d[2].load() >= t);      // Predict(t-1) done
-        break;
-      case Stage::kPredict:
-        expect(d[1].load() >= t + 1);       // Refit(t) done
-        expect(t == 0 || d[3].load() >= t);  // Flag(t-1) done
-        expect(d[2].load() == t);
-        break;
-      case Stage::kFlag:
-        expect(d[2].load() >= t + 1);  // Predict(t) done
-        expect(d[3].load() == t);      // flag order
-        break;
-    }
-  }
-
-  void run_stage(const TaskKey& k) {
-    check_edges(k);
-    const std::size_t t = k.checkpoint;
-    const std::size_t cell = t % kDagWindow;
-    const auto delay = delays_us[k.job][static_cast<std::size_t>(k.stage)][t];
-    if (delay > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay));
-    }
-    switch (k.stage) {
-      case Stage::kFeaturize: {
-        const int now = inflight[k.job].fetch_add(1) + 1;
-        if (now > static_cast<int>(kDagWindow)) {
-          window_violations.fetch_add(1);
-        }
-        feat[k.job][cell] = (k.job + 1) * 0x9e3779b97f4a7c15ULL + t;
-        break;
-      }
-      case Stage::kRefit:
-        model[k.job] = model[k.job] * 1315423911ULL + feat[k.job][cell];
-        break;
-      case Stage::kPredict:
-        pred[k.job][cell] = model[k.job] ^ (t * 2654435761ULL);
-        break;
-      case Stage::kFlag:
-        flags[k.job].push_back(pred[k.job][cell]);
-        inflight[k.job].fetch_sub(1);
-        break;
-    }
-    done[k.job][static_cast<std::size_t>(k.stage)].fetch_add(1);
-  }
-
-  std::size_t checkpoints;
-  std::vector<std::uint64_t> model;
-  std::vector<std::vector<std::uint64_t>> feat;
-  std::vector<std::vector<std::uint64_t>> pred;
-  std::vector<std::vector<std::uint64_t>> flags;
-  std::vector<std::array<std::atomic<std::size_t>, kStageCount>> done;
-  std::vector<std::atomic<int>> inflight;
-  std::vector<std::array<std::vector<std::uint32_t>, kStageCount>> delays_us;
-  std::atomic<int> violations{0};
-  std::atomic<int> window_violations{0};
+  std::size_t jobs() const { return first.size(); }
 };
 
-// Drives `jobs` × `checkpoints` through a fresh dag and returns the flag
-// sequences. Admissions interleave across jobs (round-robin), as the serving
-// layer's arrival order does.
-std::vector<std::vector<std::uint64_t>> run_pipeline(std::size_t jobs,
-                                                     std::size_t checkpoints,
-                                                     std::size_t lanes,
-                                                     std::uint32_t delay_seed,
-                                                     std::uint32_t max_delay_us) {
-  PipelineSim sim(jobs, checkpoints);
-  if (max_delay_us > 0) sim.seed_delays(delay_seed, max_delay_us);
-  TaskDag dag(jobs, lanes, [&](const TaskKey& k) { sim.run_stage(k); });
-  for (std::size_t t = 0; t < checkpoints; ++t) {
-    for (std::size_t j = 0; j < jobs; ++j) {
-      EXPECT_TRUE(dag.admit(j, t)) << "admit refused without cancellation";
+Plan make_plan(std::uint32_t seed) {
+  static constexpr std::size_t kLaneGrid[] = {0, 1, 2, 3, 4, 8};
+  std::mt19937 rng(seed);
+  auto uniform = [&](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+  };
+  Plan plan;
+  plan.lanes = kLaneGrid[seed % 6];
+  const std::size_t jobs = uniform(1, 6);
+  plan.delay_us.resize(jobs);
+  for (std::size_t j = 0; j < jobs; ++j) {
+    // Half the jobs start mid-stream, like a job handed off between shards.
+    plan.first.push_back(uniform(0, 1) == 0 ? 0 : uniform(1, 6));
+    plan.count.push_back(uniform(1, 8));
+    for (std::size_t k = 0; k < plan.count[j]; ++k) {
+      plan.delay_us[j].push_back(uniform(0, 1) == 0 ? uniform(1, 60) : 0);
     }
   }
-  dag.close();
-  dag.wait();
-  EXPECT_EQ(sim.violations.load(), 0) << "dependency edge violated";
-  EXPECT_EQ(sim.window_violations.load(), 0)
-      << "more than kDagWindow=" << kDagWindow << " checkpoints in flight";
-  return sim.flags;
+  std::vector<std::size_t> left = plan.count;
+  for (std::size_t remaining =
+           std::accumulate(left.begin(), left.end(), std::size_t{0});
+       remaining > 0; --remaining) {
+    std::size_t pick = uniform(0, remaining - 1);
+    for (std::size_t j = 0; j < jobs; ++j) {
+      if (pick < left[j]) {
+        plan.order.push_back(j);
+        plan.pause_us.push_back(uniform(0, 2) == 0 ? uniform(1, 80) : 0);
+        --left[j];
+        break;
+      }
+      pick -= left[j];
+    }
+  }
+  if (uniform(0, 1) == 0) {
+    plan.fail_job = uniform(0, jobs - 1);
+    plan.fail_checkpoint =
+        plan.first[plan.fail_job] + uniform(0, plan.count[plan.fail_job] - 1);
+  }
+  return plan;
+}
+
+// What one run of a plan observed.
+struct Outcome {
+  std::vector<std::vector<std::uint64_t>> flags;  ///< per job, in run order
+  std::vector<std::vector<int>> retired;  ///< per job, per offset: count
+  std::vector<std::vector<int>> completed;
+  std::vector<std::vector<std::size_t>> completed_order;
+  std::vector<std::vector<std::uint8_t>> accepted;  ///< admit() results
+  std::vector<std::size_t> errors;                  ///< job of each on_error
+  int order_violations = 0;    ///< a checkpoint ran out of order
+  int overlap_violations = 0;  ///< two checkpoints of one job at once
+};
+
+Outcome run_plan(const Plan& plan, bool delays) {
+  const std::size_t jobs = plan.jobs();
+  Outcome out;
+  out.flags.resize(jobs);
+  out.retired.resize(jobs);
+  out.completed.resize(jobs);
+  out.completed_order.resize(jobs);
+  out.accepted.resize(jobs);
+  for (std::size_t j = 0; j < jobs; ++j) {
+    out.retired[j].assign(plan.count[j], 0);
+    out.completed[j].assign(plan.count[j], 0);
+  }
+  // The model chain takes no lock: checkpoint t+1 reads what t wrote, so
+  // the executor's hand-off between lanes is the only synchronization.
+  std::vector<std::uint64_t> model(jobs, 0);
+  std::vector<std::atomic<std::size_t>> next(jobs);
+  std::vector<std::atomic<int>> active(jobs);
+  for (std::size_t j = 0; j < jobs; ++j) next[j] = plan.first[j];
+  std::atomic<int> order_violations{0};
+  std::atomic<int> overlap_violations{0};
+  std::mutex mu;  // guards `out` and the two totals
+  std::condition_variable drained;
+  std::size_t accepted_total = 0;
+  std::size_t retired_total = 0;
+
+  {
+    TaskDag dag(
+        jobs, plan.lanes,
+        [&](std::size_t job, std::size_t t) {
+          if (t - plan.first[job] >= plan.count[job]) {
+            ADD_FAILURE() << "job " << job << " ran unadmitted checkpoint "
+                          << t;
+            return;
+          }
+          if (active[job].fetch_add(1) != 0) {
+            overlap_violations.fetch_add(1);
+            ADD_FAILURE() << "job " << job << " checkpoint " << t
+                          << " started while another of its checkpoints ran";
+          }
+          if (next[job].load() != t) order_violations.fetch_add(1);
+          next[job].store(t + 1);
+          const auto delay = plan.delay_us[job][t - plan.first[job]];
+          if (delays && delay > 0) {
+            std::this_thread::sleep_for(std::chrono::microseconds(delay));
+          }
+          if (job == plan.fail_job && t == plan.fail_checkpoint) {
+            active[job].fetch_sub(1);
+            throw std::runtime_error("checkpoint " + std::to_string(t));
+          }
+          model[job] = model[job] * 1315423911ULL +
+                       (job + 1) * 0x9e3779b97f4a7c15ULL + t;
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            out.flags[job].push_back(model[job] ^ (t * 2654435761ULL));
+          }
+          active[job].fetch_sub(1);
+        },
+        [&](std::size_t job, std::size_t t, bool completed) {
+          std::lock_guard<std::mutex> lock(mu);
+          ++retired_total;
+          drained.notify_all();
+          const std::size_t k = t - plan.first[job];
+          if (k >= plan.count[job]) return;  // counted against the total
+          ++out.retired[job][k];
+          if (completed) {
+            ++out.completed[job][k];
+            out.completed_order[job].push_back(t);
+          }
+        },
+        [&](std::size_t job, std::exception_ptr) {
+          std::lock_guard<std::mutex> lock(mu);
+          out.errors.push_back(job);
+        });
+    std::vector<std::size_t> cursor = plan.first;
+    for (std::size_t i = 0; i < plan.order.size(); ++i) {
+      if (delays && plan.pause_us[i] > 0) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(plan.pause_us[i]));
+      }
+      const std::size_t job = plan.order[i];
+      const bool ok = dag.admit(job, cursor[job]++);
+      std::lock_guard<std::mutex> lock(mu);
+      out.accepted[job].push_back(ok ? 1 : 0);
+      accepted_total += ok ? 1 : 0;
+    }
+    dag.close();
+    // A broken executor may never drain (a retirement counted twice keeps
+    // wait() blocked forever): fail instead of hanging. The destructor still
+    // joins the lanes.
+    std::unique_lock<std::mutex> lock(mu);
+    const bool ok = drained.wait_for(lock, std::chrono::seconds(30), [&] {
+      return retired_total == accepted_total;
+    });
+    lock.unlock();
+    if (ok) {
+      dag.wait();
+    } else {
+      ADD_FAILURE() << "the executor did not retire every admission";
+    }
+  }
+  out.order_violations = order_violations.load();
+  out.overlap_violations = overlap_violations.load();
+  return out;
+}
+
+// 200 seeded plans across lanes ∈ {0,1,2,3,4,8}: jobs with mid-stream
+// first admissions, random admission interleavings, random checkpoint
+// delays and, in about half the plans, one throwing checkpoint.
+TEST(TaskDag, RandomizedPlansMatchTheZeroLaneRun) {
+  for (std::uint32_t seed = 0; seed < 200; ++seed) {
+    const Plan plan = make_plan(seed);
+    SCOPED_TRACE("plan " + std::to_string(seed) + ", " +
+                 std::to_string(plan.lanes) + " lanes");
+    Plan inline_plan = plan;
+    inline_plan.lanes = 0;
+    const Outcome reference = run_plan(inline_plan, /*delays=*/false);
+    const Outcome got = run_plan(plan, /*delays=*/true);
+
+    EXPECT_EQ(got.overlap_violations, 0)
+        << "two checkpoints of one job ran at once";
+    EXPECT_EQ(got.order_violations, 0)
+        << "a job's checkpoints ran out of order";
+    EXPECT_EQ(got.flags, reference.flags);
+    const bool fails = plan.fail_job != kNoFailure;
+    EXPECT_EQ(got.errors,
+              fails ? std::vector<std::size_t>{plan.fail_job}
+                    : std::vector<std::size_t>{});
+    for (std::size_t j = 0; j < plan.jobs(); ++j) {
+      const bool failing = j == plan.fail_job;
+      ASSERT_EQ(got.accepted[j].size(), plan.count[j]);
+      // Accepted admissions are a prefix; only the failing job refuses any.
+      const auto refused = std::count(got.accepted[j].begin(),
+                                      got.accepted[j].end(), 0);
+      EXPECT_TRUE(std::is_sorted(got.accepted[j].rbegin(),
+                                 got.accepted[j].rend()));
+      if (!failing) {
+        EXPECT_EQ(refused, 0) << "job " << j;
+      }
+      for (std::size_t k = 0; k < plan.count[j]; ++k) {
+        const std::size_t t = plan.first[j] + k;
+        EXPECT_EQ(got.retired[j][k], got.accepted[j][k])
+            << "job " << j << " checkpoint " << t
+            << " must retire exactly once per accepted admission";
+        const bool ran = !failing || t < plan.fail_checkpoint;
+        EXPECT_EQ(got.completed[j][k], ran && got.accepted[j][k] ? 1 : 0)
+            << "job " << j << " checkpoint " << t;
+      }
+      if (failing) {
+        // The throwing checkpoint was admitted, so it retired (cancelled).
+        EXPECT_EQ(got.accepted[j][plan.fail_checkpoint - plan.first[j]], 1);
+      }
+      EXPECT_TRUE(std::is_sorted(got.completed_order[j].begin(),
+                                 got.completed_order[j].end()))
+          << "job " << j << " retired out of order";
+    }
+    if (HasFailure()) break;  // the first failing plan says enough
+  }
 }
 
 TEST(TaskDag, StageNamesAreStable) {
@@ -166,49 +269,21 @@ TEST(TaskDag, StageNamesAreStable) {
   EXPECT_STREQ(stage_name(Stage::kFlag), "flag");
 }
 
-TEST(TaskDag, SingleLaneRunsEveryStageInOrder) {
-  const auto flags = run_pipeline(2, 8, /*lanes=*/1, 0, 0);
-  ASSERT_EQ(flags.size(), 2u);
-  for (const auto& f : flags) EXPECT_EQ(f.size(), 8u);
-}
-
-// Randomized seeded per-stage delays, 100 shuffled schedules across lane
-// counts, and (a) Refit(j,t+1) never starts before Refit(j,t) retires —
-// asserted inside check_edges — while (b) the flag sequences stay
-// bit-identical to the 0-lane (inline, zero-delay) reference.
-TEST(TaskDag, DeterministicFlagsAcross100ShuffledSchedules) {
-  constexpr std::size_t kJobs = 3;
-  constexpr std::size_t kCkpts = 12;
-  const auto reference = run_pipeline(kJobs, kCkpts, /*lanes=*/0, 0, 0);
-
-  const std::size_t lane_grid[] = {1, 2, 3, 4, 8};
-  for (std::uint32_t schedule = 0; schedule < 100; ++schedule) {
-    const std::size_t lanes = lane_grid[schedule % 5];
-    const auto flags =
-        run_pipeline(kJobs, kCkpts, lanes, /*delay_seed=*/schedule * 7919u + 1,
-                     /*max_delay_us=*/120);
-    ASSERT_EQ(flags, reference) << "schedule " << schedule << " diverged at "
-                                << lanes << " lanes";
-  }
-}
-
 // The one-worker serving path: with no lanes, admit() itself runs the
-// checkpoint's four stages and its retirement on the calling thread, so
-// every admitted checkpoint has retired before admit() returns.
+// checkpoint and its retirement on the calling thread, so every admitted
+// checkpoint has retired before admit() returns.
 TEST(TaskDag, ZeroLanesRetireEachAdmitOnTheCallingThread) {
   constexpr std::size_t kJobs = 2;
   constexpr std::size_t kCkpts = 6;
   const auto caller = std::this_thread::get_id();
-  std::size_t stages = 0;
+  std::size_t ran = 0;
   std::size_t retired = 0;
   bool foreign_thread = false;
-  PipelineSim sim(kJobs, kCkpts);
   TaskDag dag(
       kJobs, /*lanes=*/0,
-      [&](const TaskKey& k) {
+      [&](std::size_t, std::size_t) {
         foreign_thread |= std::this_thread::get_id() != caller;
-        ++stages;
-        sim.run_stage(k);
+        ++ran;
       },
       [&](std::size_t, std::size_t, bool completed) {
         foreign_thread |= std::this_thread::get_id() != caller;
@@ -221,16 +296,15 @@ TEST(TaskDag, ZeroLanesRetireEachAdmitOnTheCallingThread) {
       ASSERT_TRUE(dag.admit(j, t));
       ++admitted;
       EXPECT_EQ(retired, admitted) << "job " << j << " checkpoint " << t;
-      EXPECT_EQ(stages, admitted * kStageCount);
+      EXPECT_EQ(ran, admitted);
     }
   }
-  EXPECT_FALSE(foreign_thread) << "a stage or retirement left the caller";
+  EXPECT_FALSE(foreign_thread) << "a checkpoint or retirement left the caller";
   dag.close();
   dag.wait();
-  EXPECT_EQ(sim.violations.load(), 0);
 }
 
-// A lane owns one core: a parallel_for issued inside a stage body on a lane
+// A lane owns one core: a parallel_for issued inside a checkpoint on a lane
 // (a tree fit's feature fan-out) runs every index on that lane, even on a
 // pool whose workers are idle.
 TEST(TaskDag, NestedParallelForStaysOnTheLane) {
@@ -238,208 +312,50 @@ TEST(TaskDag, NestedParallelForStaysOnTheLane) {
   constexpr std::size_t kIndices = 32;
   ThreadPool pool(3);
   std::mutex mu;
-  std::size_t stages = 0;
+  std::size_t ran = 0;
   std::size_t off_lane = 0;
   std::size_t on_caller = 0;
   const auto caller = std::this_thread::get_id();
-  TaskDag dag(1, /*lanes=*/2, [&](const TaskKey&) {
+  TaskDag dag(1, /*lanes=*/2, [&](std::size_t, std::size_t) {
     const auto lane = std::this_thread::get_id();
-    std::vector<std::thread::id> ran(kIndices);
+    std::vector<std::thread::id> ran_on(kIndices);
     pool.parallel_for(kIndices, [&](std::size_t i) {
       // Long enough that idle pool workers would claim indices if allowed.
       std::this_thread::sleep_for(std::chrono::microseconds(200));
-      ran[i] = std::this_thread::get_id();
+      ran_on[i] = std::this_thread::get_id();
     });
     std::lock_guard<std::mutex> lock(mu);
-    ++stages;
+    ++ran;
     if (lane == caller) ++on_caller;
     off_lane += static_cast<std::size_t>(
-        std::count_if(ran.begin(), ran.end(),
+        std::count_if(ran_on.begin(), ran_on.end(),
                       [&](std::thread::id id) { return id != lane; }));
   });
   for (std::size_t t = 0; t < kCkpts; ++t) ASSERT_TRUE(dag.admit(0, t));
   dag.close();
   dag.wait();
-  EXPECT_EQ(stages, kCkpts * kStageCount);
-  EXPECT_EQ(on_caller, 0u) << "a stage ran on the admitting thread";
+  EXPECT_EQ(ran, kCkpts);
+  EXPECT_EQ(on_caller, 0u) << "a checkpoint ran on the admitting thread";
   EXPECT_EQ(off_lane, 0u) << "parallel_for indices left their lane";
 }
 
-TEST(TaskDag, RetireFiresExactlyOncePerCheckpoint) {
-  constexpr std::size_t kJobs = 2;
-  constexpr std::size_t kCkpts = 9;
-  std::mutex mu;
-  std::vector<std::vector<std::size_t>> retired(kJobs);
-  std::vector<int> incomplete(kJobs, 0);
-
-  PipelineSim sim(kJobs, kCkpts);
-  TaskDag dag(
-      kJobs, /*lanes=*/3, [&](const TaskKey& k) { sim.run_stage(k); },
-      [&](std::size_t job, std::size_t checkpoint, bool completed) {
-        std::lock_guard<std::mutex> lock(mu);
-        retired[job].push_back(checkpoint);
-        if (!completed) ++incomplete[job];
-      });
-  for (std::size_t t = 0; t < kCkpts; ++t) {
-    for (std::size_t j = 0; j < kJobs; ++j) EXPECT_TRUE(dag.admit(j, t));
-  }
+// After its first admission a job's checkpoints must be consecutive.
+TEST(TaskDag, AdmissionsAfterTheFirstMustBeConsecutive) {
+  TaskDag dag(1, /*lanes=*/1, [](std::size_t, std::size_t) {});
+  ASSERT_TRUE(dag.admit(0, 4));
+  EXPECT_THROW(dag.admit(0, 6), std::invalid_argument);
+  EXPECT_THROW(dag.admit(0, 4), std::invalid_argument);
+  EXPECT_TRUE(dag.admit(0, 5));
   dag.close();
   dag.wait();
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    ASSERT_EQ(retired[j].size(), kCkpts);
-    EXPECT_EQ(incomplete[j], 0);
-    // Retire callbacks run outside the registry lock, so consecutive
-    // checkpoints' notifications may interleave — the contract is exactly
-    // once per checkpoint, not callback order (order belongs to the Flag
-    // stage bodies, pinned by the determinism tests).
-    std::sort(retired[j].begin(), retired[j].end());
-    for (std::size_t t = 0; t < kCkpts; ++t) {
-      EXPECT_EQ(retired[j][t], t) << "each checkpoint retires exactly once";
-    }
-  }
-}
-
-TEST(TaskDag, CancelDropsRemainingCheckpointsAndRefusesNewAdmits) {
-  constexpr std::size_t kJobs = 2;
-  constexpr std::size_t kCkpts = 16;
-  std::mutex mu;
-  std::vector<std::set<std::size_t>> completed(kJobs), dropped(kJobs);
-
-  PipelineSim sim(kJobs, kCkpts);
-  sim.seed_delays(/*seed=*/5, /*max_us=*/300);  // keep work in flight
-  TaskDag dag(
-      kJobs, /*lanes=*/4, [&](const TaskKey& k) { sim.run_stage(k); },
-      [&](std::size_t job, std::size_t checkpoint, bool ok) {
-        std::lock_guard<std::mutex> lock(mu);
-        (ok ? completed : dropped)[job].insert(checkpoint);
-      });
-  std::size_t admitted0 = 0;
-  for (std::size_t t = 0; t < kCkpts; ++t) {
-    if (dag.admit(0, t)) ++admitted0;
-    EXPECT_TRUE(dag.admit(1, t));
-    if (t == kCkpts / 2) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      dag.cancel_job(0);
-      EXPECT_FALSE(dag.admit(0, t + 1)) << "cancelled job must refuse admits";
-      break;
-    }
-  }
-  for (std::size_t t = kCkpts / 2 + 1; t < kCkpts; ++t) {
-    EXPECT_TRUE(dag.admit(1, t));
-  }
-  dag.close();
-  dag.wait();
-
-  // Job 0: every admitted checkpoint retired exactly once, as completed or
-  // dropped; nothing retired twice.
-  EXPECT_EQ(completed[0].size() + dropped[0].size(), admitted0);
-  for (const auto t : completed[0]) EXPECT_EQ(dropped[0].count(t), 0u);
-  // Job 1 is untouched: all checkpoints complete.
-  EXPECT_EQ(completed[1].size(), kCkpts);
-  EXPECT_TRUE(dropped[1].empty());
-}
-
-TEST(TaskDag, StageErrorCancelsItsJobOnly) {
-  constexpr std::size_t kJobs = 2;
-  constexpr std::size_t kCkpts = 10;
-  std::mutex mu;
-  std::vector<std::set<std::size_t>> completed(kJobs), dropped(kJobs);
-  std::atomic<int> errors{0};
-  std::string error_what;
-
-  PipelineSim sim(kJobs, kCkpts);
-  TaskDag dag(
-      kJobs, /*lanes=*/3,
-      [&](const TaskKey& k) {
-        if (k.job == 1 && k.checkpoint == 3 && k.stage == Stage::kRefit) {
-          throw std::runtime_error("refit exploded");
-        }
-        sim.run_stage(k);
-      },
-      [&](std::size_t job, std::size_t checkpoint, bool ok) {
-        std::lock_guard<std::mutex> lock(mu);
-        (ok ? completed : dropped)[job].insert(checkpoint);
-      },
-      [&](std::size_t job, std::exception_ptr error) {
-        EXPECT_EQ(job, 1u);
-        errors.fetch_add(1);
-        try {
-          std::rethrow_exception(error);
-        } catch (const std::runtime_error& e) {
-          std::lock_guard<std::mutex> lock(mu);
-          error_what = e.what();
-        }
-      });
-  for (std::size_t t = 0; t < kCkpts; ++t) {
-    for (std::size_t j = 0; j < kJobs; ++j) dag.admit(j, t);
-  }
-  dag.close();
-  dag.wait();
-
-  EXPECT_EQ(errors.load(), 1);
-  EXPECT_EQ(error_what, "refit exploded");
-  // The healthy job is untouched.
-  EXPECT_EQ(completed[0].size(), kCkpts);
-  EXPECT_TRUE(dropped[0].empty());
-  // The failed job retired every admitted checkpoint exactly once, and the
-  // failing checkpoint itself was dropped, not completed.
-  std::set<std::size_t> all;
-  for (const auto t : completed[1]) EXPECT_TRUE(all.insert(t).second);
-  for (const auto t : dropped[1]) EXPECT_TRUE(all.insert(t).second);
-  EXPECT_EQ(dropped[1].count(3), 1u);
-  EXPECT_GE(dropped[1].size(), kCkpts - 3);
 }
 
 TEST(TaskDag, WaitReturnsImmediatelyWhenNothingAdmitted) {
   for (const std::size_t lanes : {std::size_t{0}, std::size_t{2}}) {
-    TaskDag dag(1, lanes, [](const TaskKey&) {});
+    TaskDag dag(1, lanes, [](std::size_t, std::size_t) {});
     dag.close();
     dag.wait();  // must not hang
   }
-}
-
-// The migration hook: a job re-placed by the serving fleet resumes
-// mid-stream on its new shard's DAG. begin_job_at(job, first) rebases the
-// job so checkpoint `first` admits with every pre-boundary edge already
-// satisfied, and the stage chains run in order from there.
-TEST(TaskDag, BeginJobAtRunsAMidStreamSliceInOrder) {
-  constexpr std::size_t kFirst = 5;
-  constexpr std::size_t kCkpts = 9;  // serve checkpoints 5..8
-  std::mutex mutex;
-  std::vector<std::pair<Stage, std::size_t>> order;
-
-  TaskDag dag(1, /*lanes=*/3, [&](const TaskKey& k) {
-    std::lock_guard<std::mutex> lock(mutex);
-    order.emplace_back(k.stage, k.checkpoint);
-  });
-  dag.begin_job_at(0, kFirst);
-  for (std::size_t t = kFirst; t < kCkpts; ++t) {
-    EXPECT_TRUE(dag.admit(0, t));
-  }
-  dag.close();
-  dag.wait();
-
-  ASSERT_EQ(order.size(), (kCkpts - kFirst) * kStageCount);
-  // Per-stage chains run their checkpoints in ascending order from kFirst,
-  // and each checkpoint's stages run featurize -> refit -> predict -> flag.
-  std::array<std::size_t, kStageCount> next;
-  next.fill(kFirst);
-  std::vector<std::size_t> stages_done(kCkpts, 0);
-  for (const auto& [stage, t] : order) {
-    const auto s = static_cast<std::size_t>(stage);
-    EXPECT_EQ(t, next[s]) << "stage chain out of order";
-    ++next[s];
-    EXPECT_EQ(stages_done[t], s) << "stage order broken at checkpoint " << t;
-    ++stages_done[t];
-  }
-}
-
-TEST(TaskDag, BeginJobAtRefusesAJobWithAdmissionHistory) {
-  TaskDag dag(1, /*lanes=*/1, [](const TaskKey&) {});
-  ASSERT_TRUE(dag.admit(0, 0));
-  EXPECT_THROW(dag.begin_job_at(0, 4), std::invalid_argument);
-  dag.close();
-  dag.wait();
 }
 
 }  // namespace
