@@ -52,6 +52,17 @@ bug patterns; these rules are NURD-specific):
                  `std::thread::hardware_concurrency` and `std::thread::id`
                  spawn nothing and are exempt.
 
+  sort-site      Exact-greedy trees sort once per boosting call, not per
+                 node: in the guarded files (src/ml/tree.cpp), `std::sort`
+                 and `std::stable_sort` (ranges forms included) may appear
+                 only inside allowlisted sites, the quantile binner's
+                 constructor and RegressionTree::presort. A site is the
+                 function or type whose definition opens at column 0 above
+                 the call, so an allowlist token names the site (say
+                 `RegressionTree::presort`), not text on the line; a sort
+                 that creeps back into the node recursion reports the
+                 `RegressionTree::Grower` site.
+
   test-only-header
                  Every header under src/ must be reached by code that ships:
                  some file under src/, bench/, benchmark/ or examples/ other
@@ -70,7 +81,8 @@ finding is reported. Allowlist lines look like
   <rule> <path-relative-to-root> [token]  # justification
 
 and suppress findings of that rule in that file (optionally only for lines
-containing the token). Unused allowlist entries are reported as errors so
+containing the token, or, for sort-site, only inside the site the token
+names). Unused allowlist entries are reported as errors so
 the file cannot rot.
 """
 
@@ -126,6 +138,14 @@ _THREAD_SPAWN = re.compile(
     r"\bstd::(?:thread\b(?!\s*::\s*(?:hardware_concurrency|id)\b)"
     r"|jthread\b|async\b)")
 
+# Files whose sorts are confined to allowlisted sites (sort-site).
+SORT_GUARDED_FILES = ("src/ml/tree.cpp",)
+_SORT_CALL = re.compile(r"\bstd::(?:ranges::)?(?:stable_)?sort\b")
+# A definition opening at column 0: the first qualified name followed by
+# '(' (a function), or the name after struct/class (a type).
+_SITE_TYPE = re.compile(r"^(?:struct|class)\s+([A-Za-z_][\w:]*)")
+_SITE_FUNC = re.compile(r"([A-Za-z_~][\w:~]*)\s*\(")
+
 # C++ files the linter reads.
 SOURCE_SUFFIXES = (".h", ".cpp", ".cc", ".hpp")
 
@@ -150,6 +170,9 @@ class Finding:
     line: int  # 1-based
     rule: str
     message: str
+    # The enclosing definition, for rules whose allowlist tokens name a site
+    # rather than text on the offending line.
+    site: str | None = None
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -333,8 +356,29 @@ def check_thread_spawn(relpath: str, text: str) -> list[Finding]:
     return findings
 
 
+def check_sort_site(relpath: str, text: str) -> list[Finding]:
+    if relpath.replace(os.sep, "/") not in SORT_GUARDED_FILES:
+        return []
+    findings = []
+    site = "<file scope>"
+    for lineno, line in _scrubbed_lines(text):
+        if line[:1].isalpha() or line[:1] == "_":
+            m = _SITE_TYPE.match(line) or _SITE_FUNC.search(line)
+            if m:
+                site = m.group(1)
+        m = _SORT_CALL.search(line)
+        if m:
+            findings.append(Finding(
+                relpath, lineno, "sort-site",
+                f"'{m.group(0)}' in '{site}' — exact-greedy trees sort once "
+                f"per boosting call (RegressionTree::presort), never per "
+                f"node; allowlist a new sort site with a justification",
+                site=site))
+    return findings
+
+
 RULES = (check_wall_clock, check_unordered_iteration, check_trace_access,
-         check_thread_spawn)
+         check_thread_spawn, check_sort_site)
 
 
 def check_lock_table(root: str, relpaths: list[str],
@@ -444,6 +488,11 @@ def apply_allowlist(findings: list[Finding], entries: list[AllowEntry],
         lines = line_cache[path]
         return lines[lineno - 1] if 0 < lineno <= len(lines) else ""
 
+    def token_matches(token: str, finding: Finding) -> bool:
+        if finding.site is not None:
+            return token == finding.site
+        return token in line_text(finding.path, finding.line)
+
     for finding in findings:
         suppressed = False
         for entry in entries:
@@ -451,8 +500,7 @@ def apply_allowlist(findings: list[Finding], entries: list[AllowEntry],
                 continue
             if entry.path != finding.path.replace(os.sep, "/"):
                 continue
-            if entry.token and entry.token not in line_text(finding.path,
-                                                            finding.line):
+            if entry.token and not token_matches(entry.token, finding):
                 continue
             entry.used = True
             suppressed = True

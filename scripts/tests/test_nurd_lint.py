@@ -158,6 +158,56 @@ class ThreadSpawnRule(unittest.TestCase):
                           if e.rule == "thread-spawn"], [])
 
 
+class SortSiteRule(unittest.TestCase):
+    PATH = "src/ml/tree.cpp"
+
+    def sort_findings(self, allowlist_text=None):
+        findings, unused = lint(self.PATH, allowlist_text)
+        return [f for f in findings if f.rule == "sort-site"], unused
+
+    def test_fires_on_every_sort_with_its_site(self):
+        findings, _ = self.sort_findings()
+        self.assertEqual([(f.line, f.site) for f in findings],
+                         [(7, "Grower"), (12, "presort"), (14, "presort")])
+
+    def test_comments_strings_and_lookalikes_do_not_fire(self):
+        findings, _ = self.sort_findings()
+        lines = {f.line for f in findings}
+        for exempt in (17, 18, 19):
+            self.assertNotIn(exempt, lines)
+
+    def test_site_entry_suppresses_only_its_site(self):
+        findings, unused = self.sort_findings(
+            "sort-site src/ml/tree.cpp presort  # sorts once, fixture\n")
+        self.assertEqual([f.line for f in findings], [7])
+        self.assertEqual(unused, [])
+
+    def test_line_text_is_not_a_site(self):
+        findings, unused = self.sort_findings(
+            "sort-site src/ml/tree.cpp v.begin()  # not a site, fixture\n")
+        self.assertEqual([f.line for f in findings], [7, 12, 14])
+        self.assertEqual(len(unused), 1)
+
+    def test_other_files_are_out_of_scope(self):
+        text = "void f(std::vector<int>& v) { std::sort(v.begin(), v.end()); }"
+        self.assertEqual(nurd_lint.check_sort_site("src/ml/gbt.cpp", text),
+                         [])
+
+    def test_real_tree_sorts_only_at_allowlisted_sites(self):
+        root = os.path.dirname(SCRIPTS_DIR)
+        allowlist = os.path.join(SCRIPTS_DIR, "nurd_lint_allowlist.txt")
+        with open(os.path.join(root, self.PATH), encoding="utf-8") as f:
+            sites = {f.site for f in
+                     nurd_lint.check_sort_site(self.PATH, f.read())}
+        self.assertEqual(sites, {"FeatureBinner::FeatureBinner",
+                                 "RegressionTree::presort"})
+        findings, unused = nurd_lint.run(root, allowlist, None)
+        self.assertEqual([f.render() for f in findings
+                          if f.rule == "sort-site"], [])
+        self.assertEqual([e.token for e in unused
+                          if e.rule == "sort-site"], [])
+
+
 class TestOnlyHeaderRule(unittest.TestCase):
     @staticmethod
     def flagged(allowlist=None):

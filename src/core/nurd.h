@@ -46,8 +46,9 @@ struct NurdParams {
   /// Latency-model settings. Algorithm 1 refits ht at every checkpoint on
   /// the growing finished set, and those refits are the reproduction's hot
   /// path. The finished set is mostly below ml::kHistogramMinRows rows, so
-  /// most refits run exact greedy, whose per-node sort dominates the cost;
-  /// only large late blocks take the histogram backend.
+  /// most refits run exact greedy, which sorts the block once per fit and
+  /// then scans and partitions presorted orders; only large late blocks
+  /// take the histogram backend.
   ml::GbtParams gbt;
   ml::LogisticParams propensity;  ///< PS-model settings
   /// Checkpoint refit strategy (see core/fit_session.h for the contract).

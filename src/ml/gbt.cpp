@@ -208,6 +208,11 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
   const std::span<const std::size_t> rows =
       active_set ? subset : std::span<const std::size_t>(all_rows);
   const auto& kops = kernel::ops();
+  // Exact greedy scans per-feature orders of `rows`; x and rows stay fixed
+  // across the rounds, so they are sorted once per call, not per node.
+  const std::vector<std::size_t> presorted =
+      binner == nullptr && rounds > 0 ? RegressionTree::presort(x, rows)
+                                      : std::vector<std::size_t>{};
 
   for (int round = 0; round < rounds; ++round) {
     if (active_set) {
@@ -222,7 +227,7 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
     }
 
     RegressionTree tree;
-    tree.fit(x, binner, grad, hess, rows, params_.tree);
+    tree.fit(x, binner, grad, hess, rows, params_.tree, presorted);
 
     for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));
     kops.axpy(rate, pred.data(), score.data(), n);

@@ -140,6 +140,8 @@ class GradientBoosting {
   /// continuations: gradients and tree fits cover the subset only, while the
   /// score update still sweeps every row so the caches stay current. A null
   /// `binner` selects exact greedy trees, a non-null one histogram trees.
+  /// Exact greedy presorts the training rows once per call
+  /// (RegressionTree::presort) and every round's tree scans those orders.
   void boost(const Matrix& x, std::span<const Target> targets, int rounds,
              double rate, std::vector<double>& score,
              const FeatureBinner* binner,

@@ -52,6 +52,13 @@ std::uint16_t bin_of(const std::vector<double>& edges, double value) {
       std::lower_bound(edges.begin(), edges.end(), value) - edges.begin());
 }
 
+/// fit() and presort() read x(r, f) for every listed row.
+void check_rows_in_range(const Matrix& x, std::span<const std::size_t> rows) {
+  bool in_range = true;
+  for (const auto r : rows) in_range &= r < x.rows();
+  NURD_CHECK(in_range, "row index out of range of the feature matrix");
+}
+
 /// Work is fanned out over the pool only when it dwarfs task overhead.
 constexpr std::size_t kParallelWorkCutoff = 8192;
 
@@ -171,8 +178,12 @@ void FeatureBinner::rebin_rows(const Matrix& x,
 // segment [begin, end) of `rows`. A split stably partitions its segment into
 // the left rows, then the right rows, both in node order, so every node sees
 // its rows in the order of the caller's `rows`: the order pair_sum_indexed and
-// hist_accumulate sum in and the exact scan's chained stable sorts start from.
-// Only the split finder differs between the backends.
+// hist_accumulate sum in. The exact backend also owns, per feature f, the
+// segment [begin, end) of `sorted`'s f-th slice: the node's rows in presort
+// order. A split partitions those slices by the same stable rule, so a node's
+// slice is the presort order restricted to its rows — the order the chained
+// stable sorts of presort() give that row set — and no node sorts. Only the
+// split finder differs between the backends.
 struct RegressionTree::Grower {
   std::vector<Node>& nodes;
   const Matrix& x;
@@ -181,7 +192,8 @@ struct RegressionTree::Grower {
   std::span<const double> hess;
   const TreeParams& params;
   std::vector<std::size_t> rows;     // node segments
-  std::vector<std::size_t> scratch;  // exact sort buffer; partition buffer
+  std::vector<std::size_t> sorted;   // exact: per-feature orders, feature-major
+  std::vector<std::size_t> scratch;  // partition buffer
   // Histogram backend: offset[f]*kHistBinStride locates feature f's bins in
   // a flat aligned array of kernel::kHistBinStride slots per bin — (G, H,
   // count, pad), one AVX2 vector each; back() is the total bin count.
@@ -243,26 +255,21 @@ struct RegressionTree::Grower {
     return static_cast<std::int32_t>(self);
   }
 
-  // Exact greedy: every distinct-value boundary of every feature. The sorts
-  // are chained (feature f's starts from feature f−1's order), which fixes
-  // the prefix-sum order and so the tie-break between equal-gain candidates.
+  // Exact greedy: every distinct-value boundary of every feature, scanned in
+  // the node's slice of that feature's presort order, which fixes the
+  // prefix-sum order and so the tie-break between equal-gain candidates.
   SplitCandidate exact_split(std::size_t begin, std::size_t end,
-                             double g_total, double h_total) {
-    const auto sorted = std::span(scratch).first(end - begin);
-    std::copy(rows.data() + begin, rows.data() + end, sorted.begin());
+                             double g_total, double h_total) const {
     const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
     SplitCandidate best;
     for (std::size_t f = 0; f < x.cols(); ++f) {
-      std::stable_sort(sorted.begin(), sorted.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return x(a, f) < x(b, f);
-                       });
+      const std::size_t* order = sorted.data() + f * rows.size();
       double g_left = 0.0, h_left = 0.0;
-      for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-        g_left += grad[sorted[i]];
-        h_left += hess[sorted[i]];
-        const double v = x(sorted[i], f);
-        const double v_next = x(sorted[i + 1], f);
+      for (std::size_t i = begin; i + 1 < end; ++i) {
+        g_left += grad[order[i]];
+        h_left += hess[order[i]];
+        const double v = x(order[i], f);
+        const double v_next = x(order[i + 1], f);
         if (v_next <= v) continue;  // can't split between equal values
         const double gain =
             split_gain(parent_obj, g_total, h_total, g_left, h_left, params);
@@ -329,35 +336,70 @@ struct RegressionTree::Grower {
     return hist;
   }
 
-  // Stable partition of [begin, end): left rows move up in order, right rows
+  // Stable partition of [begin, end) of `rows` and, on the exact backend, of
+  // every feature's slice of `sorted`: left rows move up in order, right rows
   // go through `scratch` and land after them in order. The histogram backend
   // routes by bin code, the exact backend by threshold.
   std::size_t partition(std::size_t begin, std::size_t end,
                         const SplitCandidate& split) {
-    std::size_t left = begin, right = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t r = rows[i];
-      const bool goes_left =
-          binner != nullptr ? binner->bin(split.feature, r) <= split.bin
-                            : x(r, split.feature) <= split.threshold;
-      (goes_left ? rows[left++] : scratch[right++]) = r;
+    const auto goes_left = [&](std::size_t r) {
+      return binner != nullptr ? binner->bin(split.feature, r) <= split.bin
+                               : x(r, split.feature) <= split.threshold;
+    };
+    const auto stable_split = [&](std::size_t* seg) {
+      std::size_t left = begin, right = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t r = seg[i];
+        (goes_left(r) ? seg[left++] : scratch[right++]) = r;
+      }
+      std::copy(scratch.data(), scratch.data() + right, seg + left);
+      return left;
+    };
+    const std::size_t mid = stable_split(rows.data());
+    if (binner == nullptr) {
+      for (std::size_t f = 0; f < x.cols(); ++f) {
+        stable_split(sorted.data() + f * rows.size());
+      }
     }
-    std::copy(scratch.data(), scratch.data() + right, rows.data() + left);
-    return left;
+    return mid;
   }
 };
+
+std::vector<std::size_t> RegressionTree::presort(
+    const Matrix& x, std::span<const std::size_t> rows) {
+  check_rows_in_range(x, rows);
+  const std::size_t n = rows.size();
+  std::vector<std::size_t> sorted(x.cols() * n);
+  for (std::size_t f = 0; f < x.cols(); ++f) {
+    const auto order = std::span(sorted).subspan(f * n, n);
+    const std::span<const std::size_t> from =
+        f == 0 ? rows : std::span(sorted).subspan((f - 1) * n, n);
+    std::copy(from.begin(), from.end(), order.begin());
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return x(a, f) < x(b, f);
+                     });
+  }
+  return sorted;
+}
 
 void RegressionTree::fit(const Matrix& x, const FeatureBinner* binner,
                          std::span<const double> grad,
                          std::span<const double> hess,
                          std::span<const std::size_t> rows,
-                         const TreeParams& params) {
+                         const TreeParams& params,
+                         std::span<const std::size_t> presorted) {
   NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
              "grad/hess length must match row count");
   NURD_CHECK(!rows.empty(), "cannot fit a tree on zero rows");
+  check_rows_in_range(x, rows);
   NURD_CHECK(binner == nullptr ||
                  (binner->rows() == x.rows() && binner->cols() == x.cols()),
              "binner shape must match the feature matrix");
+  NURD_CHECK(presorted.empty() ||
+                 (binner == nullptr &&
+                  presorted.size() == x.cols() * rows.size()),
+             "presorted orders must be exact greedy's, cols x rows in shape");
   nodes_.clear();
   Grower grower{.nodes = nodes_,
                 .x = x,
@@ -366,6 +408,7 @@ void RegressionTree::fit(const Matrix& x, const FeatureBinner* binner,
                 .hess = hess,
                 .params = params,
                 .rows = {rows.begin(), rows.end()},
+                .sorted = {},
                 .scratch = std::vector<std::size_t>(rows.size()),
                 .offset = {}};
   if (binner != nullptr) {
@@ -373,6 +416,10 @@ void RegressionTree::fit(const Matrix& x, const FeatureBinner* binner,
     for (std::size_t f = 0; f < binner->cols(); ++f) {
       grower.offset[f + 1] = grower.offset[f] + binner->bin_count(f);
     }
+  } else if (presorted.empty()) {
+    grower.sorted = presort(x, rows);
+  } else {
+    grower.sorted.assign(presorted.begin(), presorted.end());
   }
   grower.grow(0, rows.size(), 0, {});
 }

@@ -10,9 +10,13 @@
 // sees its rows in the caller's order and no node allocates a row list. Only
 // the split finder differs between the two backends, and fit()'s binner
 // argument selects one:
-//   * exact greedy (null binner) — sorts the node's rows per feature and
-//     scans every distinct-value boundary; O(d · n log n) per node, best for
-//     tiny fits;
+//   * exact greedy (null binner) — scans every distinct-value boundary of
+//     each feature in that feature's presorted order (XGBoost's pre-sorted
+//     column block, Chen & Guestrin 2016 §4.1). presort() sorts the rows
+//     once per feature, and each split stably partitions every feature's
+//     order along with the rows, so no node sorts: O(d · n) per tree level
+//     after one O(d · n log n) presort, which a boosting fit shares across
+//     its rounds. Best for tiny fits;
 //   * histogram (a FeatureBinner, LightGBM-style) — accumulates per-bin
 //     (G, H) sums per node and scans bin boundaries; O(d · n) per tree level,
 //     with the sibling-subtraction trick (child histogram = parent − other
@@ -102,12 +106,23 @@ class FeatureBinner {
 class RegressionTree {
  public:
   /// Grows a tree on the sample subset `rows` of `x` from per-sample
-  /// gradients and Hessians. A null `binner` selects exact greedy; otherwise
-  /// splits come from `binner`'s histograms, and it must cover all rows of
-  /// `x`.
+  /// gradients and Hessians. Every row must index into `x`. A null `binner`
+  /// selects exact greedy, which scans `presorted` — presort(x, rows), or
+  /// computed here when empty; otherwise splits come from `binner`'s
+  /// histograms, it must cover all rows of `x`, and `presorted` must be
+  /// empty.
   void fit(const Matrix& x, const FeatureBinner* binner,
            std::span<const double> grad, std::span<const double> hess,
-           std::span<const std::size_t> rows, const TreeParams& params);
+           std::span<const std::size_t> rows, const TreeParams& params,
+           std::span<const std::size_t> presorted = {});
+
+  /// Exact greedy's per-feature orders of `rows`, feature-major
+  /// (x.cols() × rows.size()): feature f's order is feature f−1's (feature
+  /// 0's: `rows`) stably sorted by x(·, f), so it is lexicographic in
+  /// (x_f, x_{f−1}, …, x_0, position in `rows`). They depend only on `x`
+  /// and `rows`, so one presort serves every tree fitted on them.
+  static std::vector<std::size_t> presort(const Matrix& x,
+                                          std::span<const std::size_t> rows);
 
   /// Leaf value for a single feature row.
   double predict(std::span<const double> row) const;

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "kernel/kernel.h"
 #include "ml/gbt.h"
+#include "ml/loss.h"
 #include "ml/tree.h"
 
 namespace nurd::ml {
@@ -100,6 +105,35 @@ TEST(RegressionTree, RespectsMaxDepth) {
   tree.fit(x, nullptr, grad, hess, rows, params);
   EXPECT_LE(tree.depth(), 2);
   EXPECT_LE(tree.leaf_count(), 4u);
+}
+
+// Every row index must be in range: the tree reads x(r, f), grad[r] and
+// hess[r] for each listed row. A presorted span must be cols × rows in
+// shape, and only exact greedy takes one.
+TEST(RegressionTree, RejectsOutOfRangeRows) {
+  const Matrix x{{0.0, 1.0}, {1.0, 0.0}, {2.0, 1.0}, {3.0, 0.0}};
+  const std::vector<double> grad{1.0, -1.0, 1.0, -1.0};
+  const std::vector<double> hess(4, 1.0);
+  const std::vector<std::size_t> rows{0, 1, 2, 1000000};
+  const TreeParams params;
+  RegressionTree tree;
+  EXPECT_THROW(tree.fit(x, nullptr, grad, hess, rows, params),
+               std::invalid_argument);
+  EXPECT_THROW(RegressionTree::presort(x, rows), std::invalid_argument);
+  const FeatureBinner binner(x, 4);
+  EXPECT_THROW(tree.fit(x, &binner, grad, hess, rows, params),
+               std::invalid_argument);
+
+  const std::vector<std::size_t> good{0, 1, 2, 3};
+  const auto presorted = RegressionTree::presort(x, good);
+  ASSERT_EQ(presorted.size(), 8u);
+  const std::span<const std::size_t> short_orders =
+      std::span(presorted).first(7);
+  EXPECT_THROW(tree.fit(x, nullptr, grad, hess, good, params, short_orders),
+               std::invalid_argument);
+  EXPECT_THROW(tree.fit(x, &binner, grad, hess, good, params, presorted),
+               std::invalid_argument);
+  EXPECT_NO_THROW(tree.fit(x, nullptr, grad, hess, good, params, presorted));
 }
 
 TEST(GradientBoosting, FitsLinearFunction) {
@@ -386,6 +420,375 @@ TEST(GradientBoosting, DeterministicOnBothBackends) {
     b.fit(x, y);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(a.predict(x.row(i)), b.predict(x.row(i)));
+    }
+  }
+}
+
+// --- Presorted exact greedy vs the per-node sort --------------------------
+// RefTree is the exact backend as it was before presorting: every internal
+// node copies its rows and stable-sorts them once per feature, each sort
+// starting from the previous feature's order. The library sorts once per
+// boosting call and stably partitions each feature's order at every split.
+// The two must scan the same sequence at every node, so their trees are
+// compared bit for bit.
+
+class RefTree {
+ public:
+  void fit(const Matrix& x, std::span<const double> grad,
+           std::span<const double> hess, std::span<const std::size_t> rows,
+           const TreeParams& params) {
+    x_ = &x;
+    grad_ = grad;
+    hess_ = hess;
+    params_ = params;
+    rows_.assign(rows.begin(), rows.end());
+    scratch_.assign(rows.size(), 0);
+    nodes_.clear();
+    grow(0, rows_.size(), 0);
+  }
+
+  double predict(std::span<const double> row) const {
+    std::size_t i = 0;
+    while (!nodes_[i].is_leaf) {
+      const auto& n = nodes_[i];
+      i = static_cast<std::size_t>(row[n.feature] <= n.threshold ? n.left
+                                                                 : n.right);
+    }
+    return nodes_[i].value;
+  }
+
+  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t leaf_count() const {
+    return static_cast<std::size_t>(std::count_if(
+        nodes_.begin(), nodes_.end(), [](const Node& n) { return n.is_leaf; }));
+  }
+  int depth() const {
+    int d = 0;
+    for (const auto& n : nodes_) d = std::max(d, n.depth);
+    return d;
+  }
+
+ private:
+  struct Node {
+    bool is_leaf = true;
+    double value = 0.0;
+    std::size_t feature = 0;
+    double threshold = 0.0;
+    std::int32_t left = -1;
+    std::int32_t right = -1;
+    int depth = 0;
+  };
+
+  double objective(double g, double h) const {
+    return -0.5 * g * g / (h + params_.lambda);
+  }
+
+  std::int32_t grow(std::size_t begin, std::size_t end, int depth) {
+    const std::size_t n = end - begin;
+    double g_total = 0.0, h_total = 0.0;
+    kernel::ops().pair_sum_indexed(grad_.data(), hess_.data(),
+                                   rows_.data() + begin, n, &g_total, &h_total);
+    const auto make_leaf = [&]() {
+      nodes_.push_back({.value = -g_total / (h_total + params_.lambda),
+                        .depth = depth});
+      return static_cast<std::int32_t>(nodes_.size() - 1);
+    };
+    if (depth >= params_.max_depth || n < 2) return make_leaf();
+
+    const Matrix& x = *x_;
+    const double parent_obj = objective(g_total, h_total);
+    double best_gain = -std::numeric_limits<double>::infinity();
+    std::size_t best_feature = 0;
+    double best_threshold = 0.0;
+    std::vector<std::size_t> sorted(rows_.data() + begin, rows_.data() + end);
+    for (std::size_t f = 0; f < x.cols(); ++f) {
+      std::stable_sort(sorted.begin(), sorted.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return x(a, f) < x(b, f);
+                       });
+      double g_left = 0.0, h_left = 0.0;
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        g_left += grad_[sorted[i]];
+        h_left += hess_[sorted[i]];
+        const double v = x(sorted[i], f);
+        const double v_next = x(sorted[i + 1], f);
+        if (v_next <= v) continue;
+        const double h_right = h_total - h_left;
+        if (h_left < params_.min_child_weight ||
+            h_right < params_.min_child_weight) {
+          continue;
+        }
+        const double gain = parent_obj - objective(g_left, h_left) -
+                            objective(g_total - g_left, h_right);
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = f;
+          const double mid = 0.5 * (v + v_next);
+          best_threshold = mid >= v && mid < v_next ? mid : v;
+        }
+      }
+    }
+    if (best_gain <= params_.gamma) return make_leaf();
+
+    std::size_t left = begin, right = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t r = rows_[i];
+      (x(r, best_feature) <= best_threshold ? rows_[left++]
+                                            : scratch_[right++]) = r;
+    }
+    std::copy(scratch_.data(), scratch_.data() + right, rows_.data() + left);
+    if (left == begin || left == end) return make_leaf();
+
+    nodes_.push_back({.is_leaf = false,
+                      .feature = best_feature,
+                      .threshold = best_threshold,
+                      .depth = depth});
+    const std::size_t self = nodes_.size() - 1;
+    const auto l = grow(begin, left, depth + 1);
+    const auto r = grow(left, end, depth + 1);
+    nodes_[self].left = l;
+    nodes_[self].right = r;
+    return static_cast<std::int32_t>(self);
+  }
+
+  const Matrix* x_ = nullptr;
+  std::span<const double> grad_, hess_;
+  TreeParams params_;
+  std::vector<std::size_t> rows_, scratch_;
+  std::vector<Node> nodes_;
+};
+
+// Values from {0, 1, 2} (heavy ties), with zeros drawn as −0.0 or +0.0.
+Matrix tie_matrix(Rng& rng, std::size_t n, std::size_t d) {
+  Matrix x(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      const auto v = rng.uniform_int(0, 2);
+      x(i, j) = v != 0 ? static_cast<double>(v)
+                       : (rng.uniform_int(0, 1) == 0 ? -0.0 : 0.0);
+    }
+  }
+  return x;
+}
+
+// Rows at and half-way between the tie values, past both ends, and ±0.
+std::vector<std::vector<double>> tie_probes(Rng& rng, std::size_t d) {
+  constexpr double kProbeValues[] = {-0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5};
+  std::vector<std::vector<double>> probes(32, std::vector<double>(d));
+  for (auto& probe : probes) {
+    for (auto& v : probe) v = kProbeValues[rng.uniform_int(0, 7)];
+  }
+  return probes;
+}
+
+// A shuffled subset of 0..n-1 with gaps: each row kept with probability ~¾
+// (at least one row), in random order.
+std::vector<std::size_t> gappy_rows(Rng& rng, std::size_t n) {
+  std::vector<std::size_t> rows;
+  for (const auto r : rng.permutation(n)) {
+    if (rng.uniform_int(0, 3) != 0) rows.push_back(r);
+  }
+  if (rows.empty()) rows.push_back(n - 1);
+  return rows;
+}
+
+TEST(RegressionTree, PresortedExactMatchesPerNodeSortReference) {
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 255));
+    const auto d = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    const Matrix x = tie_matrix(rng, n, d);
+    std::vector<double> grad(n), hess(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      grad[i] = rng.normal();
+      hess[i] = static_cast<double>(rng.uniform_int(1, 4)) * 0.5;
+    }
+    TreeParams params;
+    params.max_depth = static_cast<int>(rng.uniform_int(1, 6));
+    params.min_child_weight = static_cast<double>(rng.uniform_int(0, 2));
+    std::vector<std::size_t> rows(n);
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    if (seed % 2 == 0) rows = gappy_rows(rng, n);
+
+    RegressionTree tree;
+    tree.fit(x, nullptr, grad, hess, rows, params);
+    RegressionTree shared;  // orders passed in, as boosting passes them
+    shared.fit(x, nullptr, grad, hess, rows, params,
+               RegressionTree::presort(x, rows));
+    RefTree ref;
+    ref.fit(x, grad, hess, rows, params);
+
+    ASSERT_EQ(tree.node_count(), ref.node_count());
+    ASSERT_EQ(tree.leaf_count(), ref.leaf_count());
+    ASSERT_EQ(tree.depth(), ref.depth());
+    ASSERT_EQ(shared.node_count(), ref.node_count());
+    const auto same_bits = [&](std::span<const double> row) {
+      const auto want = std::bit_cast<std::uint64_t>(ref.predict(row));
+      return std::bit_cast<std::uint64_t>(tree.predict(row)) == want &&
+             std::bit_cast<std::uint64_t>(shared.predict(row)) == want;
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(same_bits(x.row(i))) << "row " << i;
+    }
+    for (const auto& probe : tie_probes(rng, d)) {
+      ASSERT_TRUE(same_bits(probe));
+    }
+  }
+}
+
+// A squared-loss booster on RefTree, mirroring GradientBoosting's fit() and
+// its active-set continue_fit() (moved rows plus three sampled anchors each,
+// drawn from an Rng seeded like the model's).
+struct RefBooster {
+  explicit RefBooster(const GbtParams& p) : params(p) {}
+
+  GbtParams params;
+  SquaredLoss loss;
+  double base = 0.0;
+  std::vector<RefTree> trees;
+  std::vector<double> rates;
+  std::vector<double> score;
+
+  double predict_raw(std::span<const double> row) const {
+    double s = base;
+    for (std::size_t i = 0; i < trees.size(); ++i) {
+      s += rates[i] * trees[i].predict(row);
+    }
+    return s;
+  }
+
+  void boost(const Matrix& x, std::span<const Target> targets, int rounds,
+             double rate, std::span<const std::size_t> subset) {
+    const std::size_t n = x.rows();
+    std::vector<double> grad(n), hess(n), pred(n);
+    std::vector<std::size_t> rows(subset.begin(), subset.end());
+    if (rows.empty()) {
+      rows.resize(n);
+      std::iota(rows.begin(), rows.end(), std::size_t{0});
+    }
+    for (int round = 0; round < rounds; ++round) {
+      if (subset.empty()) {
+        loss.grad_hess_batch(targets, score, grad, hess);
+      } else {
+        for (const auto i : subset) {
+          const auto gh = loss.grad_hess(targets[i], score[i]);
+          grad[i] = gh.grad;
+          hess[i] = gh.hess;
+        }
+      }
+      RefTree tree;
+      tree.fit(x, grad, hess, rows, params.tree);
+      for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));
+      kernel::ops().axpy(rate, pred.data(), score.data(), n);
+      trees.push_back(std::move(tree));
+      rates.push_back(rate);
+    }
+  }
+
+  void fit(const Matrix& x, std::span<const Target> targets) {
+    base = loss.init_score(targets);
+    score.assign(x.rows(), base);
+    boost(x, targets, params.n_rounds, params.learning_rate, {});
+  }
+
+  // x grew from the fitted rows by `inserted`; `changed` rows moved.
+  void continue_fit(const Matrix& x, std::span<const Target> targets,
+                    int rounds, std::span<const std::size_t> changed,
+                    std::span<const std::size_t> inserted) {
+    const std::size_t n = x.rows();
+    std::vector<double> remapped(n);
+    std::size_t old_r = 0, next = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const bool is_new = next < inserted.size() && inserted[next] == r;
+      remapped[r] = is_new ? predict_raw(x.row(r)) : score[old_r++];
+      next += is_new ? 1 : 0;
+    }
+    score = std::move(remapped);
+    for (const auto r : changed) score[r] = predict_raw(x.row(r));
+
+    std::vector<std::size_t> subset(inserted.begin(), inserted.end());
+    subset.insert(subset.end(), changed.begin(), changed.end());
+    if (subset.size() < n) {
+      Rng anchors_rng(params.seed);
+      const auto anchors = std::min(n - subset.size(), 3 * subset.size());
+      const auto sampled = anchors_rng.sample_without_replacement(n, anchors);
+      subset.insert(subset.end(), sampled.begin(), sampled.end());
+    }
+    std::sort(subset.begin(), subset.end());
+    subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
+    const double rate =
+        std::min(0.5, params.warm_rate_factor * params.learning_rate);
+    boost(x, targets, rounds, rate, subset);
+  }
+};
+
+std::vector<Target> tie_targets(const Matrix& x, Rng& rng) {
+  std::vector<Target> targets(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    targets[i].value = x(i, 0) - 2.0 * x(i, x.cols() - 1) + rng.normal();
+  }
+  return targets;
+}
+
+// fit() and an active-set continue_fit() (inserted rows, changed rows and
+// anchors) against RefBooster, bit for bit on every row and probe.
+TEST(GradientBoosting, PresortedExactMatchesPerNodeSortReference) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(1000 + seed);
+    const auto d = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    const auto n_old = static_cast<std::size_t>(rng.uniform_int(8, 200));
+    const auto n = n_old + static_cast<std::size_t>(rng.uniform_int(1, 40));
+    GbtParams params;
+    params.n_rounds = 6;
+    params.tree.max_depth = static_cast<int>(rng.uniform_int(1, 6));
+    params.warm_start = true;
+    params.warm_rate_factor = 2.0;
+    params.seed = seed;
+
+    const Matrix x_old = tie_matrix(rng, n_old, d);
+    const auto y_old = tie_targets(x_old, rng);
+    auto model = GradientBoosting::regressor(params);
+    RefBooster ref(params);
+    model.fit(x_old, y_old);
+    ref.fit(x_old, y_old);
+
+    // Splice fresh rows in at random ascending positions, then move a few
+    // old ones.
+    const auto inserted_rows = rng.sample_without_replacement(n, n - n_old);
+    std::vector<std::size_t> inserted(inserted_rows);
+    std::sort(inserted.begin(), inserted.end());
+    Matrix x = tie_matrix(rng, n, d);
+    auto y = tie_targets(x, rng);
+    std::size_t old_r = 0, next = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (next < inserted.size() && inserted[next] == r) {
+        ++next;
+        continue;
+      }
+      for (std::size_t j = 0; j < d; ++j) x(r, j) = x_old(old_r, j);
+      y[r] = y_old[old_r++];
+    }
+    std::vector<std::size_t> changed;
+    for (std::size_t r = 0; r < n; r += 11) {
+      if (std::binary_search(inserted.begin(), inserted.end(), r)) continue;
+      changed.push_back(r);
+      x(r, 0) = static_cast<double>(rng.uniform_int(0, 2));
+      y[r].value += 3.0;
+    }
+    model.continue_fit(x, y, 6, changed, inserted);
+    ref.continue_fit(x, y, 6, changed, inserted);
+
+    ASSERT_EQ(model.tree_count(), ref.trees.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(model.predict_raw(x.row(i))),
+                std::bit_cast<std::uint64_t>(ref.predict_raw(x.row(i))))
+          << "row " << i;
+    }
+    for (const auto& probe : tie_probes(rng, d)) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(model.predict_raw(probe)),
+                std::bit_cast<std::uint64_t>(ref.predict_raw(probe)));
     }
   }
 }
