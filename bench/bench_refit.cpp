@@ -4,7 +4,11 @@
 //
 //   $ ./bench_refit [--jobs=16] [--dataset=google|alibaba|both]
 //                   [--min-tasks=100] [--max-tasks=400] [--checkpoints=10]
-//                   [--methods=NURD,NURD-NC,GBTR,Grabit] [--check=0]
+//                   [--methods=NURD,NURD-NC,GBTR] [--check=0]
+//
+// --methods takes a subset of NURD, NURD-NC and GBTR, the only methods a
+// RefitPolicy changes (every other method refits whole at every checkpoint,
+// so its two runs would be one run twice).
 //
 // The output header names the kernel table ops() picked for this CPU, so
 // timings are attributable; every table computes bit-identical results.
@@ -25,8 +29,10 @@
 // --check=1 (the CI smoke mode) exits non-zero unless the late-checkpoint
 // ratio is >= 3 and |macro-F1 drift| <= 0.01 for every method on both tuned
 // configs — the acceptance bar for the incremental refit path. A check
-// that covered no (dataset, method) cell fails too. An unknown flag,
-// --dataset or --methods name exits 2 before any job is generated.
+// that covered no (dataset, method) cell fails too. An unknown flag or
+// --dataset, or a --methods name outside the list above, exits 2 before any
+// job is generated.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -43,6 +49,10 @@ namespace {
 
 using namespace nurd;
 using Clock = std::chrono::steady_clock;
+
+/// The warm-startable learners, the only methods a RefitPolicy changes; the
+/// default --methods.
+constexpr const char* kWarmMethods = "NURD,NURD-NC,GBTR";
 
 /// Delegating predictor that accumulates per-checkpoint wall-clock spent in
 /// predict_stragglers — the whole per-checkpoint cost a scheduler would pay.
@@ -115,11 +125,17 @@ int main(int argc, char** argv) {
   const bool check = bench::arg_long(argc, argv, "check", 0) != 0;
   const auto datasets = bench::arg_datasets(argc, argv, "both");
   const auto methods =
-      bench::split_csv(bench::arg_string(argc, argv, "methods",
-                                  "NURD,NURD-NC,GBTR,Grabit"));
+      bench::split_csv(bench::arg_string(argc, argv, "methods", kWarmMethods));
   // Every name is checked before any job is generated.
+  const auto warm = bench::split_csv(kWarmMethods);
   for (const auto& name : methods) {
-    bench::method_by_name(argv[0], name, core::google_tuned());
+    if (std::find(warm.begin(), warm.end(), name) == warm.end()) {
+      std::fprintf(stderr,
+                   "%s: --methods=%s is not a warm-startable learner "
+                   "(%s)\n",
+                   argv[0], name.c_str(), kWarmMethods);
+      return 2;
+    }
   }
 
   const auto make_scaled_jobs = [&](bench::Dataset dataset) {

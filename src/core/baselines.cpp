@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -12,8 +11,6 @@
 namespace nurd::core {
 
 namespace {
-
-constexpr std::size_t kNotInTrain = std::numeric_limits<std::size_t>::max();
 
 // Censored targets over all tasks: finished are exact, running are
 // right-censored at the checkpoint horizon.
@@ -66,11 +63,10 @@ std::vector<std::size_t> GbtrPredictor::predict_stragglers(
 // ------------------------------------------------------ outlier family ----
 
 OutlierPredictor::OutlierPredictor(std::string name, DetectorFactory make,
-                                   double contamination, RefitPolicy refit)
+                                   double contamination)
     : name_(std::move(name)),
       make_(std::move(make)),
-      contamination_(contamination),
-      session_(refit) {
+      contamination_(contamination) {
   NURD_CHECK(make_ != nullptr, "detector factory must not be null");
 }
 
@@ -95,8 +91,8 @@ std::vector<std::size_t> OutlierPredictor::predict_stragglers(
 // --------------------------------------------------------------- XGBOD ----
 
 XgbodPredictor::XgbodPredictor(outlier::XgbodParams params,
-                               double contamination, RefitPolicy refit)
-    : params_(params), contamination_(contamination), session_(refit) {}
+                               double contamination)
+    : params_(params), contamination_(contamination) {}
 
 void XgbodPredictor::initialize(const JobContext&) { session_.reset(); }
 
@@ -123,8 +119,7 @@ std::vector<std::size_t> XgbodPredictor::predict_stragglers(
 
 // --------------------------------------------------------------- PU-EN ----
 
-PuEnPredictor::PuEnPredictor(pu::PuEnParams params, RefitPolicy refit)
-    : params_(params), session_(refit) {}
+PuEnPredictor::PuEnPredictor(pu::PuEnParams params) : params_(params) {}
 
 void PuEnPredictor::initialize(const JobContext&) { session_.reset(); }
 
@@ -151,8 +146,7 @@ std::vector<std::size_t> PuEnPredictor::predict_stragglers(
 
 // --------------------------------------------------------------- PU-BG ----
 
-PuBgPredictor::PuBgPredictor(pu::PuBgParams params, RefitPolicy refit)
-    : params_(params), session_(refit) {}
+PuBgPredictor::PuBgPredictor(pu::PuBgParams params) : params_(params) {}
 
 void PuBgPredictor::initialize(const JobContext&) { session_.reset(); }
 
@@ -175,9 +169,8 @@ std::vector<std::size_t> PuBgPredictor::predict_stragglers(
 
 // --------------------------------------------------------------- Tobit ----
 
-TobitPredictor::TobitPredictor(censored::TobitParams params,
-                               RefitPolicy refit)
-    : params_(params), session_(refit) {}
+TobitPredictor::TobitPredictor(censored::TobitParams params)
+    : params_(params) {}
 
 void TobitPredictor::initialize(const JobContext& context) {
   tau_stra_ = context.tau_stra;
@@ -201,13 +194,11 @@ std::vector<std::size_t> TobitPredictor::predict_stragglers(
 
 // -------------------------------------------------------------- Grabit ----
 
-GrabitPredictor::GrabitPredictor(ml::GbtParams params, RefitPolicy refit)
-    : params_(params), session_(refit) {}
+GrabitPredictor::GrabitPredictor(ml::GbtParams params) : params_(params) {}
 
 void GrabitPredictor::initialize(const JobContext& context) {
   tau_stra_ = context.tau_stra;
   session_.reset();
-  model_.reset();
 }
 
 std::vector<std::size_t> GrabitPredictor::predict_stragglers(
@@ -217,60 +208,18 @@ std::vector<std::size_t> GrabitPredictor::predict_stragglers(
   session_.observe(view);
   const auto targets = censored_targets(view);
   const double sigma = std::max(stddev(session_.y_fin()), 1e-3);
-  const Matrix& snapshot = session_.snapshot();
-
-  // Geometric refresh on the finished count: the snapshot's row count never
-  // grows, but the model's information content is the uncensored set — once
-  // that outgrows the last full fit's (warm_refresh_due), trees trained
-  // against the stale censoring horizon get rebuilt whole (amortized O(1)
-  // refreshes, none at late checkpoints).
-  if (!session_.incremental() || !model_.has_value() ||
-      !session_.advanced() ||
-      warm_refresh_due(view, view.finished().size(), full_fit_finished_)) {
-    auto warm = params_;
-    warm.warm_start = session_.incremental();
-    model_.emplace(ml::GradientBoosting::grabit(sigma, warm));
-    model_->fit(snapshot, targets);
-    last_fit_cp_ = view.index();
-    full_fit_finished_ = view.finished().size();
-  } else {
-    // Warm continuation over the snapshot: σ tracks the finished set and the
-    // censoring horizon moved, both plain target/loss changes. The active
-    // set for the continuation rounds is every row whose (features, target)
-    // pair moved since the last fit: the trace-change-detected rows (whose
-    // cached scores and bins are refreshed) UNION the still-running rows
-    // (censored targets advanced with τrun even where features did not)
-    // UNION the newly finished rows — a task completing with a
-    // bitwise-unchanged row is in neither of the former sets, yet its
-    // target flipped from censored to its revealed exact latency.
-    model_->set_loss(std::make_unique<ml::TobitLoss>(sigma));
-    view.delta_since(last_fit_cp_, &fin_scratch_, &changed_scratch_);
-    const auto running = view.running();
-    changed_scratch_.insert(changed_scratch_.end(), running.begin(),
-                            running.end());
-    changed_scratch_.insert(changed_scratch_.end(), fin_scratch_.begin(),
-                            fin_scratch_.end());
-    std::sort(changed_scratch_.begin(), changed_scratch_.end());
-    changed_scratch_.erase(
-        std::unique(changed_scratch_.begin(), changed_scratch_.end()),
-        changed_scratch_.end());
-    model_->continue_fit(snapshot, targets,
-                         std::min(12, std::max(1, params_.n_rounds / 2)),
-                         changed_scratch_);
-    last_fit_cp_ = view.index();
-  }
-
+  auto model = ml::GradientBoosting::grabit(sigma, params_);
+  model.fit(session_.snapshot(), targets);
   std::vector<std::size_t> flagged;
   for (auto i : candidates) {
-    if (model_->predict(view.row(i)) >= tau_stra_) flagged.push_back(i);
+    if (model.predict(view.row(i)) >= tau_stra_) flagged.push_back(i);
   }
   return flagged;
 }
 
 // --------------------------------------------------------------- CoxPH ----
 
-CoxPredictor::CoxPredictor(censored::CoxParams params, RefitPolicy refit)
-    : params_(params), session_(refit) {}
+CoxPredictor::CoxPredictor(censored::CoxParams params) : params_(params) {}
 
 void CoxPredictor::initialize(const JobContext& context) {
   tau_stra_ = context.tau_stra;
@@ -299,12 +248,8 @@ std::vector<std::size_t> CoxPredictor::predict_stragglers(
 // ------------------------------------------------------------ Wrangler ----
 
 WranglerPredictor::WranglerPredictor(ml::SvmParams params,
-                                     double train_fraction,
-                                     std::uint64_t seed, RefitPolicy refit)
-    : params_(params),
-      train_fraction_(train_fraction),
-      seed_(seed),
-      refit_(refit) {
+                                     double train_fraction, std::uint64_t seed)
+    : params_(params), train_fraction_(train_fraction), seed_(seed) {
   NURD_CHECK(train_fraction > 0.0 && train_fraction < 1.0,
              "train_fraction must be in (0,1)");
 }
@@ -325,8 +270,6 @@ void WranglerPredictor::initialize(const JobContext& context) {
   labels_.assign(labels.begin(), labels.end());
   y_.clear();
   w_.clear();
-  train_pos_.clear();
-  x_as_of_ = trace::kNoCheckpoint;
 }
 
 std::vector<std::size_t> WranglerPredictor::predict_stragglers(
@@ -352,31 +295,7 @@ std::vector<std::size_t> WranglerPredictor::predict_stragglers(
     }
   }
 
-  // Training rows: full re-gather under kFull (the reference path); under
-  // kIncremental only the change-detected rows that belong to the training
-  // sample are patched — identical matrix content, delta-sized cost.
-  const bool patch = refit_ == RefitPolicy::kIncremental &&
-                     x_as_of_ != trace::kNoCheckpoint &&
-                     x_as_of_ <= view.index();
-  if (!patch) {
-    view.gather_rows(train_ids_, &x_);
-    if (refit_ == RefitPolicy::kIncremental && train_pos_.empty()) {
-      train_pos_.assign(view.task_count(), kNotInTrain);
-      for (std::size_t r = 0; r < train_ids_.size(); ++r) {
-        train_pos_[train_ids_[r]] = r;
-      }
-    }
-  } else {
-    view.delta_since(x_as_of_, nullptr, &changed_scratch_);
-    for (const auto task : changed_scratch_) {
-      const auto r = train_pos_[task];
-      if (r == kNotInTrain) continue;
-      const auto src = view.row(task);
-      std::copy(src.begin(), src.end(), x_.row(r).begin());
-    }
-  }
-  x_as_of_ = view.index();
-
+  view.gather_rows(train_ids_, &x_);
   ml::LinearSVM svm(params_);
   svm.fit(x_, y_, w_);
 

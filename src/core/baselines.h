@@ -6,13 +6,11 @@
 // All adapters consume trace::CheckpointView through a shared FitSession —
 // the featurization layer that assembles each checkpoint's design blocks
 // (finished rows, membership labels, the dense snapshot) exactly once into
-// reused scratch. Under RefitPolicy::kFull every adapter behaves
-// bit-identically to the hand-rolled per-adapter gathers it replaced; under
-// kIncremental the session maintains the blocks from the view's delta, the
-// GBT-backed adapters warm-start their boosters, and the snapshot-backed
-// adapters skip rewriting unchanged rows (their decisions stay bit-identical
-// across policies, since the snapshot content does not change — only how it
-// is kept up to date).
+// reused scratch, bit-identical to the hand-rolled per-adapter gathers it
+// replaced. Every adapter but GBTR refits its model whole at every
+// checkpoint, on one path. GBTR's finished-block booster is the one baseline
+// a RefitPolicy changes: under kIncremental it warm-continues (see
+// refit_finished_gbt).
 #pragma once
 
 #include <functional>
@@ -64,17 +62,14 @@ class GbtrPredictor final : public StragglerPredictor {
 /// detector is fitted on the full feature snapshot and candidates whose
 /// scores exceed the contamination threshold (default 0.1, matching the p90
 /// straggler definition) are flagged. The snapshot comes from the session,
-/// so under kIncremental only delta rows are rewritten; the detector itself
-/// refits whole (their fits are not incrementalizable), and flag decisions
-/// are bit-identical across policies.
+/// which patches only the rows the trace delta reports changed.
 class OutlierPredictor final : public StragglerPredictor {
  public:
   using DetectorFactory =
       std::function<std::unique_ptr<outlier::Detector>()>;
 
   OutlierPredictor(std::string name, DetectorFactory make,
-                   double contamination = 0.1,
-                   RefitPolicy refit = RefitPolicy::kFull);
+                   double contamination = 0.1);
   std::string name() const override { return name_; }
   void initialize(const JobContext& context) override;
   std::vector<std::size_t> predict_stragglers(
@@ -93,8 +88,7 @@ class OutlierPredictor final : public StragglerPredictor {
 class XgbodPredictor final : public StragglerPredictor {
  public:
   explicit XgbodPredictor(outlier::XgbodParams params = {},
-                          double contamination = 0.1,
-                          RefitPolicy refit = RefitPolicy::kFull);
+                          double contamination = 0.1);
   std::string name() const override { return "XGBOD"; }
   void initialize(const JobContext& context) override;
   std::vector<std::size_t> predict_stragglers(
@@ -113,8 +107,7 @@ class XgbodPredictor final : public StragglerPredictor {
 /// unlabeled side (shrinking running set) is gathered per checkpoint.
 class PuEnPredictor final : public StragglerPredictor {
  public:
-  explicit PuEnPredictor(pu::PuEnParams params = {},
-                         RefitPolicy refit = RefitPolicy::kFull);
+  explicit PuEnPredictor(pu::PuEnParams params = {});
   std::string name() const override { return "PU-EN"; }
   void initialize(const JobContext& context) override;
   std::vector<std::size_t> predict_stragglers(
@@ -131,8 +124,7 @@ class PuEnPredictor final : public StragglerPredictor {
 /// out-of-bag decision value leans toward the non-finished side (> 0).
 class PuBgPredictor final : public StragglerPredictor {
  public:
-  explicit PuBgPredictor(pu::PuBgParams params = {},
-                         RefitPolicy refit = RefitPolicy::kFull);
+  explicit PuBgPredictor(pu::PuBgParams params = {});
   std::string name() const override { return "PU-BG"; }
   void initialize(const JobContext& context) override;
   std::vector<std::size_t> predict_stragglers(
@@ -150,8 +142,7 @@ class PuBgPredictor final : public StragglerPredictor {
 /// reaches τstra.
 class TobitPredictor final : public StragglerPredictor {
  public:
-  explicit TobitPredictor(censored::TobitParams params = {},
-                          RefitPolicy refit = RefitPolicy::kFull);
+  explicit TobitPredictor(censored::TobitParams params = {});
   std::string name() const override { return "Tobit"; }
   void initialize(const JobContext& context) override;
   std::vector<std::size_t> predict_stragglers(
@@ -164,15 +155,13 @@ class TobitPredictor final : public StragglerPredictor {
   FitSession session_;
 };
 
-/// Grabit adapter: gradient boosting with the Tobit loss; σ is set to the
-/// stddev of the finished tasks' latencies at each checkpoint. Under
-/// kIncremental the booster warm-continues over the delta-patched snapshot
-/// (the censoring horizon moving is just a target change, which boosting
-/// continuation absorbs round by round) with σ swapped in per checkpoint.
+/// Grabit adapter: gradient boosting with the Tobit loss over the snapshot,
+/// finished tasks exact and running ones right-censored at τrun; σ is set to
+/// the stddev of the finished tasks' latencies. A fresh booster is fitted at
+/// every checkpoint.
 class GrabitPredictor final : public StragglerPredictor {
  public:
-  explicit GrabitPredictor(ml::GbtParams params = {},
-                           RefitPolicy refit = RefitPolicy::kFull);
+  explicit GrabitPredictor(ml::GbtParams params = {});
   std::string name() const override { return "Grabit"; }
   void initialize(const JobContext& context) override;
   std::vector<std::size_t> predict_stragglers(
@@ -183,19 +172,13 @@ class GrabitPredictor final : public StragglerPredictor {
   ml::GbtParams params_;
   double tau_stra_ = 0.0;
   FitSession session_;
-  std::optional<ml::GradientBoosting> model_;
-  std::size_t last_fit_cp_ = 0;  ///< checkpoint of model_'s last (re)fit
-  std::size_t full_fit_finished_ = 0;  ///< |finished| at the last full fit
-  std::vector<std::size_t> fin_scratch_;
-  std::vector<std::size_t> changed_scratch_;
 };
 
 /// CoxPH adapter: completion is the event; flags when the predicted
 /// probability of surviving past τstra reaches 1/2.
 class CoxPredictor final : public StragglerPredictor {
  public:
-  explicit CoxPredictor(censored::CoxParams params = {},
-                        RefitPolicy refit = RefitPolicy::kFull);
+  explicit CoxPredictor(censored::CoxParams params = {});
   std::string name() const override { return "CoxPH"; }
   void initialize(const JobContext& context) override;
   std::vector<std::size_t> predict_stragglers(
@@ -213,16 +196,13 @@ class CoxPredictor final : public StragglerPredictor {
 /// an offline training sample, stragglers are oversampled to balance, and a
 /// linear SVM classifies the rest at every checkpoint. Mirrors §6 exactly.
 /// The true labels arrive through the explicit OfflineSample capability the
-/// harness grants to Privilege::kOfflineLabels methods. Under kIncremental
-/// the training matrix is patched in place from the rows the trace delta
-/// reports changed (∩ the training sample) instead of re-gathered — the SVM
-/// refit itself is unchanged, so decisions match kFull bit-identically.
+/// harness grants to Privilege::kOfflineLabels methods. The training rows
+/// are gathered afresh at every checkpoint.
 class WranglerPredictor final : public StragglerPredictor {
  public:
   explicit WranglerPredictor(ml::SvmParams params = {},
                              double train_fraction = 2.0 / 3.0,
-                             std::uint64_t seed = 97,
-                             RefitPolicy refit = RefitPolicy::kFull);
+                             std::uint64_t seed = 97);
   std::string name() const override { return "Wrangler"; }
   Privilege privilege() const override { return Privilege::kOfflineLabels; }
   void initialize(const JobContext& context) override;
@@ -234,7 +214,6 @@ class WranglerPredictor final : public StragglerPredictor {
   ml::SvmParams params_;
   double train_fraction_;
   std::uint64_t seed_;
-  RefitPolicy refit_;
   std::vector<std::size_t> train_ids_;
   std::vector<int> labels_;
   Matrix x_;
@@ -242,11 +221,6 @@ class WranglerPredictor final : public StragglerPredictor {
   // first non-degenerate fit.
   std::vector<double> y_;
   std::vector<double> w_;
-  // Incremental bookkeeping: task id -> row of x_ (or npos), and the
-  // checkpoint x_ currently reflects.
-  std::vector<std::size_t> train_pos_;
-  std::size_t x_as_of_ = trace::kNoCheckpoint;
-  std::vector<std::size_t> changed_scratch_;
 };
 
 }  // namespace nurd::core

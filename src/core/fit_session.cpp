@@ -77,8 +77,9 @@ void refit_finished_gbt(FitSession& session, const ml::GbtParams& params,
     // multiplicative, so fewer rounds would under-fit the fresh tail no
     // matter how small the delta, while active-set rounds make each round
     // cheap instead.
-    model->continue_fit(x_fin, y_fin, std::min(24, std::max(1, params.n_rounds / 2)),
-                        /*changed_rows=*/{}, state->pos_scratch);
+    model->continue_fit(x_fin, y_fin,
+                        std::min(24, std::max(1, params.n_rounds / 2)),
+                        state->pos_scratch);
   }
   state->last_fit_checkpoint = session.checkpoint();
 }
@@ -171,7 +172,7 @@ void FitSession::assemble_member() {
 void FitSession::assemble_snapshot() {
   const trace::CheckpointView& view = *this->view();
   if (snapshot_as_of_ == view.index()) return;
-  if (incremental() && snapshot_as_of_ != trace::kNoCheckpoint &&
+  if (snapshot_as_of_ != trace::kNoCheckpoint &&
       snapshot_as_of_ < view.index()) {
     // Patch exactly the rows the store change-detected since the checkpoint
     // the snapshot last reflected (several back when a predictor skipped

@@ -11,28 +11,30 @@
 //     whole-population detectors and censored fits consume.
 // Before this layer each adapter hand-rolled its own gathers per checkpoint
 // (nurd.cpp and baselines.cpp both repeated the same loops).
-// FitSession owns the scratch matrices, assembles each block at most once
-// per observed checkpoint, and — under RefitPolicy::kIncremental — maintains
-// them from the view's delta (tasks newly finished, rows changed) instead of
-// rebuilding, so per-checkpoint featurization cost tracks the delta size
+// FitSession owns the scratch matrices and assembles each block at most once
+// per observed checkpoint. After the first observe of a job the snapshot is
+// patched from the view's delta (rows changed since the last observe)
+// instead of rewritten, so its per-checkpoint cost tracks the delta size
 // rather than the job size.
 //
 // Policy contract:
-//   * kFull reproduces the seed's assembly EXACTLY — same row order, same
-//     floating-point accumulation order — so every method driven through a
-//     kFull session is bit-identical to the pre-FitSession code. This is the
-//     golden-parity reference path.
-//   * kIncremental keeps every block BITWISE identical to kFull's (the
-//     snapshot is patched from the delta rather than rewritten; the finished
-//     and membership blocks are assembled in the seed's exact order). This
-//     is deliberate and load-bearing: boosted-tree fits are chaotic in
-//     their inputs — a 1-ulp difference in one value can flip a split tie
-//     and cascade into a visibly different ensemble — and since the tuned
-//     configs sit at an F1 optimum, any such perturbation systematically
-//     DEGRADES the tuned methods. Bitwise-equal blocks mean a full refit
-//     under kIncremental rebuilds the exact kFull model; divergence enters
-//     only through warm CONTINUATIONS between geometric refreshes.
-//     bench_refit quantifies the residual drift.
+//   * Under BOTH policies every block is bitwise what the seed's hand-rolled
+//     assembly wrote — same row order, same floating-point accumulation
+//     order: the snapshot patch writes exactly the bytes a rebuild writes,
+//     and the finished and membership blocks are gathered in the seed's
+//     order. This is deliberate and load-bearing: boosted-tree fits are
+//     chaotic in their inputs — a 1-ulp difference in one value can flip a
+//     split tie and cascade into a visibly different ensemble — and since
+//     the tuned configs sit at an F1 optimum, any such perturbation
+//     systematically DEGRADES the tuned methods. Every method that refits
+//     whole is therefore bit-identical to the pre-FitSession code.
+//   * The policy only tells the warm-startable learners (NURD's ht and
+//     propensity model, GBTR) whether to continue their models between
+//     checkpoints. kFull refits from scratch — the golden-parity reference
+//     path. Under kIncremental a full refresh rebuilds the exact kFull
+//     model, since the blocks are the same bytes; divergence enters only
+//     through warm CONTINUATIONS between geometric refreshes. bench_refit
+//     quantifies the residual drift.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +53,7 @@ namespace nurd::core {
 enum class RefitPolicy {
   kFull,         ///< refit from scratch every checkpoint (Algorithm 1 as
                  ///< published; the bit-identical reference path)
-  kIncremental,  ///< delta featurization + warm-started model continuation
+  kIncremental,  ///< warm-started model continuation (NURD, NURD-NC, GBTR)
 };
 
 /// True when a warm-started model whose last full fit covered `at_full_fit`
@@ -104,7 +106,8 @@ class FitSession {
   explicit FitSession(RefitPolicy policy = RefitPolicy::kFull)
       : policy_(policy) {}
 
-  RefitPolicy policy() const { return policy_; }
+  /// True under kIncremental: the warm-startable learners continue their
+  /// models between checkpoints. Block assembly does not read it.
   bool incremental() const { return policy_ == RefitPolicy::kIncremental; }
 
   /// Forgets all per-job state (a predictor's initialize() path).
@@ -159,9 +162,9 @@ class FitSession {
   std::span<const double> y_member();
 
   // ---- the snapshot -------------------------------------------------------
-  /// Dense n×d matrix of every task's current row, ascending task id. The
-  /// content is bitwise identical under both policies; kIncremental merely
-  /// patches the rows the delta reports instead of rewriting all n.
+  /// Dense n×d matrix of every task's current row, ascending task id. After
+  /// the first observe only the rows the delta reports are rewritten; the
+  /// content is bitwise what CheckpointView::snapshot writes.
   const Matrix& snapshot();
 
  private:

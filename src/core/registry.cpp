@@ -28,14 +28,13 @@ template <typename D, typename... Args>
 NamedPredictor outlier_entry(const std::string& name,
                              const RegistryConfig& config, Args... args) {
   const double contamination = config.contamination;
-  const RefitPolicy refit = config.refit;
-  return {name, [name, contamination, refit, args...]() {
+  return {name, [name, contamination, args...]() {
             return std::make_unique<OutlierPredictor>(
                 name,
                 [args...]() -> std::unique_ptr<outlier::Detector> {
                   return std::make_unique<D>(args...);
                 },
-                contamination, refit);
+                contamination);
           }};
 }
 
@@ -46,7 +45,6 @@ RegistryConfig google_tuned() {
   c.nurd_alpha = 0.25;
   c.nurd_gbt_rounds = 80;
   c.nurd_tree_depth = 3;
-  c.grabit_warm_rate = 1.4;
   return c;
 }
 
@@ -57,11 +55,8 @@ RegistryConfig alibaba_tuned() {
   c.nurd_tree_depth = 4;
   // The d=4 Alibaba schema concentrates each continuation tree's correction
   // on broad feature regions; damping the warm step keeps the incremental
-  // path's flags tracking the full-refit reference (bench_refit). Grabit's
-  // censored loss already self-damps across the censoring boundary, so its
-  // tuned factor sits between the squared-loss methods' and none.
+  // path's flags tracking the full-refit reference (bench_refit).
   c.gbt_warm_rate = 0.75;
-  c.grabit_warm_rate = 1.4;
   return c;
 }
 
@@ -92,39 +87,34 @@ std::vector<NamedPredictor> all_predictors(RegistryConfig config) {
                    outlier::XgbodParams p;
                    p.gbt = gbt_params(config);
                    return std::make_unique<XgbodPredictor>(
-                       p, config.contamination, config.refit);
+                       p, config.contamination);
                  }});
 
   // Positive-unlabeled.
   out.push_back({"PU-EN", [config]() {
                    pu::PuEnParams p;
                    p.gbt = gbt_params(config);
-                   return std::make_unique<PuEnPredictor>(p, config.refit);
+                   return std::make_unique<PuEnPredictor>(p);
                  }});
-  out.push_back({"PU-BG", [config]() {
-                   return std::make_unique<PuBgPredictor>(pu::PuBgParams{},
-                                                          config.refit);
+  out.push_back({"PU-BG", []() {
+                   return std::make_unique<PuBgPredictor>(pu::PuBgParams{});
                  }});
 
   // Censored and survival regression.
-  out.push_back({"Tobit", [config]() {
+  out.push_back({"Tobit", []() {
                    return std::make_unique<TobitPredictor>(
-                       censored::TobitParams{}, config.refit);
+                       censored::TobitParams{});
                  }});
   out.push_back({"Grabit", [config]() {
-                   auto p = gbt_params(config);
-                   p.warm_rate_factor = config.grabit_warm_rate;
-                   return std::make_unique<GrabitPredictor>(p, config.refit);
+                   return std::make_unique<GrabitPredictor>(gbt_params(config));
                  }});
-  out.push_back({"CoxPH", [config]() {
-                   return std::make_unique<CoxPredictor>(
-                       censored::CoxParams{}, config.refit);
+  out.push_back({"CoxPH", []() {
+                   return std::make_unique<CoxPredictor>(censored::CoxParams{});
                  }});
 
   // Systems.
-  out.push_back({"Wrangler", [config]() {
-                   return std::make_unique<WranglerPredictor>(
-                       ml::SvmParams{}, 2.0 / 3.0, 97, config.refit);
+  out.push_back({"Wrangler", []() {
+                   return std::make_unique<WranglerPredictor>(ml::SvmParams{});
                  }});
 
   // Ours.

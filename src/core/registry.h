@@ -2,24 +2,22 @@
 // row order. Benches and the evaluation harness iterate this list to
 // reproduce the full comparison.
 //
-// RefitPolicy — how every method's per-checkpoint refit runs (threaded to
-// all 23 predictors through RegistryConfig::refit):
-//   * kFull (default): both models refit from scratch at every checkpoint,
-//     exactly as the paper's Algorithm 1 prescribes. This is the golden
-//     reference — the parity suite pins every method's flags bit-identical
-//     on this path.
-//   * kIncremental: featurization is maintained from the trace delta
-//     instead of rebuilt (with content bitwise equal to kFull's — see
-//     core/fit_session.h), GBT-backed methods warm-continue their boosters
-//     between geometric refreshes, and the propensity logistic warm-starts
-//     Newton from the previous checkpoint. Methods whose models always
-//     refit whole — the 13 outlier detectors, XGBOD, Tobit, CoxPH,
-//     Wrangler, PU-EN, PU-BG — produce bit-identical decisions to kFull;
-//     only the bookkeeping differs. The warm-started learners (NURD,
-//     NURD-NC, GBTR, Grabit) may diverge within tolerance during
-//     continuation windows. bench_refit --check enforces both the
-//     per-checkpoint cost win (≥3x at late checkpoints) and the end-metric
-//     drift bound (macro-F1 within 0.01) on both tuned configs.
+// RefitPolicy — how the warm-startable learners refit per checkpoint
+// (RegistryConfig::refit reaches NURD, NURD-NC and GBTR only):
+//   * kFull (default): the latency model and NURD's propensity model refit
+//     from scratch at every checkpoint, exactly as the paper's Algorithm 1
+//     prescribes. This is the golden reference — the parity suite pins
+//     every method's flags bit-identical on this path.
+//   * kIncremental: the finished-block booster warm-continues between
+//     geometric refreshes (refit_finished_gbt) and the propensity logistic
+//     warm-starts Newton from the previous checkpoint; both may diverge
+//     within tolerance during continuation windows. bench_refit --check
+//     enforces the per-checkpoint cost win (≥3x at late checkpoints) and
+//     the end-metric drift bound (macro-F1 within 0.01) on both tuned
+//     configs.
+// Every other method — the 13 outlier detectors, XGBOD, PU-EN, PU-BG,
+// Tobit, Grabit, CoxPH and Wrangler — refits its model whole at every
+// checkpoint and has one refit path.
 #pragma once
 
 #include <vector>
@@ -34,7 +32,8 @@ namespace nurd::core {
 struct RegistryConfig {
   double contamination = 0.1;  ///< outlier-detector flag rate (p90 ⇒ 0.1)
   int gbt_rounds = 40;         ///< boosting rounds for all GBT-based methods
-  /// Per-checkpoint refit strategy for every method (see file comment).
+  /// Per-checkpoint refit strategy of NURD, NURD-NC and GBTR (see file
+  /// comment); no other method reads it.
   RefitPolicy refit = RefitPolicy::kFull;
   /// kIncremental only: step-size factor for warm continuation rounds
   /// relative to the configured learning rate (GbtParams::warm_rate_factor).
@@ -42,11 +41,6 @@ struct RegistryConfig {
   /// feature vector makes continuation corrections land harder, so its
   /// tuned config damps them.
   double gbt_warm_rate = 1.0;
-  /// Grabit's own continuation step factor (per-method per-dataset tuning,
-  /// exactly the paper's §6 methodology): its censored loss spreads each
-  /// correction across the uncensored/censored boundary, so it wants less
-  /// damping than the squared-loss methods on the same dataset.
-  double grabit_warm_rate = 1.0;
   double nurd_alpha = 0.35;    ///< tuned on pilot jobs per §6's procedure —
                                ///< the paper's own tuned value is 0.5; our
                                ///< synthetic traces sit ~0.15 higher on the

@@ -41,11 +41,6 @@ OnlineJobRun::OnlineJobRun(const trace::Job& job,
   predictor.initialize(context);
 }
 
-std::size_t OnlineJobRun::next_checkpoint() const {
-  NURD_CHECK(!done(), "job run already complete");
-  return checkpoint_;
-}
-
 void OnlineJobRun::enter(std::size_t t, core::Stage stage) {
   NURD_CHECK(t == checkpoint_ && t < checkpoint_count_ &&
                  stage == next_stage_,
@@ -110,7 +105,8 @@ std::span<const std::size_t> OnlineJobRun::flag(std::size_t t) {
 }
 
 std::span<const std::size_t> OnlineJobRun::step() {
-  const std::size_t t = next_checkpoint();
+  NURD_CHECK(!done(), "job run already complete");
+  const std::size_t t = checkpoint_;
   featurize(t);
   refit(t);
   predict(t);

@@ -73,9 +73,6 @@ class OnlineJobRun {
   /// True once flag() ran for the last checkpoint.
   bool done() const { return checkpoint_ >= checkpoint_count_; }
 
-  /// Index of the checkpoint the next step() will process.
-  std::size_t next_checkpoint() const;
-
   /// Processes the next checkpoint — the four stages below, back to back —
   /// and returns the tasks newly flagged at it (valid until the next step()).
   std::span<const std::size_t> step();
@@ -102,9 +99,6 @@ class OnlineJobRun {
   /// last checkpoint. Returns the newly flagged tasks (valid until the next
   /// checkpoint's predict).
   std::span<const std::size_t> flag(std::size_t t);
-
-  /// The accumulated record; `final` is populated once done().
-  const JobRunResult& result() const { return result_; }
 
   /// Moves the record out (call once, after done()).
   JobRunResult take_result();

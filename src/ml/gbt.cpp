@@ -45,11 +45,6 @@ GradientBoosting GradientBoosting::grabit(double sigma, GbtParams params) {
   return {std::make_unique<TobitLoss>(sigma), params};
 }
 
-void GradientBoosting::set_loss(std::unique_ptr<Loss> loss) {
-  NURD_CHECK(loss != nullptr, "loss must not be null");
-  loss_ = std::move(loss);
-}
-
 void GradientBoosting::fit(const Matrix& x, std::span<const double> y) {
   std::vector<Target> targets(y.size());
   for (std::size_t i = 0; i < y.size(); ++i) targets[i] = {y[i], false};
@@ -87,9 +82,10 @@ void GradientBoosting::fit(const Matrix& x, std::span<const Target> targets) {
 }
 
 void GradientBoosting::continue_fit(
-    const Matrix& x, std::span<const Target> targets, int rounds,
-    std::span<const std::size_t> changed_rows,
+    const Matrix& x, std::span<const double> y, int rounds,
     std::span<const std::size_t> inserted_rows) {
+  std::vector<Target> targets(y.size());
+  for (std::size_t i = 0; i < y.size(); ++i) targets[i] = {y[i], false};
   NURD_CHECK(params_.warm_start,
              "continue_fit requires warm_start in the params");
   NURD_CHECK(fitted_, "continue_fit requires a prior fit");
@@ -109,10 +105,9 @@ void GradientBoosting::continue_fit(
                "inserted_rows must be strictly ascending and in range");
   }
 
-  // Refresh the cached training scores: inserted rows and caller-reported
-  // changed rows pass through the ensemble once; every other row's cache is
-  // remapped over. This is the O(n + Δ·trees) step a from-scratch refit pays
-  // as O(n·rounds) instead.
+  // Refresh the cached training scores: inserted rows pass through the
+  // ensemble once; every other row's cache is remapped over. This is the
+  // O(n + Δ·trees) step a from-scratch refit pays as O(n·rounds) instead.
   if (!inserted_rows.empty()) {
     std::vector<double> remapped(n);
     std::size_t old_r = 0;
@@ -127,10 +122,6 @@ void GradientBoosting::continue_fit(
     }
     train_score_ = std::move(remapped);
   }
-  for (const auto r : changed_rows) {
-    NURD_CHECK(r < n, "changed row index out of range");
-    train_score_[r] = predict_raw(x.row(r));
-  }
 
   // The binner is built once, the first time the fit reaches histogram
   // scale, and its quantile edges are FROZEN from then on: later rows are
@@ -142,29 +133,26 @@ void GradientBoosting::continue_fit(
       binner_.emplace(x, params_.tree.max_bins);
     } else {
       binner_->insert_rows(x, inserted_rows);
-      binner_->rebin_rows(x, changed_rows);
     }
   }
 
   // Active-set continuation: a converged ensemble's gradient is concentrated
-  // on the rows whose (features, target) pair actually moved — the inserted
-  // and changed rows — so the continuation trees are fitted on that subset
-  // (plus anchors, below) only. Each round then costs O(|active|·d) for
-  // split finding plus O(n·depth) to keep every cached score current,
-  // instead of the full fit's O(n·d): the round COUNT stays at the full
-  // budget (residual absorption is multiplicative per round, (1−lr)^rounds,
-  // and does not shrink with the delta), the round COST is what the delta
-  // buys down. With nothing marked new or changed the subset is empty and
-  // the rounds fall back to whole-block boosting (plain "more rounds"
-  // continuation).
+  // on the rows the model has not seen — the inserted rows — so the
+  // continuation trees are fitted on that subset (plus anchors, below) only.
+  // Each round then costs O(|active|·d) for split finding plus O(n·depth) to
+  // keep every cached score current, instead of the full fit's O(n·d): the
+  // round COUNT stays at the full budget (residual absorption is
+  // multiplicative per round, (1−lr)^rounds, and does not shrink with the
+  // delta), the round COST is what the delta buys down. With nothing
+  // inserted the subset is empty and the rounds fall back to whole-block
+  // boosting (plain "more rounds" continuation).
   std::vector<std::size_t> subset(inserted_rows.begin(), inserted_rows.end());
-  subset.insert(subset.end(), changed_rows.begin(), changed_rows.end());
 
-  // Anchors: a sample of settled rows (gradient ≈ 0), three per moved row,
-  // joins the active set. Without them a tree fitted on moved rows alone
-  // assigns every leaf the moved rows' correction, which BLEEDS onto all the
-  // settled rows sharing those feature regions; with them the split gain
-  // rewards isolating the moved rows first (their gradients differ from the
+  // Anchors: a sample of settled rows (gradient ≈ 0), three per inserted
+  // row, joins the active set. Without them a tree fitted on the new rows
+  // alone assigns every leaf the new rows' correction, which BLEEDS onto all
+  // the settled rows sharing those feature regions; with them the split gain
+  // rewards isolating the new rows first (their gradients differ from the
   // anchors'), pure-fresh leaves take the full Newton step, and mixed leaves
   // are damped by the anchors' Hessian mass.
   if (!subset.empty() && subset.size() < n) {
@@ -181,15 +169,6 @@ void GradientBoosting::continue_fit(
   boost(x, targets, rounds, rate, train_score_,
         binner_ ? &*binner_ : nullptr, subset);
   n_trained_ = n;
-}
-
-void GradientBoosting::continue_fit(const Matrix& x, std::span<const double> y,
-                                    int rounds,
-                                    std::span<const std::size_t> changed_rows,
-                                    std::span<const std::size_t> inserted_rows) {
-  std::vector<Target> targets(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) targets[i] = {y[i], false};
-  continue_fit(x, targets, rounds, changed_rows, inserted_rows);
 }
 
 void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,

@@ -41,11 +41,10 @@ struct GbtParams {
   /// Step-size factor for continue_fit() rounds relative to learning_rate
   /// (capped at 0.5 absolute). A damped rate recovers a moved row's residual
   /// only as 1−(1−rate)^rounds, so this is the knob that balances a warm
-  /// continuation's tail tracking against overshoot — tuned per dataset (and
-  /// for Grabit per method) through RegistryConfig so the warm path's
-  /// macro-F1 stays within 0.01 of the full-refit reference (bench_refit
-  /// --check). At the default 1.0, fit(a)+continue_fit(b) on unchanged data
-  /// is bit-identical to fit(a+b).
+  /// continuation's tail tracking against overshoot — tuned per dataset
+  /// through RegistryConfig so the warm path's macro-F1 stays within 0.01
+  /// of the full-refit reference (bench_refit --check). At the default 1.0,
+  /// fit(a)+continue_fit(b) on unchanged data is bit-identical to fit(a+b).
   double warm_rate_factor = 1.0;
 };
 
@@ -72,29 +71,22 @@ class GradientBoosting {
 
   /// Warm-start continuation (requires params.warm_start and a prior fit):
   /// keeps every existing tree and boosts `rounds` more on the current data.
-  /// Rows of `x` must be the previous fit's rows in their old relative order
-  /// with the new rows at the strictly ascending positions `inserted_rows`,
-  /// which must list every new row (a tail append lists the tail). Prior
-  /// rows are assumed unchanged except for the (new-layout) indices in
-  /// `changed_rows`; inserted and changed rows pass through the ensemble
-  /// once to refresh the cached training scores and histogram bins, every
-  /// other row's cache is remapped over. Targets may change
-  /// freely between calls (each round recomputes gradients), which is how
-  /// censored fits advance their horizon and Grabit re-scales σ.
-  /// `rounds == 0` just absorbs the new/changed rows.
+  /// Targets are plain (uncensored) values: only the squared-loss
+  /// finished-block learners continue. Rows of `x` must be the previous
+  /// fit's rows, unchanged and in their old relative order, with the new
+  /// rows at the strictly ascending positions `inserted_rows`, which must
+  /// list every new row (a tail append lists the tail). Inserted rows pass
+  /// through the ensemble once to refresh the cached training scores and
+  /// histogram bins; every other row's cache is remapped over. Targets may
+  /// change freely between calls (each round recomputes gradients).
+  /// `rounds == 0` just absorbs the new rows.
   ///
   /// Continuation rounds run at warm_rate_factor × learning_rate (capped at
   /// 0.5): the rows a continuation must absorb are exactly the
   /// just-revealed latency tail that the flag threshold reads, so the
   /// continuation trades a little of full boosting's shrinkage for a tail
   /// that tracks the reference refit much more closely.
-  void continue_fit(const Matrix& x, std::span<const Target> targets,
-                    int rounds, std::span<const std::size_t> changed_rows = {},
-                    std::span<const std::size_t> inserted_rows = {});
-
-  /// continue_fit with plain (uncensored) targets.
   void continue_fit(const Matrix& x, std::span<const double> y, int rounds,
-                    std::span<const std::size_t> changed_rows = {},
                     std::span<const std::size_t> inserted_rows = {});
 
   /// Transformed prediction for one row (identity for regression, probability
@@ -120,12 +112,6 @@ class GradientBoosting {
   /// past the ensemble's from-scratch foundation (say 2x), a fresh fit costs
   /// amortized O(1) per checkpoint and clears accumulated early-data bias.
   std::size_t full_fit_rows() const { return n_full_fit_; }
-
-  /// Replaces the loss for subsequent continue_fit rounds (and predict
-  /// transforms). For losses with a data-dependent scale — Grabit re-derives
-  /// σ from the finished set each checkpoint — a warm-started continuation
-  /// swaps the loss in rather than rebuilding the ensemble.
-  void set_loss(std::unique_ptr<Loss> loss);
 
   /// Training loss trajectory is not retained; this reports the base score.
   double base_score() const { return base_score_; }

@@ -162,18 +162,6 @@ void FeatureBinner::insert_rows(const Matrix& x,
   n_rows_ = n_new;
 }
 
-void FeatureBinner::rebin_rows(const Matrix& x,
-                               std::span<const std::size_t> changed) {
-  NURD_CHECK(n_cols_ == x.cols(), "binner width must match the matrix");
-  for (std::size_t f = 0; f < n_cols_; ++f) {
-    auto* out = bins_.data() + f * n_rows_;
-    for (const auto r : changed) {
-      NURD_CHECK(r < n_rows_, "rebin_rows row out of range");
-      out[r] = bin_of(edges_[f], x(r, f));
-    }
-  }
-}
-
 // Per-fit state of the one node recursion. Each node owns the contiguous
 // segment [begin, end) of `rows`. A split stably partitions its segment into
 // the left rows, then the right rows, both in node order, so every node sees

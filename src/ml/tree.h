@@ -69,11 +69,6 @@ class FeatureBinner {
   /// id-ordered training block, where a finished task lands mid-block.
   void insert_rows(const Matrix& x, std::span<const std::size_t> inserted);
 
-  /// Re-bins the listed (already covered) rows against the frozen edges —
-  /// the drifting-running-task path: a warm-start fit over a snapshot
-  /// refreshes only the rows the trace delta reports as changed.
-  void rebin_rows(const Matrix& x, std::span<const std::size_t> changed);
-
   std::size_t rows() const { return n_rows_; }
   std::size_t cols() const { return n_cols_; }
 

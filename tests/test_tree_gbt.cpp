@@ -357,31 +357,11 @@ TEST(GradientBoosting, ContinueFitInsertedRowsDigestPinned) {
     }
   }
   ASSERT_EQ(inserted.size(), n_new - n_old);
-  model.continue_fit(x, y, 10, {}, inserted);
+  model.continue_fit(x, y, 10, inserted);
   EXPECT_EQ(output_digest(model, x), 0x9545e35321f5bd8cull);
 }
 
-// Changed rows drive the active-set path (moved rows plus sampled anchors).
-TEST(GradientBoosting, ContinueFitChangedRowsDigestPinned) {
-  Rng rng(23);
-  const std::size_t n = 300;
-  Matrix x = grid_matrix(rng, n, 9);
-  auto y = grid_targets(x, rng);
-  auto model = GradientBoosting::regressor(pin_params(true));
-  model.fit(x, y);
-
-  std::vector<std::size_t> changed;
-  for (std::size_t r = 3; r < n; r += 17) {
-    changed.push_back(r);
-    x(r, 1) = static_cast<double>(rng.uniform_int(0, 9));
-    x(r, 4) = 2.0 * x(r, 1);
-    y[r] = grid_target(x, r, rng) + 4.0;
-  }
-  model.continue_fit(x, y, 10, changed, {});
-  EXPECT_EQ(output_digest(model, x), 0xc4b0aeff44de6eb9ull);
-}
-
-// Nothing new or changed: the rounds boost the whole block, on the exact
+// Nothing inserted: the rounds boost the whole block, on the exact
 // backend (n = 200) and the histogram backend (n = 300).
 TEST(GradientBoosting, ContinueFitWholeBlockDigestPinned) {
   const struct {
@@ -638,8 +618,8 @@ TEST(RegressionTree, PresortedExactMatchesPerNodeSortReference) {
 }
 
 // A squared-loss booster on RefTree, mirroring GradientBoosting's fit() and
-// its active-set continue_fit() (moved rows plus three sampled anchors each,
-// drawn from an Rng seeded like the model's).
+// its active-set continue_fit() (inserted rows plus three sampled anchors
+// each, drawn from an Rng seeded like the model's).
 struct RefBooster {
   explicit RefBooster(const GbtParams& p) : params(p) {}
 
@@ -692,10 +672,9 @@ struct RefBooster {
     boost(x, targets, params.n_rounds, params.learning_rate, {});
   }
 
-  // x grew from the fitted rows by `inserted`; `changed` rows moved.
+  // x grew from the fitted rows by `inserted`.
   void continue_fit(const Matrix& x, std::span<const Target> targets,
-                    int rounds, std::span<const std::size_t> changed,
-                    std::span<const std::size_t> inserted) {
+                    int rounds, std::span<const std::size_t> inserted) {
     const std::size_t n = x.rows();
     std::vector<double> remapped(n);
     std::size_t old_r = 0, next = 0;
@@ -705,10 +684,8 @@ struct RefBooster {
       next += is_new ? 1 : 0;
     }
     score = std::move(remapped);
-    for (const auto r : changed) score[r] = predict_raw(x.row(r));
 
     std::vector<std::size_t> subset(inserted.begin(), inserted.end());
-    subset.insert(subset.end(), changed.begin(), changed.end());
     if (subset.size() < n) {
       Rng anchors_rng(params.seed);
       const auto anchors = std::min(n - subset.size(), 3 * subset.size());
@@ -731,8 +708,8 @@ std::vector<Target> tie_targets(const Matrix& x, Rng& rng) {
   return targets;
 }
 
-// fit() and an active-set continue_fit() (inserted rows, changed rows and
-// anchors) against RefBooster, bit for bit on every row and probe.
+// fit() and an active-set continue_fit() (inserted rows and anchors) against
+// RefBooster, bit for bit on every row and probe.
 TEST(GradientBoosting, PresortedExactMatchesPerNodeSortReference) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -754,8 +731,7 @@ TEST(GradientBoosting, PresortedExactMatchesPerNodeSortReference) {
     model.fit(x_old, y_old);
     ref.fit(x_old, y_old);
 
-    // Splice fresh rows in at random ascending positions, then move a few
-    // old ones.
+    // Splice fresh rows in at random ascending positions.
     const auto inserted_rows = rng.sample_without_replacement(n, n - n_old);
     std::vector<std::size_t> inserted(inserted_rows);
     std::sort(inserted.begin(), inserted.end());
@@ -770,15 +746,10 @@ TEST(GradientBoosting, PresortedExactMatchesPerNodeSortReference) {
       for (std::size_t j = 0; j < d; ++j) x(r, j) = x_old(old_r, j);
       y[r] = y_old[old_r++];
     }
-    std::vector<std::size_t> changed;
-    for (std::size_t r = 0; r < n; r += 11) {
-      if (std::binary_search(inserted.begin(), inserted.end(), r)) continue;
-      changed.push_back(r);
-      x(r, 0) = static_cast<double>(rng.uniform_int(0, 2));
-      y[r].value += 3.0;
-    }
-    model.continue_fit(x, y, 6, changed, inserted);
-    ref.continue_fit(x, y, 6, changed, inserted);
+    std::vector<double> values(n);
+    for (std::size_t r = 0; r < n; ++r) values[r] = y[r].value;
+    model.continue_fit(x, values, 6, inserted);
+    ref.continue_fit(x, y, 6, inserted);
 
     ASSERT_EQ(model.tree_count(), ref.trees.size());
     for (std::size_t i = 0; i < n; ++i) {
