@@ -90,7 +90,6 @@ void FitSession::reset() {
   t_ = trace::kNoCheckpoint;
   advanced_ = false;
   newly_finished_.clear();
-  changed_rows_.clear();
   invalidate_blocks();
 }
 
@@ -108,10 +107,10 @@ void FitSession::observe(const trace::CheckpointView& view) {
     // Forward step (or a repeated view, whose delta is empty) of the stream
     // we have been watching: the delta is a true increment, and every block
     // assembled so far is a valid base.
-    view.delta_since(t_, &newly_finished_, &changed_rows_);
+    view.delta_since(t_, &newly_finished_, nullptr);
   } else {
     // First observe, a different job, or a rewind: everything is new.
-    view.delta_since(trace::kNoCheckpoint, &newly_finished_, &changed_rows_);
+    view.delta_since(trace::kNoCheckpoint, &newly_finished_, nullptr);
     invalidate_blocks();
   }
   view_ = &view;

@@ -136,10 +136,6 @@ class FitSession {
     return newly_finished_;
   }
 
-  /// Tasks whose observed feature row changed since the previously observed
-  /// view (ascending id).
-  std::span<const std::size_t> changed_rows() const { return changed_rows_; }
-
   // ---- the finished block -------------------------------------------------
   /// Finished tasks' frozen rows, in ascending task id under BOTH policies —
   /// bitwise identical to the seed's assembly, so a from-scratch refit gives
@@ -181,7 +177,6 @@ class FitSession {
   std::size_t t_ = trace::kNoCheckpoint;
   bool advanced_ = false;
   std::vector<std::size_t> newly_finished_;
-  std::vector<std::size_t> changed_rows_;
 
   // The design blocks, each tagged with the checkpoint it reflects. Label
   // scratch is 32-byte aligned: these spans feed straight into kernel-layer

@@ -74,6 +74,7 @@ void GradientBoosting::fit(const Matrix& x, std::span<const Target> targets) {
 
   if (params_.warm_start) {
     train_score_ = std::move(score);
+    trees_scored_.assign(n, trees_.size());
     binner_ = std::move(binner);
     rng_ = Rng(params_.seed);
     n_trained_ = n;
@@ -105,22 +106,24 @@ void GradientBoosting::continue_fit(
                "inserted_rows must be strictly ascending and in range");
   }
 
-  // Refresh the cached training scores: inserted rows pass through the
-  // ensemble once; every other row's cache is remapped over. This is the
-  // O(n + Δ·trees) step a from-scratch refit pays as O(n·rounds) instead.
+  // Splice the cached training scores: every old row keeps its score and its
+  // count of trees folded in; an inserted row starts at the base score with
+  // none and catches up below, as every row the rounds read does.
   if (!inserted_rows.empty()) {
-    std::vector<double> remapped(n);
+    std::vector<double> remapped(n, base_score_);
+    std::vector<std::size_t> scored(n, 0);
     std::size_t old_r = 0;
     std::size_t next = 0;
     for (std::size_t r = 0; r < n; ++r) {
       if (next < inserted_rows.size() && inserted_rows[next] == r) {
-        remapped[r] = predict_raw(x.row(r));
         ++next;
       } else {
-        remapped[r] = train_score_[old_r++];
+        remapped[r] = train_score_[old_r];
+        scored[r] = trees_scored_[old_r++];
       }
     }
     train_score_ = std::move(remapped);
+    trees_scored_ = std::move(scored);
   }
 
   // The binner is built once, the first time the fit reaches histogram
@@ -139,9 +142,9 @@ void GradientBoosting::continue_fit(
   // Active-set continuation: a converged ensemble's gradient is concentrated
   // on the rows the model has not seen — the inserted rows — so the
   // continuation trees are fitted on that subset (plus anchors, below) only.
-  // Each round then costs O(|active|·d) for split finding plus O(n·depth) to
-  // keep every cached score current, instead of the full fit's O(n·d): the
-  // round COUNT stays at the full budget (residual absorption is
+  // Each round then costs O(|active|·d) for split finding and O(|active|·depth)
+  // to keep the active rows' cached scores current, instead of the full fit's
+  // O(n·d): the round COUNT stays at the full budget (residual absorption is
   // multiplicative per round, (1−lr)^rounds, and does not shrink with the
   // delta), the round COST is what the delta buys down. With nothing
   // inserted the subset is empty and the rounds fall back to whole-block
@@ -164,6 +167,24 @@ void GradientBoosting::continue_fit(
   std::sort(subset.begin(), subset.end());
   subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
 
+  // Lazy scores: row r's cached score holds the first trees_scored_[r]
+  // trees. Every row the rounds read — the active set, or the whole block —
+  // catches up in tree order with the same multiply-then-add as boost's
+  // axpy, so it is bit-identical to a score swept eagerly after every round.
+  // boost() then folds each new tree into exactly those rows.
+  const std::size_t folded = trees_.size() + static_cast<std::size_t>(rounds);
+  const auto catch_up = [&](std::size_t r) {
+    for (std::size_t t = trees_scored_[r]; t < trees_.size(); ++t) {
+      train_score_[r] += tree_rate_[t] * trees_[t].predict(x.row(r));
+    }
+    trees_scored_[r] = folded;
+  };
+  if (subset.empty()) {
+    for (std::size_t r = 0; r < n; ++r) catch_up(r);
+  } else {
+    for (const auto r : subset) catch_up(r);
+  }
+
   const double rate =
       std::min(0.5, params_.warm_rate_factor * params_.learning_rate);
   boost(x, targets, rounds, rate, train_score_,
@@ -177,8 +198,8 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
                              const FeatureBinner* binner,
                              std::span<const std::size_t> subset) {
   const std::size_t n = x.rows();
-  std::vector<double> grad(n), hess(n), pred(n);
   const bool active_set = !subset.empty();
+  std::vector<double> grad(n), hess(n), pred(active_set ? 0 : n);
   std::vector<std::size_t> all_rows;
   if (!active_set) {
     all_rows.resize(n);
@@ -208,8 +229,12 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
     RegressionTree tree;
     tree.fit(x, binner, grad, hess, rows, params_.tree, presorted);
 
-    for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));
-    kops.axpy(rate, pred.data(), score.data(), n);
+    if (active_set) {
+      for (const auto i : subset) score[i] += rate * tree.predict(x.row(i));
+    } else {
+      for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));
+      kops.axpy(rate, pred.data(), score.data(), n);
+    }
     trees_.push_back(std::move(tree));
     tree_rate_.push_back(rate);
   }

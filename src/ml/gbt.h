@@ -75,10 +75,12 @@ class GradientBoosting {
   /// finished-block learners continue. Rows of `x` must be the previous
   /// fit's rows, unchanged and in their old relative order, with the new
   /// rows at the strictly ascending positions `inserted_rows`, which must
-  /// list every new row (a tail append lists the tail). Inserted rows pass
-  /// through the ensemble once to refresh the cached training scores and
-  /// histogram bins; every other row's cache is remapped over. Targets may
-  /// change freely between calls (each round recomputes gradients).
+  /// list every new row (a tail append lists the tail). Inserted rows are
+  /// binned against the frozen edges and pass through the ensemble once;
+  /// every other row's bins and cached score are remapped over. A cached
+  /// score catches up on the trees it missed only when its row is next read
+  /// (see boost). Targets may change freely between calls (each round
+  /// recomputes gradients).
   /// `rounds == 0` just absorbs the new rows.
   ///
   /// Continuation rounds run at warm_rate_factor × learning_rate (capped at
@@ -122,10 +124,12 @@ class GradientBoosting {
   /// The shared boosting loop: `rounds` gradient/tree/score iterations at
   /// step size `rate`, appending to trees_ (each tree remembers its own rate
   /// in tree_rate_). With `subset` empty every round trains on all rows of
-  /// `x` (fit()'s path); with a non-empty `subset` the rounds are active-set
-  /// continuations: gradients and tree fits cover the subset only, while the
-  /// score update still sweeps every row so the caches stay current. A null
-  /// `binner` selects exact greedy trees, a non-null one histogram trees.
+  /// `x` and sweeps every row's score (fit()'s path, and a whole-block
+  /// continuation); with a non-empty `subset` the rounds are active-set
+  /// continuations: gradients, tree fits and score updates cover the subset
+  /// only, and continue_fit() catches the other rows up when they are next
+  /// read. A null `binner` selects exact greedy trees, a non-null one
+  /// histogram trees.
   /// Exact greedy presorts the training rows once per call
   /// (RegressionTree::presort) and every round's tree scans those orders.
   void boost(const Matrix& x, std::span<const Target> targets, int rounds,
@@ -149,6 +153,10 @@ class GradientBoosting {
   Rng rng_{0};                           ///< anchor sampling; fit() reseeds
   std::size_t n_trained_ = 0;            ///< rows covered by the last fit
   std::size_t n_full_fit_ = 0;           ///< rows covered by the last fit()
+
+  /// Trees folded into each row's train_score_; continue_fit() adds the rest
+  /// when the row is next read.
+  std::vector<std::size_t> trees_scored_;
 };
 
 }  // namespace nurd::ml

@@ -170,8 +170,9 @@ void FeatureBinner::insert_rows(const Matrix& x,
 // segment [begin, end) of `sorted`'s f-th slice: the node's rows in presort
 // order. A split partitions those slices by the same stable rule, so a node's
 // slice is the presort order restricted to its rows — the order the chained
-// stable sorts of presort() give that row set — and no node sorts. Only the
-// split finder differs between the backends.
+// stable sorts of presort() give that row set — and no node sorts. A split
+// whose children sit at max_depth leaves the slices alone: leaves never scan.
+// Only the split finder differs between the backends.
 struct RegressionTree::Grower {
   std::vector<Node>& nodes;
   const Matrix& x;
@@ -182,6 +183,9 @@ struct RegressionTree::Grower {
   std::vector<std::size_t> rows;     // node segments
   std::vector<std::size_t> sorted;   // exact: per-feature orders, feature-major
   std::vector<std::size_t> scratch;  // partition buffer
+
+  // Indexed by row id: 1 when the split being partitioned sends the row left.
+  std::vector<std::uint8_t> left_of;
   // Histogram backend: offset[f]*kHistBinStride locates feature f's bins in
   // a flat aligned array of kernel::kHistBinStride slots per bin — (G, H,
   // count, pad), one AVX2 vector each; back() is the total bin count.
@@ -211,7 +215,7 @@ struct RegressionTree::Grower {
     }
     if (best.gain <= params.gamma) return make_leaf();
 
-    const std::size_t mid = partition(begin, end, best);
+    const std::size_t mid = partition(begin, end, depth, best);
     if (mid == begin || mid == end) return make_leaf();  // only NaN does this
 
     // Reserve this node's slot before recursing so children land after it.
@@ -324,27 +328,41 @@ struct RegressionTree::Grower {
     return hist;
   }
 
-  // Stable partition of [begin, end) of `rows` and, on the exact backend, of
-  // every feature's slice of `sorted`: left rows move up in order, right rows
-  // go through `scratch` and land after them in order. The histogram backend
-  // routes by bin code, the exact backend by threshold.
-  std::size_t partition(std::size_t begin, std::size_t end,
+  // Stable partition of [begin, end) of `rows` and, while the children can
+  // still split on the exact backend, of every feature's slice of `sorted`.
+  // The backend's test (bin code or threshold) runs once per row into
+  // `left_of`; each stable split then writes every row to both the left
+  // cursor and `scratch` and lets that byte advance one of them, with no
+  // data-dependent branch. The right rows land after the left ones in order.
+  std::size_t partition(std::size_t begin, std::size_t end, int depth,
                         const SplitCandidate& split) {
-    const auto goes_left = [&](std::size_t r) {
-      return binner != nullptr ? binner->bin(split.feature, r) <= split.bin
-                               : x(r, split.feature) <= split.threshold;
-    };
+    if (binner != nullptr) {
+      const std::uint16_t* bins = binner->bin_column(split.feature);
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t r = rows[i];
+        left_of[r] = bins[r] <= split.bin;
+      }
+    } else {
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t r = rows[i];
+        left_of[r] = x(r, split.feature) <= split.threshold;
+      }
+    }
     const auto stable_split = [&](std::size_t* seg) {
       std::size_t left = begin, right = 0;
       for (std::size_t i = begin; i < end; ++i) {
         const std::size_t r = seg[i];
-        (goes_left(r) ? seg[left++] : scratch[right++]) = r;
+        const std::size_t goes_left = left_of[r];
+        seg[left] = r;
+        scratch[right] = r;
+        left += goes_left;
+        right += 1 - goes_left;
       }
       std::copy(scratch.data(), scratch.data() + right, seg + left);
       return left;
     };
     const std::size_t mid = stable_split(rows.data());
-    if (binner == nullptr) {
+    if (binner == nullptr && depth + 1 < params.max_depth) {
       for (std::size_t f = 0; f < x.cols(); ++f) {
         stable_split(sorted.data() + f * rows.size());
       }
@@ -398,6 +416,7 @@ void RegressionTree::fit(const Matrix& x, const FeatureBinner* binner,
                 .rows = {rows.begin(), rows.end()},
                 .sorted = {},
                 .scratch = std::vector<std::size_t>(rows.size()),
+                .left_of = std::vector<std::uint8_t>(x.rows()),
                 .offset = {}};
   if (binner != nullptr) {
     grower.offset.resize(binner->cols() + 1, 0);

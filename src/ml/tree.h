@@ -7,16 +7,19 @@
 // One node recursion grows the tree. Each node owns a contiguous segment of
 // one per-fit row array; a split stably partitions its segment into the left
 // rows, then the right rows, through one reused scratch buffer, so every node
-// sees its rows in the caller's order and no node allocates a row list. Only
-// the split finder differs between the two backends, and fit()'s binner
-// argument selects one:
+// sees its rows in the caller's order and no node allocates a row list. The
+// split's test (bin code or threshold) runs once per row into a per-row
+// routing byte, and every stable partition of the split reads that byte with
+// no data-dependent branch. Only the split finder differs between the two
+// backends, and fit()'s binner argument selects one:
 //   * exact greedy (null binner) — scans every distinct-value boundary of
 //     each feature in that feature's presorted order (XGBoost's pre-sorted
 //     column block, Chen & Guestrin 2016 §4.1). presort() sorts the rows
 //     once per feature, and each split stably partitions every feature's
 //     order along with the rows, so no node sorts: O(d · n) per tree level
 //     after one O(d · n log n) presort, which a boosting fit shares across
-//     its rounds. Best for tiny fits;
+//     its rounds. A split whose children are at max_depth partitions only
+//     the rows, since leaves never scan. Best for tiny fits;
 //   * histogram (a FeatureBinner, LightGBM-style) — accumulates per-bin
 //     (G, H) sums per node and scans bin boundaries; O(d · n) per tree level,
 //     with the sibling-subtraction trick (child histogram = parent − other

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
@@ -327,6 +328,35 @@ TEST(GradientBoosting, OutputDigestsPinned) {
     model.fit(x, y);
     EXPECT_EQ(output_digest(model, x), digest);
   }
+}
+
+// Real-valued features on the histogram backend at depth 4: below the root,
+// a larger child's histogram is its parent's minus its sibling's, and a bin
+// that lost every row to the sibling keeps a rounding residue in (G, H)
+// instead of an exact zero. How the scan treats such count-0 bins decides
+// between thresholds that route every training row alike, so the digest
+// also hashes held-out rows from the training distribution; the integer-grid
+// pins above cannot see it. Uniform draws call no libm.
+TEST(GradientBoosting, HistogramRealValuedDigestPinned) {
+  Rng rng(23);
+  const std::size_t n = 600;
+  Matrix x(n, 5);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) x(i, j) = rng.uniform(-1.0, 1.0);
+    y[i] = x(i, 0) * x(i, 1) - 2.0 * x(i, 2) + rng.uniform(-0.3, 0.3);
+  }
+  GbtParams params = pin_params(false);
+  params.tree.max_depth = 4;
+  auto model = GradientBoosting::regressor(params);
+  model.fit(x, y);
+  std::uint64_t h = output_digest(model, x);
+  std::vector<double> held_out(5);
+  for (int k = 0; k < 4096; ++k) {
+    for (auto& v : held_out) v = rng.uniform(-1.0, 1.0);
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(model.predict_raw(held_out)));
+  }
+  EXPECT_EQ(h, 0xafb731629a9442bcull);
 }
 
 // Inserted rows outside the frozen bin edges clamp into the boundary bins.
@@ -760,6 +790,187 @@ TEST(GradientBoosting, PresortedExactMatchesPerNodeSortReference) {
     for (const auto& probe : tie_probes(rng, d)) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(model.predict_raw(probe)),
                 std::bit_cast<std::uint64_t>(ref.predict_raw(probe)));
+    }
+  }
+}
+
+// --- Lazy continuation scores vs an eager sweep ----------------------------
+// EagerBooster is GradientBoosting's warm path with the score cache swept
+// eagerly: the same library trees, binner splice and anchor sampling, but
+// every round adds its tree into every row's cached score. The library adds
+// a tree only into the rows its round reads and catches the others up when
+// they are next read, so both must boost on the same gradients; their
+// ensembles are compared bit for bit after every call.
+struct EagerBooster {
+  explicit EagerBooster(const GbtParams& p) : params(p) {}
+
+  GbtParams params;
+  SquaredLoss loss;
+  double base = 0.0;
+  std::vector<RegressionTree> trees;
+  std::vector<double> rates;
+  std::vector<double> score;
+  std::unique_ptr<FeatureBinner> binner;
+  Rng rng{0};
+
+  double predict_raw(std::span<const double> row) const {
+    double s = base;
+    for (std::size_t i = 0; i < trees.size(); ++i) {
+      s += rates[i] * trees[i].predict(row);
+    }
+    return s;
+  }
+
+  void boost(const Matrix& x, std::span<const Target> targets, int rounds,
+             double rate, std::span<const std::size_t> subset) {
+    const std::size_t n = x.rows();
+    std::vector<double> grad(n), hess(n), pred(n);
+    std::vector<std::size_t> rows(subset.begin(), subset.end());
+    if (rows.empty()) {
+      rows.resize(n);
+      std::iota(rows.begin(), rows.end(), std::size_t{0});
+    }
+    const FeatureBinner* bins = binner.get();
+    const auto presorted = bins == nullptr ? RegressionTree::presort(x, rows)
+                                           : std::vector<std::size_t>{};
+    for (int round = 0; round < rounds; ++round) {
+      if (subset.empty()) {
+        loss.grad_hess_batch(targets, score, grad, hess);
+      } else {
+        for (const auto i : subset) {
+          const auto gh = loss.grad_hess(targets[i], score[i]);
+          grad[i] = gh.grad;
+          hess[i] = gh.hess;
+        }
+      }
+      RegressionTree tree;
+      tree.fit(x, bins, grad, hess, rows, params.tree, presorted);
+      for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));
+      kernel::ops().axpy(rate, pred.data(), score.data(), n);
+      trees.push_back(std::move(tree));
+      rates.push_back(rate);
+    }
+  }
+
+  void fit(const Matrix& x, std::span<const Target> targets) {
+    base = loss.init_score(targets);
+    score.assign(x.rows(), base);
+    binner.reset();
+    if (x.rows() >= kHistogramMinRows) {
+      binner = std::make_unique<FeatureBinner>(x, params.tree.max_bins);
+    }
+    boost(x, targets, params.n_rounds, params.learning_rate, {});
+    rng = Rng(params.seed);
+  }
+
+  // x grew from the fitted rows by `inserted` (empty: whole-block rounds).
+  void continue_fit(const Matrix& x, std::span<const Target> targets,
+                    int rounds, std::span<const std::size_t> inserted) {
+    const std::size_t n = x.rows();
+    std::vector<double> remapped(n);
+    std::size_t old_r = 0, next = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const bool is_new = next < inserted.size() && inserted[next] == r;
+      remapped[r] = is_new ? predict_raw(x.row(r)) : score[old_r++];
+      next += is_new ? 1 : 0;
+    }
+    score = std::move(remapped);
+    if (n >= kHistogramMinRows) {
+      if (!binner) {
+        binner = std::make_unique<FeatureBinner>(x, params.tree.max_bins);
+      } else {
+        binner->insert_rows(x, inserted);
+      }
+    }
+
+    std::vector<std::size_t> subset(inserted.begin(), inserted.end());
+    if (!subset.empty() && subset.size() < n) {
+      const auto anchors = std::min(n - subset.size(), 3 * subset.size());
+      const auto sampled = rng.sample_without_replacement(n, anchors);
+      subset.insert(subset.end(), sampled.begin(), sampled.end());
+    }
+    std::sort(subset.begin(), subset.end());
+    subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
+    const double rate =
+        std::min(0.5, params.warm_rate_factor * params.learning_rate);
+    boost(x, targets, rounds, rate, subset);
+  }
+};
+
+// Real-valued rows: x_j uniform in [−1, 1), y = x_0 − 2·x_{d−1} + noise.
+void real_row(Rng& rng, Matrix& x, std::size_t r, std::vector<Target>& y) {
+  for (std::size_t j = 0; j < x.cols(); ++j) x(r, j) = rng.uniform(-1.0, 1.0);
+  const double noise = rng.uniform(-0.5, 0.5);
+  y[r] = {x(r, 0) - 2.0 * x(r, x.cols() - 1) + noise, false};
+}
+
+// A chain of continuations per seed: active-set calls with inserted rows
+// (and their anchors) plus one whole-block call, which reads every row, some
+// of them stale since several calls. Starting sizes cover exact greedy
+// throughout, histogram throughout, and an ensemble that crosses
+// kHistogramMinRows mid-chain and builds its binner there.
+TEST(GradientBoosting, LazyContinuationScoresMatchEagerReference) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(3000 + seed);
+    const auto d = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    const std::size_t starts[] = {60, 220, 300};
+    const auto extra = static_cast<std::size_t>(rng.uniform_int(0, 30));
+    std::size_t n = starts[seed % 3] + extra;
+    GbtParams params;
+    params.n_rounds = 8;
+    params.tree.max_depth = static_cast<int>(rng.uniform_int(1, 5));
+    params.tree.max_bins = static_cast<int>(rng.uniform_int(8, 64));
+    params.warm_start = true;
+    params.warm_rate_factor = 2.0;
+    params.seed = seed;
+
+    Matrix x(n, d);
+    std::vector<Target> y(n);
+    for (std::size_t r = 0; r < n; ++r) real_row(rng, x, r, y);
+    auto model = GradientBoosting::regressor(params);
+    EagerBooster ref(params);
+    model.fit(x, y);
+    ref.fit(x, y);
+
+    const auto whole_block_step = rng.uniform_int(1, 3);
+    for (int step = 0; step < 5; ++step) {
+      SCOPED_TRACE("step=" + std::to_string(step));
+      std::vector<std::size_t> inserted;
+      if (step != whole_block_step) {
+        const auto grown = n + static_cast<std::size_t>(rng.uniform_int(1, 20));
+        inserted = rng.sample_without_replacement(grown, grown - n);
+        std::sort(inserted.begin(), inserted.end());
+        Matrix x_new(grown, d);
+        std::vector<Target> y_new(grown);
+        std::size_t old_r = 0, next = 0;
+        for (std::size_t r = 0; r < grown; ++r) {
+          if (next < inserted.size() && inserted[next] == r) {
+            real_row(rng, x_new, r, y_new);
+            ++next;
+          } else {
+            for (std::size_t j = 0; j < d; ++j) x_new(r, j) = x(old_r, j);
+            y_new[r] = y[old_r++];
+          }
+        }
+        x = std::move(x_new);
+        y = std::move(y_new);
+        n = grown;
+      } else {
+        for (auto& t : y) t.value += 0.25;  // targets may move between calls
+      }
+      std::vector<double> values(n);
+      for (std::size_t r = 0; r < n; ++r) values[r] = y[r].value;
+      const int rounds = static_cast<int>(rng.uniform_int(1, 6));
+      model.continue_fit(x, values, rounds, inserted);
+      ref.continue_fit(x, y, rounds, inserted);
+
+      ASSERT_EQ(model.tree_count(), ref.trees.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(model.predict_raw(x.row(i))),
+                  std::bit_cast<std::uint64_t>(ref.predict_raw(x.row(i))))
+            << "row " << i;
+      }
     }
   }
 }
