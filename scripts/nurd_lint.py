@@ -63,6 +63,14 @@ bug patterns; these rules are NURD-specific):
                  that creeps back into the node recursion reports the
                  `RegressionTree::Grower` site.
 
+  simd-site      SIMD code lives in the kernel layer: under src/, the
+                 intrinsics headers (<immintrin.h>, <x86intrin.h>,
+                 <emmintrin.h>), `_mm*` intrinsics and
+                 `__attribute__((target(...)))` may appear only in
+                 src/kernel/. There every accelerated primitive sits beside
+                 its reference body, behind CPUID dispatch, with a bitwise
+                 parity test; an intrinsic elsewhere would bypass all three.
+
   test-only-header
                  Every header under src/ must be reached by code that ships:
                  some file under src/, bench/, benchmark/ or examples/ other
@@ -145,6 +153,13 @@ _SORT_CALL = re.compile(r"\bstd::(?:ranges::)?(?:stable_)?sort\b")
 # '(' (a function), or the name after struct/class (a type).
 _SITE_TYPE = re.compile(r"^(?:struct|class)\s+([A-Za-z_][\w:]*)")
 _SITE_FUNC = re.compile(r"([A-Za-z_~][\w:~]*)\s*\(")
+
+# SIMD tokens confined to the kernel layer (simd-site).
+SIMD_DIR = "src/kernel"
+_SIMD_TOKEN = re.compile(
+    r"#\s*include\s*<(?:immintrin|x86intrin|emmintrin)\.h>"
+    r"|\b_mm\w*"
+    r"|__attribute__\s*\(\(\s*target\s*\(")
 
 # C++ files the linter reads.
 SOURCE_SUFFIXES = (".h", ".cpp", ".cc", ".hpp")
@@ -377,8 +392,25 @@ def check_sort_site(relpath: str, text: str) -> list[Finding]:
     return findings
 
 
+def check_simd_site(relpath: str, text: str) -> list[Finding]:
+    if not relpath.replace(os.sep, "/").startswith("src/"):
+        return []
+    if _under(relpath, (SIMD_DIR,)):
+        return []
+    findings = []
+    for lineno, line in _scrubbed_lines(text):
+        m = _SIMD_TOKEN.search(line)
+        if m:
+            findings.append(Finding(
+                relpath, lineno, "simd-site",
+                f"'{m.group(0)}' outside src/kernel/ — add a KernelOps "
+                f"primitive with a reference body and a parity test, and "
+                f"call it through kernel::ops()"))
+    return findings
+
+
 RULES = (check_wall_clock, check_unordered_iteration, check_trace_access,
-         check_thread_spawn, check_sort_site)
+         check_thread_spawn, check_sort_site, check_simd_site)
 
 
 def check_lock_table(root: str, relpaths: list[str],

@@ -280,6 +280,43 @@ class Allowlist(unittest.TestCase):
                 "trace-access src/core/allowlisted_access.cpp\n")
 
 
+class SimdSiteRule(unittest.TestCase):
+    PATH = "src/ml/bad_simd.cpp"
+
+    def test_fires_on_header_attribute_and_intrinsics(self):
+        findings, _ = lint(self.PATH)
+        simd = [f for f in findings if f.rule == "simd-site"]
+        self.assertEqual([f.line for f in simd], [3, 6, 7, 8])
+
+    def test_comments_strings_and_lookalikes_do_not_fire(self):
+        findings, _ = lint(self.PATH)
+        lines = {f.line for f in findings}
+        for exempt in (11, 12, 13):
+            self.assertNotIn(exempt, lines)
+
+    def test_kernel_layer_is_exempt(self):
+        findings, _ = lint("src/kernel/good_simd.cpp")
+        self.assertEqual(findings, [])
+
+    def test_other_intrinsics_headers_fire(self):
+        for header in ("x86intrin.h", "emmintrin.h"):
+            text = f"#include <{header}>\n"
+            self.assertEqual(
+                [f.rule for f in nurd_lint.check_simd_site(
+                    "src/common/x.cpp", text)], ["simd-site"])
+
+    def test_real_tree_keeps_simd_in_the_kernel_layer(self):
+        root = os.path.dirname(SCRIPTS_DIR)
+        allowlist = os.path.join(SCRIPTS_DIR, "nurd_lint_allowlist.txt")
+        findings, _ = nurd_lint.run(root, allowlist, None)
+        self.assertEqual([f.render() for f in findings
+                          if f.rule == "simd-site"], [])
+        with open(os.path.join(root, "src", "kernel", "kernel_avx2.cpp"),
+                  encoding="utf-8") as f:
+            self.assertNotEqual(nurd_lint.check_simd_site(
+                "src/ml/moved_out_of_kernel.cpp", f.read()), [])
+
+
 class RepoIsClean(unittest.TestCase):
     """The real src/ tree plus the checked-in allowlist must lint clean —
     this is the same invariant the CI leg enforces."""

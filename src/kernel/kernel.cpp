@@ -1,6 +1,7 @@
 #include "kernel/kernel.h"
 
 #include <atomic>
+#include <limits>
 
 #include "common/stats.h"
 
@@ -113,6 +114,40 @@ void ref_bin_index(const double* values, std::size_t n, double lo, double hi,
   }
 }
 
+void ref_split_scan4(const SplitScan4& scan, double* best_gain,
+                     std::size_t* best_pos) {
+  const auto objective = [&](double g, double h) {
+    return -0.5 * g * g / (h + scan.lambda);
+  };
+  for (std::size_t k = 0; k < 4; ++k) {
+    const std::size_t* order = scan.order[k];
+    const double* col = scan.x[k];
+    double g_left = 0.0, h_left = 0.0;
+    double best = -std::numeric_limits<double>::infinity();
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i + 1 < scan.n; ++i) {
+      g_left += scan.grad[order[i]];
+      h_left += scan.hess[order[i]];
+      if (col[order[i + 1] * scan.x_stride] <= col[order[i] * scan.x_stride]) {
+        continue;
+      }
+      const double g_right = scan.g_total - g_left;
+      const double h_right = scan.h_total - h_left;
+      const double gain =
+          h_left < scan.min_child_weight || h_right < scan.min_child_weight
+              ? -std::numeric_limits<double>::infinity()
+              : scan.parent_obj - objective(g_left, h_left) -
+                    objective(g_right, h_right);
+      if (gain > best) {
+        best = gain;
+        pos = i;
+      }
+    }
+    best_gain[k] = best;
+    best_pos[k] = pos;
+  }
+}
+
 void ref_sigmoid(const double* z, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = nurd::sigmoid(z[i]);
 }
@@ -124,7 +159,8 @@ constexpr KernelOps kReferenceOps = {
     ref_vsub,           ref_gemv,
     ref_syrk_rank1_upper, ref_squared_l2_rows,
     ref_hist_accumulate, ref_hist_subtract,
-    ref_bin_index,      ref_sigmoid,
+    ref_bin_index,      ref_split_scan4,
+    ref_sigmoid,
 };
 
 // ---- dispatch --------------------------------------------------------------

@@ -1,11 +1,11 @@
 // SIMD kernel-dispatch layer for the ML hot loops.
 //
-// Every refit hot path — histogram accumulation and sibling subtraction in
-// the tree builder, the Newton-step products in the logistic solver, batched
-// score/sigmoid/loss-gradient updates in the boosting engine, and the
-// squared-L2 distance kernels behind kNN / k-means — calls these primitives
-// through one process-global dispatch table instead of open-coding scalar
-// loops.
+// Every refit hot path — the exact-greedy split scan, histogram accumulation
+// and sibling subtraction in the tree builder, the Newton-step products in
+// the logistic solver, batched score/sigmoid/loss-gradient updates in the
+// boosting engine, and the squared-L2 distance kernels behind kNN / k-means —
+// calls these primitives through one process-global dispatch table instead of
+// open-coding scalar loops.
 //
 // Determinism contract: every table is bitwise identical to the reference
 // table. The reference primitives reproduce the exact floating-point
@@ -15,14 +15,19 @@
 // FMA, no vector exp. NURD's flags come from boosted-tree refits that are
 // chaotic in their inputs, so a last-ulp difference in one reduction changes
 // the paper's own output; the reductions and sigmoid therefore stay scalar
-// in every table. tests/test_kernel.cpp pins each replaced entry bitwise and
-// re-runs every Table-3 method under each table with exact equality.
+// in every table. The one exception in kind is split_scan4, whose vector
+// lanes are features, not elements: each lane runs one feature's whole
+// scalar scan (its prefix sums in the reference's order), so four lanes are
+// four independent reference loops in lockstep. tests/test_kernel.cpp pins
+// each replaced entry bitwise and re-runs every Table-3 method under each
+// table with exact equality.
 //
 // Tables:
 //   * reference — portable scalar code, the golden path.
-//   * avx2 — the reference table with the six elementwise primitives
-//     (axpy, vsub, syrk_rank1_upper, hist_accumulate, hist_subtract,
-//     bin_index) swapped for AVX2 intrinsics; x86-64 builds only.
+//   * avx2 — the reference table with seven primitives swapped for AVX2
+//     intrinsics: the six elementwise ones (axpy, vsub, syrk_rank1_upper,
+//     hist_accumulate, hist_subtract, bin_index) and the feature-lane
+//     split_scan4; x86-64 builds only.
 //
 // ops() picks the table once from the CPU: avx2 when it is compiled in and
 // CPUID reports AVX2, the reference table otherwise. The tables agree
@@ -38,6 +43,28 @@ namespace nurd::kernel {
 /// (G, H, count, pad). The pad lane makes one bin exactly one AVX2 vector,
 /// so the accumulate inner loop is a single load/add/store per row.
 inline constexpr std::size_t kHistBinStride = 4;
+
+/// Input of split_scan4: one exact-greedy tree node and four of its
+/// features, lane k scanning feature column x[k] in order[k].
+struct SplitScan4 {
+  /// Lane k's n row ids: the node's rows in its feature's presort order.
+  const std::size_t* order[4];
+  /// Lane k's feature column: the value of row r is x[k][r·x_stride].
+  const double* x[4];
+  std::size_t x_stride;
+  /// Rows in the node, the same in every lane.
+  std::size_t n;
+  /// Per-row gradient and Hessian, indexed by row id.
+  const double* grad;
+  const double* hess;
+  /// Σ grad and Σ hess over the node.
+  double g_total;
+  double h_total;
+  /// ℓ(g_total, h_total), see split_scan4.
+  double parent_obj;
+  double lambda;
+  double min_child_weight;
+};
 
 /// One table's implementation of every primitive. All pointers may be
 /// unaligned (the accelerated tables use unaligned loads); 32-byte
@@ -92,6 +119,19 @@ struct KernelOps {
   /// Division, not multiply-by-reciprocal, in every table.
   void (*bin_index)(const double* values, std::size_t n, double lo, double hi,
                     double width, std::size_t n_bins, std::uint32_t* out);
+
+  // ---- exact-greedy split scan (lanes are features) ----
+  /// For each lane k and each i + 1 < n, in order: add grad and hess of row
+  /// order[k][i] to the lane's prefix (G_L, H_L); then, unless
+  /// x(order[k][i+1]) ≤ x(order[k][i]) (no boundary between equal values),
+  /// score the candidate "split after position i":
+  ///   gain = (parent_obj − ℓ(G_L, H_L)) − ℓ(g_total − G_L, h_total − H_L),
+  ///   ℓ(g, h) = −0.5·g·g / (h + lambda),
+  /// or −inf when either Hessian sum is below min_child_weight.
+  /// best_gain[k] and best_pos[k] receive the lane's first strict maximum,
+  /// or −inf and 0 when no candidate beats −inf. Lanes may repeat a feature.
+  void (*split_scan4)(const SplitScan4& scan, double* best_gain,
+                      std::size_t* best_pos);
 
   // ---- nonlinear ----
   /// out[i] = 1/(1+e^(−z[i])), bit-identical to common/stats.h sigmoid().

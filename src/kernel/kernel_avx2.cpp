@@ -1,6 +1,7 @@
-// AVX2 kernel table: the reference table with its six elementwise
-// primitives (axpy, vsub, syrk_rank1_upper, hist_accumulate, hist_subtract,
-// bin_index) swapped for AVX2 intrinsics. Every function carries a
+// AVX2 kernel table: the reference table with seven primitives swapped for
+// AVX2 intrinsics — the six elementwise ones (axpy, vsub, syrk_rank1_upper,
+// hist_accumulate, hist_subtract, bin_index) and split_scan4, whose lanes are
+// four features scanned in lockstep. Every function carries a
 // per-function __attribute__((target("avx2"))) so this translation unit
 // compiles under the library's ordinary flags; ops() only installs this table
 // after runtime CPUID detection (kernel.cpp), so no AVX2 instruction executes
@@ -8,13 +9,16 @@
 //
 // Determinism contract (see kernel.h): each swapped primitive is bitwise
 // identical to the reference — vector lanes perform exactly the scalar
-// operations, one per element, no reassociation and no FMA. Reductions and
-// sigmoid cannot be vectorized under that rule and stay the reference's.
+// operations, one per element (for split_scan4, one per feature-step), no
+// reassociation and no FMA. Reductions and sigmoid cannot be vectorized
+// under that rule and stay the reference's.
 #include "kernel/kernel.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
+
+#include <limits>
 
 #define NURD_AVX2 __attribute__((target("avx2")))
 
@@ -132,6 +136,93 @@ NURD_AVX2 void avx2_bin_index(const double* values, std::size_t n, double lo,
   }
 }
 
+NURD_AVX2 void avx2_split_scan4(const SplitScan4& scan, double* best_gain,
+                                std::size_t* best_pos) {
+  const double neg_inf = -std::numeric_limits<double>::infinity();
+  if (scan.n < 2) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      best_gain[k] = neg_inf;
+      best_pos[k] = 0;
+    }
+    return;
+  }
+  // One step advances all four lanes. The rows are gathered with scalar
+  // loads (_mm256_set_pd), which outran vgatherqpd on these short segments;
+  // each step's next-row values are carried over as the following step's
+  // current ones, so x is loaded once per row per lane.
+  const std::size_t* o0 = scan.order[0];
+  const std::size_t* o1 = scan.order[1];
+  const std::size_t* o2 = scan.order[2];
+  const std::size_t* o3 = scan.order[3];
+  const double* x0 = scan.x[0];
+  const double* x1 = scan.x[1];
+  const double* x2 = scan.x[2];
+  const double* x3 = scan.x[3];
+  const std::size_t st = scan.x_stride;
+  const double* grad = scan.grad;
+  const double* hess = scan.hess;
+
+  const __m256d neg_half = _mm256_set1_pd(-0.5);
+  const __m256d lambda = _mm256_set1_pd(scan.lambda);
+  const __m256d min_weight = _mm256_set1_pd(scan.min_child_weight);
+  const __m256d parent = _mm256_set1_pd(scan.parent_obj);
+  const __m256d g_total = _mm256_set1_pd(scan.g_total);
+  const __m256d h_total = _mm256_set1_pd(scan.h_total);
+  const __m256d vneg_inf = _mm256_set1_pd(neg_inf);
+  const __m256d one = _mm256_set1_pd(1.0);
+
+  __m256d g_left = _mm256_setzero_pd();
+  __m256d h_left = _mm256_setzero_pd();
+  __m256d best = vneg_inf;
+  __m256d best_at = _mm256_setzero_pd();
+  __m256d at = _mm256_setzero_pd();  // i as a double, exact below 2^53
+  std::size_t r0 = o0[0], r1 = o1[0], r2 = o2[0], r3 = o3[0];
+  __m256d x_cur =
+      _mm256_set_pd(x3[r3 * st], x2[r2 * st], x1[r1 * st], x0[r0 * st]);
+  for (std::size_t i = 0; i + 1 < scan.n; ++i) {
+    g_left = _mm256_add_pd(
+        g_left, _mm256_set_pd(grad[r3], grad[r2], grad[r1], grad[r0]));
+    h_left = _mm256_add_pd(
+        h_left, _mm256_set_pd(hess[r3], hess[r2], hess[r1], hess[r0]));
+    r0 = o0[i + 1];
+    r1 = o1[i + 1];
+    r2 = o2[i + 1];
+    r3 = o3[i + 1];
+    const __m256d x_next =
+        _mm256_set_pd(x3[r3 * st], x2[r2 * st], x1[r1 * st], x0[r0 * st]);
+    // The reference skips when x_next <= x_cur; NLE_UQ is exactly its
+    // negation, NaN included.
+    const __m256d boundary = _mm256_cmp_pd(x_next, x_cur, _CMP_NLE_UQ);
+    x_cur = x_next;
+
+    const __m256d g_right = _mm256_sub_pd(g_total, g_left);
+    const __m256d h_right = _mm256_sub_pd(h_total, h_left);
+    const __m256d obj_left =
+        _mm256_div_pd(_mm256_mul_pd(_mm256_mul_pd(neg_half, g_left), g_left),
+                      _mm256_add_pd(h_left, lambda));
+    const __m256d obj_right = _mm256_div_pd(
+        _mm256_mul_pd(_mm256_mul_pd(neg_half, g_right), g_right),
+        _mm256_add_pd(h_right, lambda));
+    const __m256d blocked =
+        _mm256_or_pd(_mm256_cmp_pd(h_left, min_weight, _CMP_LT_OQ),
+                     _mm256_cmp_pd(h_right, min_weight, _CMP_LT_OQ));
+    const __m256d gain = _mm256_blendv_pd(
+        _mm256_sub_pd(_mm256_sub_pd(parent, obj_left), obj_right), vneg_inf,
+        blocked);
+    const __m256d take =
+        _mm256_and_pd(boundary, _mm256_cmp_pd(gain, best, _CMP_GT_OQ));
+    best = _mm256_blendv_pd(best, gain, take);
+    best_at = _mm256_blendv_pd(best_at, at, take);
+    at = _mm256_add_pd(at, one);
+  }
+  alignas(32) double at_out[4];
+  _mm256_storeu_pd(best_gain, best);
+  _mm256_store_pd(at_out, best_at);
+  for (std::size_t k = 0; k < 4; ++k) {
+    best_pos[k] = static_cast<std::size_t>(at_out[k]);
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -145,6 +236,7 @@ const KernelOps* avx2_ops() {
     t.hist_accumulate = avx2_hist_accumulate;
     t.hist_subtract = avx2_hist_subtract;
     t.bin_index = avx2_bin_index;
+    t.split_scan4 = avx2_split_scan4;
     return t;
   }();
   return &table;

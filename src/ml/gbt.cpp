@@ -142,11 +142,12 @@ void GradientBoosting::continue_fit(
   // Active-set continuation: a converged ensemble's gradient is concentrated
   // on the rows the model has not seen — the inserted rows — so the
   // continuation trees are fitted on that subset (plus anchors, below) only.
-  // Each round then costs O(|active|·d) for split finding and O(|active|·depth)
-  // to keep the active rows' cached scores current, instead of the full fit's
-  // O(n·d): the round COUNT stays at the full budget (residual absorption is
-  // multiplicative per round, (1−lr)^rounds, and does not shrink with the
-  // delta), the round COST is what the delta buys down. With nothing
+  // Each round then costs O(|active|·d) for split finding and O(|active|) to
+  // keep the active rows' cached scores current (read off the leaves),
+  // instead of the full fit's O(n·d): the round COUNT stays at the full
+  // budget (residual absorption is multiplicative per round, (1−lr)^rounds,
+  // and does not shrink with the delta), the round COST is what the delta
+  // buys down. With nothing
   // inserted the subset is empty and the rounds fall back to whole-block
   // boosting (plain "more rounds" continuation).
   std::vector<std::size_t> subset(inserted_rows.begin(), inserted_rows.end());
@@ -199,7 +200,9 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
                              std::span<const std::size_t> subset) {
   const std::size_t n = x.rows();
   const bool active_set = !subset.empty();
-  std::vector<double> grad(n), hess(n), pred(active_set ? 0 : n);
+  // pred[r] is the leaf value the round's tree gave row r, written by the
+  // tree as it makes each leaf: no predict() sweep over the rows.
+  std::vector<double> grad(n), hess(n), pred(n);
   std::vector<std::size_t> all_rows;
   if (!active_set) {
     all_rows.resize(n);
@@ -227,12 +230,11 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
     }
 
     RegressionTree tree;
-    tree.fit(x, binner, grad, hess, rows, params_.tree, presorted);
+    tree.fit(x, binner, grad, hess, rows, params_.tree, presorted, pred);
 
     if (active_set) {
-      for (const auto i : subset) score[i] += rate * tree.predict(x.row(i));
+      for (const auto i : subset) score[i] += rate * pred[i];
     } else {
-      for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));
       kops.axpy(rate, pred.data(), score.data(), n);
     }
     trees_.push_back(std::move(tree));

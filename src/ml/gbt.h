@@ -124,12 +124,14 @@ class GradientBoosting {
   /// The shared boosting loop: `rounds` gradient/tree/score iterations at
   /// step size `rate`, appending to trees_ (each tree remembers its own rate
   /// in tree_rate_). With `subset` empty every round trains on all rows of
-  /// `x` and sweeps every row's score (fit()'s path, and a whole-block
+  /// `x` and updates every row's score (fit()'s path, and a whole-block
   /// continuation); with a non-empty `subset` the rounds are active-set
   /// continuations: gradients, tree fits and score updates cover the subset
   /// only, and continue_fit() catches the other rows up when they are next
-  /// read. A null `binner` selects exact greedy trees, a non-null one
-  /// histogram trees.
+  /// read. Either way a row's score update reads the leaf value the tree
+  /// wrote for it while growing (RegressionTree::fit's leaf_value_of_row),
+  /// not a predict() per row. A null `binner` selects exact greedy trees, a
+  /// non-null one histogram trees.
   /// Exact greedy presorts the training rows once per call
   /// (RegressionTree::presort) and every round's tree scans those orders.
   void boost(const Matrix& x, std::span<const Target> targets, int rounds,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/check.h"
 #include "common/linalg.h"
@@ -70,6 +71,10 @@ void LogisticRegression::fit(const Matrix& x, std::span<const double> y,
   // Parameter vector θ = [w; b], dimension d+1 (bias last, unpenalized).
   const std::size_t p = d + 1;
   std::vector<double> theta(p, 0.0);
+  // The damped path's merit value penalized_nll(theta), carried across
+  // iterations: theta only changes to an accepted trial, whose value the
+  // line search has just computed.
+  std::optional<double> merit;
   if (warm) {
     const auto& mu = scaler_.mean();
     const auto& sd = scaler_.scale();
@@ -83,9 +88,14 @@ void LogisticRegression::fit(const Matrix& x, std::span<const double> y,
     // Newton stalls instead of converging. Only keep the warm point if it
     // actually beats the cold start on the new objective.
     const std::vector<double> zero(p, 0.0);
-    if (penalized_nll(xs, y, sample_weight, params_.l2, theta) >
-        penalized_nll(xs, y, sample_weight, params_.l2, zero)) {
+    const double warm_nll =
+        penalized_nll(xs, y, sample_weight, params_.l2, theta);
+    const double zero_nll =
+        penalized_nll(xs, y, sample_weight, params_.l2, zero);
+    merit = warm_nll;
+    if (warm_nll > zero_nll) {
       std::fill(theta.begin(), theta.end(), 0.0);
+      merit = zero_nll;
     }
   }
 
@@ -146,16 +156,20 @@ void LogisticRegression::fit(const Matrix& x, std::span<const double> y,
       // step (the regularized direction is not a descent direction at all),
       // keep the current estimate rather than committing a worsening one;
       // max_step stays 0 and the solve stops here.
-      const double obj =
-          penalized_nll(xs, y, sample_weight, params_.l2, theta);
+      if (!merit) {
+        merit = penalized_nll(xs, y, sample_weight, params_.l2, theta);
+      }
+      const double obj = *merit;
       double scale = 1.0;
       bool accepted = false;
+      double trial_nll = 0.0;
       std::vector<double> trial(p);
       for (int halving = 0; halving < 8; ++halving) {
         for (std::size_t j = 0; j < p; ++j) {
           trial[j] = theta[j] - scale * step[j];
         }
-        if (penalized_nll(xs, y, sample_weight, params_.l2, trial) <= obj) {
+        trial_nll = penalized_nll(xs, y, sample_weight, params_.l2, trial);
+        if (trial_nll <= obj) {
           accepted = true;
           break;
         }
@@ -166,6 +180,7 @@ void LogisticRegression::fit(const Matrix& x, std::span<const double> y,
           max_step = std::max(max_step, std::abs(theta[j] - trial[j]));
           theta[j] = trial[j];
         }
+        merit = trial_nll;
       }
     }
     if (max_step < params_.tolerance) break;

@@ -175,11 +175,14 @@ void FeatureBinner::insert_rows(const Matrix& x,
 // Only the split finder differs between the backends.
 struct RegressionTree::Grower {
   std::vector<Node>& nodes;
+  const kernel::KernelOps& kops;  // resolved once per fit, not per node
   const Matrix& x;
   const FeatureBinner* binner;  // null: exact greedy
   std::span<const double> grad;
   std::span<const double> hess;
   const TreeParams& params;
+  // Empty, or one slot per row of x: make_leaf writes each leaf's value there.
+  std::span<double> leaf_value_of_row;
   std::vector<std::size_t> rows;     // node segments
   std::vector<std::size_t> sorted;   // exact: per-feature orders, feature-major
   std::vector<std::size_t> scratch;  // partition buffer
@@ -195,12 +198,17 @@ struct RegressionTree::Grower {
                     AlignedVector<double>&& hist) {
     const std::size_t n = end - begin;
     double g_total = 0.0, h_total = 0.0;
-    kernel::ops().pair_sum_indexed(grad.data(), hess.data(),
-                                   rows.data() + begin, n, &g_total, &h_total);
+    kops.pair_sum_indexed(grad.data(), hess.data(), rows.data() + begin, n,
+                          &g_total, &h_total);
 
     const auto make_leaf = [&]() -> std::int32_t {
-      nodes.push_back({.value = -g_total / (h_total + params.lambda),
-                       .depth = depth});
+      const double value = -g_total / (h_total + params.lambda);
+      nodes.push_back({.value = value, .depth = depth});
+      if (!leaf_value_of_row.empty()) {
+        for (std::size_t i = begin; i < end; ++i) {
+          leaf_value_of_row[rows[i]] = value;
+        }
+      }
       return static_cast<std::int32_t>(nodes.size() - 1);
     };
 
@@ -232,8 +240,7 @@ struct RegressionTree::Grower {
       const bool left_small = mid - begin <= end - mid;
       AlignedVector<double> small_hist =
           left_small ? histogram(begin, mid) : histogram(mid, end);
-      kernel::ops().hist_subtract(hist.data(), small_hist.data(),
-                                  hist.size());
+      kops.hist_subtract(hist.data(), small_hist.data(), hist.size());
       left_hist = std::move(left_small ? small_hist : hist);
       right_hist = std::move(left_small ? hist : small_hist);
     }
@@ -250,27 +257,50 @@ struct RegressionTree::Grower {
   // Exact greedy: every distinct-value boundary of every feature, scanned in
   // the node's slice of that feature's presort order, which fixes the
   // prefix-sum order and so the tie-break between equal-gain candidates.
+  // split_scan4 scans four features at once (the last group repeats the last
+  // feature in its unused lanes, which are ignored) and returns each lane's
+  // first strict maximum. Folding the lanes in feature order with a strict >
+  // keeps the first strict maximum over (feature, position), the candidate a
+  // one-feature-at-a-time scan picks.
   SplitCandidate exact_split(std::size_t begin, std::size_t end,
                              double g_total, double h_total) const {
-    const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
+    const std::size_t d = x.cols();
+    kernel::SplitScan4 scan{.order = {},
+                            .x = {},
+                            .x_stride = d,
+                            .n = end - begin,
+                            .grad = grad.data(),
+                            .hess = hess.data(),
+                            .g_total = g_total,
+                            .h_total = h_total,
+                            .parent_obj = leaf_objective(g_total, h_total,
+                                                         params.lambda),
+                            .lambda = params.lambda,
+                            .min_child_weight = params.min_child_weight};
     SplitCandidate best;
-    for (std::size_t f = 0; f < x.cols(); ++f) {
-      const std::size_t* order = sorted.data() + f * rows.size();
-      double g_left = 0.0, h_left = 0.0;
-      for (std::size_t i = begin; i + 1 < end; ++i) {
-        g_left += grad[order[i]];
-        h_left += hess[order[i]];
-        const double v = x(order[i], f);
-        const double v_next = x(order[i + 1], f);
-        if (v_next <= v) continue;  // can't split between equal values
-        const double gain =
-            split_gain(parent_obj, g_total, h_total, g_left, h_left, params);
-        if (gain > best.gain) {
-          best.gain = gain;
-          best.feature = f;
-          best.threshold = split_threshold(v, v_next);
+    std::size_t best_pos = 0;
+    for (std::size_t f0 = 0; f0 < d; f0 += 4) {
+      for (std::size_t k = 0; k < 4; ++k) {
+        const std::size_t f = std::min(f0 + k, d - 1);
+        scan.order[k] = sorted.data() + f * rows.size() + begin;
+        scan.x[k] = x.flat().data() + f;
+      }
+      double gain[4];
+      std::size_t pos[4];
+      kops.split_scan4(scan, gain, pos);
+      for (std::size_t k = 0; k < 4 && f0 + k < d; ++k) {
+        if (gain[k] > best.gain) {
+          best.gain = gain[k];
+          best.feature = f0 + k;
+          best_pos = pos[k];
         }
       }
+    }
+    if (best.gain > -std::numeric_limits<double>::infinity()) {
+      const std::size_t* order =
+          sorted.data() + best.feature * rows.size() + begin;
+      best.threshold = split_threshold(x(order[best_pos], best.feature),
+                                       x(order[best_pos + 1], best.feature));
     }
     return best;
   }
@@ -315,7 +345,7 @@ struct RegressionTree::Grower {
     const std::size_t d = binner->cols();
     AlignedVector<double> hist(offset.back() * kernel::kHistBinStride, 0.0);
     const auto accumulate_feature = [&](std::size_t f) {
-      kernel::ops().hist_accumulate(
+      kops.hist_accumulate(
           hist.data() + offset[f] * kernel::kHistBinStride,
           binner->bin_column(f), rows.data() + begin, end - begin,
           grad.data(), hess.data());
@@ -394,7 +424,8 @@ void RegressionTree::fit(const Matrix& x, const FeatureBinner* binner,
                          std::span<const double> hess,
                          std::span<const std::size_t> rows,
                          const TreeParams& params,
-                         std::span<const std::size_t> presorted) {
+                         std::span<const std::size_t> presorted,
+                         std::span<double> leaf_value_of_row) {
   NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
              "grad/hess length must match row count");
   NURD_CHECK(!rows.empty(), "cannot fit a tree on zero rows");
@@ -406,13 +437,17 @@ void RegressionTree::fit(const Matrix& x, const FeatureBinner* binner,
                  (binner == nullptr &&
                   presorted.size() == x.cols() * rows.size()),
              "presorted orders must be exact greedy's, cols x rows in shape");
+  NURD_CHECK(leaf_value_of_row.empty() || leaf_value_of_row.size() == x.rows(),
+             "leaf_value_of_row must be empty or hold one slot per row");
   nodes_.clear();
   Grower grower{.nodes = nodes_,
+                .kops = kernel::ops(),
                 .x = x,
                 .binner = binner,
                 .grad = grad,
                 .hess = hess,
                 .params = params,
+                .leaf_value_of_row = leaf_value_of_row,
                 .rows = {rows.begin(), rows.end()},
                 .sorted = {},
                 .scratch = std::vector<std::size_t>(rows.size()),

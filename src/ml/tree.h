@@ -14,7 +14,8 @@
 // backends, and fit()'s binner argument selects one:
 //   * exact greedy (null binner) — scans every distinct-value boundary of
 //     each feature in that feature's presorted order (XGBoost's pre-sorted
-//     column block, Chen & Guestrin 2016 §4.1). presort() sorts the rows
+//     column block, Chen & Guestrin 2016 §4.1), four features at a time
+//     through the kernel layer's split_scan4. presort() sorts the rows
 //     once per feature, and each split stably partitions every feature's
 //     order along with the rows, so no node sorts: O(d · n) per tree level
 //     after one O(d · n log n) presort, which a boosting fit shares across
@@ -27,6 +28,11 @@
 //     over the shared ThreadPool.
 // Between adjacent distinct values v < v', both place the threshold at the
 // midpoint, or at v when the midpoint rounds onto v' or overflows.
+// A leaf knows its rows, so fit() can hand back every fitted row's leaf value
+// (XGBoost's prediction cache): the caller's training scores then need no
+// predict() sweep. That value equals predict() on the row bit for bit on both
+// backends, since each split routes a row exactly as predict() does (see
+// fit()).
 // Both backends are deterministic: identical inputs produce a bit-identical
 // tree regardless of thread count.
 #pragma once
@@ -109,10 +115,20 @@ class RegressionTree {
   /// computed here when empty; otherwise splits come from `binner`'s
   /// histograms, it must cover all rows of `x`, and `presorted` must be
   /// empty.
+  ///
+  /// A non-empty `leaf_value_of_row` (one slot per row of `x`) receives, at
+  /// each fitted row, the value of the leaf the row lands in; other slots are
+  /// left alone. It equals predict(x.row(r)) bit for bit. Exact greedy routes
+  /// by the same `x ≤ threshold` test as predict(). The histogram backend
+  /// routes by `bin ≤ b`, where bin = the index of the first edge ≥ x; the
+  /// edges ascend, so bin ≤ b ⟺ x ≤ edge(f, b), the threshold predict()
+  /// reads. That holds for any x, so rows spliced in by
+  /// FeatureBinner::insert_rows against frozen edges agree as well.
   void fit(const Matrix& x, const FeatureBinner* binner,
            std::span<const double> grad, std::span<const double> hess,
            std::span<const std::size_t> rows, const TreeParams& params,
-           std::span<const std::size_t> presorted = {});
+           std::span<const std::size_t> presorted = {},
+           std::span<double> leaf_value_of_row = {});
 
   /// Exact greedy's per-feature orders of `rows`, feature-major
   /// (x.cols() × rows.size()): feature f's order is feature f−1's (feature

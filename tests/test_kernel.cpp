@@ -6,6 +6,8 @@
 // reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -115,6 +117,59 @@ TEST(KernelReference, BinIndexMatchesHistogramBinOf) {
   }
 }
 
+// One lane's node, as split_scan4 reads it: row r's value is x[r·stride].
+SplitScan4 one_feature_scan(const std::vector<double>& x,
+                            const std::vector<std::size_t>& order,
+                            const std::vector<double>& grad,
+                            const std::vector<double>& hess,
+                            double min_child_weight) {
+  SplitScan4 scan{};
+  for (std::size_t k = 0; k < 4; ++k) {
+    scan.order[k] = order.data();
+    scan.x[k] = x.data();
+  }
+  scan.x_stride = 1;
+  scan.n = order.size();
+  scan.grad = grad.data();
+  scan.hess = hess.data();
+  for (const auto r : order) {
+    scan.g_total += grad[r];
+    scan.h_total += hess[r];
+  }
+  scan.lambda = 1.0;
+  scan.parent_obj = -0.5 * scan.g_total * scan.g_total /
+                    (scan.h_total + scan.lambda);
+  scan.min_child_weight = min_child_weight;
+  return scan;
+}
+
+TEST(KernelReference, SplitScan4SkipsTiesAndKeepsFirstStrictMaximum) {
+  const std::vector<std::size_t> order = {0, 1, 2, 3};
+  const std::vector<double> hess(4, 1.0);
+  double gain[4];
+  std::size_t pos[4];
+
+  // No boundary between the equal values at positions 0 and 1.
+  const std::vector<double> x = {1.0, 1.0, 2.0, 3.0};
+  const std::vector<double> grad = {-1.0, -1.0, 1.0, 1.0};
+  ref().split_scan4(one_feature_scan(x, order, grad, hess, 0.0), gain, pos);
+  EXPECT_EQ(gain[0], 4.0 / 3.0);
+  EXPECT_EQ(pos[0], 1u);
+
+  // Positions 0 and 2 tie exactly at 0.375; the first one wins.
+  const std::vector<double> x_tie = {1.0, 2.0, 3.0, 4.0};
+  const std::vector<double> grad_tie = {1.0, -1.0, 1.0, -1.0};
+  ref().split_scan4(one_feature_scan(x_tie, order, grad_tie, hess, 0.0), gain,
+                    pos);
+  EXPECT_EQ(gain[3], 0.375);
+  EXPECT_EQ(pos[3], 0u);
+
+  // min_child_weight blocks every candidate: −inf at position 0.
+  ref().split_scan4(one_feature_scan(x, order, grad, hess, 2.5), gain, pos);
+  EXPECT_EQ(gain[1], -kInf);
+  EXPECT_EQ(pos[1], 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Reference vs AVX2, per primitive, across sizes.
 // ---------------------------------------------------------------------------
@@ -215,6 +270,84 @@ TEST(KernelAvx2Parity, BinIndexBitIdentical) {
   EXPECT_EQ(outr, outv);
 }
 
+TEST(KernelAvx2Parity, SplitScan4BitIdentical) {
+  SKIP_WITHOUT_AVX2();
+  // Six columns of a row-major block: real values, small integers (ties),
+  // one all-equal column, two values, a coarse grid, and real values with
+  // NaNs, left in node order (a NaN has no sorted place, and the reference
+  // scores every step whose `x_next <= x` is false). The node is every
+  // other row, so rows outside it sit between the ones the scan reads.
+  constexpr std::size_t kCols = 6;
+  std::uint64_t s = 101;
+  for (std::size_t n = 2; n <= 300; ++n) {
+    const std::size_t n_rows = 2 * n;
+    std::vector<double> x(n_rows * kCols);
+    std::vector<double> grad(n_rows), hess(n_rows);
+    for (std::size_t r = 0; r < n_rows; ++r) {
+      x[r * kCols + 0] = lcg(s);
+      x[r * kCols + 1] = static_cast<double>((r * 7) % 4);
+      x[r * kCols + 2] = 2.5;
+      x[r * kCols + 3] = lcg(s) > 0.0 ? 1.0 : -1.0;
+      x[r * kCols + 4] = static_cast<double>(static_cast<int>(lcg(s)));
+      x[r * kCols + 5] = r % 5 == 2 ? kNaN : lcg(s);
+      grad[r] = lcg(s);
+      // Unit Hessians (squared loss) make exact gain ties common.
+      hess[r] = n % 2 == 0 ? 1.0 : 0.25 + std::abs(lcg(s));
+    }
+    std::vector<std::size_t> rows;
+    for (std::size_t r = 1; r < n_rows; r += 2) rows.push_back(r);
+    std::vector<std::vector<std::size_t>> order(kCols, rows);
+    for (std::size_t f = 0; f + 1 < kCols; ++f) {
+      std::stable_sort(order[f].begin(), order[f].end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return x[a * kCols + f] < x[b * kCols + f];
+                       });
+    }
+    double g_total = 0.0, h_total = 0.0;
+    for (const auto r : rows) {
+      g_total += grad[r];
+      h_total += hess[r];
+    }
+    // Lane sets: four distinct features, a group that repeats the last
+    // feature in its unused lanes, and repeats across all lanes.
+    const std::vector<std::vector<std::size_t>> lane_sets = {
+        {0, 1, 2, 3}, {4, 4, 4, 4}, {1, 2, 1, 2}, {3, 0, 5, 4}};
+    // Ordinary, and large enough to block every candidate.
+    for (const double min_child_weight : {1.0, 1e9}) {
+      for (const auto& lanes : lane_sets) {
+        SplitScan4 scan{};
+        for (std::size_t k = 0; k < 4; ++k) {
+          scan.order[k] = order[lanes[k]].data();
+          scan.x[k] = x.data() + lanes[k];
+        }
+        scan.x_stride = kCols;
+        scan.n = n;
+        scan.grad = grad.data();
+        scan.hess = hess.data();
+        scan.g_total = g_total;
+        scan.h_total = h_total;
+        scan.lambda = 1.0;
+        scan.parent_obj = -0.5 * g_total * g_total / (h_total + 1.0);
+        scan.min_child_weight = min_child_weight;
+        double gain_r[4], gain_v[4];
+        std::size_t pos_r[4], pos_v[4];
+        ref().split_scan4(scan, gain_r, pos_r);
+        avx().split_scan4(scan, gain_v, pos_v);
+        for (std::size_t k = 0; k < 4; ++k) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(gain_r[k]),
+                    std::bit_cast<std::uint64_t>(gain_v[k]))
+              << "n=" << n << " lane=" << k << " f=" << lanes[k];
+          EXPECT_EQ(pos_r[k], pos_v[k])
+              << "n=" << n << " lane=" << k << " f=" << lanes[k];
+          if (lanes[k] == 2 || min_child_weight > 1.0) {
+            EXPECT_EQ(gain_r[k], -kInf) << "n=" << n << " lane=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // NaN / inf propagation.
 // ---------------------------------------------------------------------------
@@ -262,7 +395,7 @@ TEST(KernelSpecials, ElementwisePropagateNaN) {
 // A new KernelOps member must be classified in
 // Avx2TableSwapsOnlyBitIdenticalPrimitives below before this compiles again.
 static_assert(sizeof(KernelOps) ==
-              sizeof(const char*) + 13 * sizeof(void (*)()));
+              sizeof(const char*) + 14 * sizeof(void (*)()));
 
 TEST(KernelDispatch, TablesAreNamed) {
   EXPECT_STREQ(reference_ops().name, "reference");
@@ -287,7 +420,9 @@ TEST(KernelDispatch, Avx2TableSwapsOnlyBitIdenticalPrimitives) {
   EXPECT_EQ(a.squared_l2_rows, r.squared_l2_rows);
   EXPECT_EQ(a.sigmoid, r.sigmoid);
   // axpy, vsub, syrk_rank1_upper, hist_accumulate, hist_subtract and
-  // bin_index may be swapped: the *BitIdentical tests above pin them.
+  // bin_index may be swapped, and so may split_scan4, whose lanes are
+  // features each running the reference's scalar scan: the *BitIdentical
+  // tests above pin them.
 }
 
 TEST(KernelDispatch, OpsFollowsCpuid) {

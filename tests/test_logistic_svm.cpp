@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.h"
 #include "ml/linear_svm.h"
 #include "ml/logistic.h"
@@ -111,6 +115,48 @@ TEST(LogisticRegression, MismatchedLabelsThrow) {
   Matrix x(2, 1);
   LogisticRegression lr;
   EXPECT_THROW(lr.fit(x, std::vector<double>{1.0}), std::invalid_argument);
+}
+
+// A warm-start chain as NURD's propensity model runs it: five refits on a
+// growing block of overlapping classes, each starting from the previous
+// solution through the damped Newton path (one fit with sample weights).
+// The FNV-1a digest of every fit's coefficient bit patterns pins the path's
+// arithmetic: the line search's merit values, its accepted steps and its
+// stopping point. The exp/log1p calls make the digest specific to the libm.
+TEST(LogisticRegression, WarmChainCoefficientsPinned) {
+  constexpr std::uint64_t kExpected = 0xcc9fe0cf52880ea8ull;
+  Rng rng(17);
+  Matrix x(0, 3);
+  std::vector<double> y;
+  LogisticParams params;
+  params.warm_start = true;
+  LogisticRegression lr(params);
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (int fit = 0; fit < 5; ++fit) {
+    for (int i = 0; i < 40; ++i) {
+      const std::vector<double> row = {rng.normal(), rng.normal(0.5, 2.0),
+                                       rng.uniform(0.0, 3.0)};
+      x.push_row(row);
+      y.push_back(row[0] + 0.3 * row[1] + rng.normal() > 0.4 ? 1.0 : 0.0);
+    }
+    if (fit == 3) {
+      std::vector<double> w(y.size());
+      for (std::size_t i = 0; i < w.size(); ++i) w[i] = 0.5 + (i % 3);
+      lr.fit(x, y, w);
+    } else {
+      lr.fit(x, y);
+    }
+    for (const double v : lr.weights()) mix(v);
+    mix(lr.intercept());
+  }
+  EXPECT_EQ(h, kExpected) << std::hex << "0x" << h;
 }
 
 TEST(LinearSVM, SeparatesClearClasses) {

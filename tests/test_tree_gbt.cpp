@@ -647,6 +647,101 @@ TEST(RegressionTree, PresortedExactMatchesPerNodeSortReference) {
   }
 }
 
+// fit()'s leaf_value_of_row must equal predict() bit for bit at every fitted
+// row and leave every other slot alone. The exact backend fits tie-heavy
+// data on a gappy row subset. The histogram backend fits a block whose
+// binner was built on part of it, the rest spliced in by insert_rows: those
+// rows hold values below, above and exactly on the frozen edges, and the
+// tree routes them by bin code while predict() compares against the edges.
+TEST(RegressionTree, LeafValuesMatchPredictOnBothBackends) {
+  const double kUnset = -12345.0;
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    TreeParams params;
+    params.max_depth = static_cast<int>(rng.uniform_int(1, 6));
+    params.min_child_weight = static_cast<double>(rng.uniform_int(0, 2));
+    params.max_bins = static_cast<int>(rng.uniform_int(2, 24));
+
+    // Exact greedy on a gappy subset.
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 200));
+    const auto d = static_cast<std::size_t>(rng.uniform_int(1, 7));
+    const Matrix x = tie_matrix(rng, n, d);
+    std::vector<double> grad(n), hess(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      grad[i] = rng.normal();
+      hess[i] = static_cast<double>(rng.uniform_int(1, 4)) * 0.5;
+    }
+    const auto rows = gappy_rows(rng, n);
+    std::vector<double> leaf(n, kUnset);
+    RegressionTree tree;
+    tree.fit(x, nullptr, grad, hess, rows, params, {}, leaf);
+    std::vector<bool> fitted(n, false);
+    for (const auto r : rows) fitted[r] = true;
+    for (std::size_t r = 0; r < n; ++r) {
+      ASSERT_TRUE(same_bits(leaf[r], fitted[r] ? tree.predict(x.row(r))
+                                               : kUnset))
+          << "exact row " << r;
+    }
+
+    // Histogram: bin n0 rows, then splice rows in at random positions.
+    const auto n0 = static_cast<std::size_t>(rng.uniform_int(2, 300));
+    const std::size_t dh = 3;
+    Matrix old_x(n0, dh);
+    for (std::size_t i = 0; i < n0; ++i) {
+      for (std::size_t j = 0; j < dh; ++j) old_x(i, j) = rng.uniform(-1.0, 1.0);
+    }
+    FeatureBinner binner(old_x, params.max_bins);
+    const auto spliced = static_cast<std::size_t>(rng.uniform_int(1, 40));
+    const std::size_t nh = n0 + spliced;
+    std::vector<std::size_t> inserted = rng.sample_without_replacement(
+        nh, spliced);
+    std::sort(inserted.begin(), inserted.end());
+    Matrix xh(nh, dh);
+    std::size_t old_r = 0, next = 0;
+    for (std::size_t r = 0; r < nh; ++r) {
+      const bool is_new = next < inserted.size() && inserted[next] == r;
+      for (std::size_t j = 0; j < dh; ++j) {
+        if (!is_new) {
+          xh(r, j) = old_x(old_r, j);
+          continue;
+        }
+        const std::size_t nb = binner.bin_count(j);
+        switch (rng.uniform_int(0, 3)) {
+          case 0: xh(r, j) = rng.uniform(-9.0, -1.0); break;  // below all
+          case 1: xh(r, j) = rng.uniform(1.0, 9.0); break;    // above all
+          case 2:  // exactly on an edge, when the feature has one
+            xh(r, j) = nb > 1 ? binner.edge(j, static_cast<std::size_t>(
+                                                   rng.uniform_int(0, nb - 2)))
+                              : 0.0;
+            break;
+          default: xh(r, j) = rng.uniform(-1.0, 1.0); break;
+        }
+      }
+      next += is_new ? 1 : 0;
+      old_r += is_new ? 0 : 1;
+    }
+    binner.insert_rows(xh, inserted);
+    std::vector<double> gh(nh), hh(nh);
+    for (std::size_t i = 0; i < nh; ++i) {
+      gh[i] = rng.normal();
+      hh[i] = rng.uniform(0.25, 2.0);
+    }
+    std::vector<std::size_t> all(nh);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    std::vector<double> leaf_h(nh, kUnset);
+    RegressionTree hist_tree;
+    hist_tree.fit(xh, &binner, gh, hh, all, params, {}, leaf_h);
+    for (std::size_t r = 0; r < nh; ++r) {
+      ASSERT_TRUE(same_bits(leaf_h[r], hist_tree.predict(xh.row(r))))
+          << "histogram row " << r;
+    }
+  }
+}
+
 // A squared-loss booster on RefTree, mirroring GradientBoosting's fit() and
 // its active-set continue_fit() (inserted rows plus three sampled anchors
 // each, drawn from an Rng seeded like the model's).
