@@ -45,10 +45,10 @@ bug patterns; these rules are NURD-specific):
 
   thread-spawn   Threads have owners: under src/, `std::thread`, `std::jthread`
                  and `std::async` may appear only in the allowlisted owners
-                 (the ThreadPool's workers, the TaskDag's lanes, the serving
-                 fleet's shard drivers). Everything else runs its parallel
-                 work through parallel_for or a TaskDag, so every lane is
-                 accounted for and nested fan-out stays serial.
+                 (ThreadPool::run_indexed's lanes, the TaskDag's lanes, the
+                 serving fleet's shard drivers). Everything else runs its
+                 parallel work through ThreadPool::run_indexed or a TaskDag,
+                 so every lane is accounted for.
                  `std::thread::hardware_concurrency` and `std::thread::id`
                  spawn nothing and are exempt.
 
@@ -366,7 +366,7 @@ def check_thread_spawn(relpath: str, text: str) -> list[Finding]:
             findings.append(Finding(
                 relpath, lineno, "thread-spawn",
                 f"'{m.group(0)}' outside the thread owners — run parallel "
-                f"work through ThreadPool::parallel_for or a core::TaskDag, "
+                f"work through ThreadPool::run_indexed or a core::TaskDag, "
                 f"or allowlist a new owner with a justification"))
     return findings
 

@@ -151,7 +151,7 @@ class ThreadSpawnRule(unittest.TestCase):
         with open(allowlist, encoding="utf-8") as f:
             entries = nurd_lint.parse_allowlist(f.read())
         owners = sorted(e.path for e in entries if e.rule == "thread-spawn")
-        self.assertEqual(owners, ["src/common/thread_pool.h",
+        self.assertEqual(owners, ["src/common/thread_pool.cpp",
                                   "src/core/task_dag.cpp",
                                   "src/serve/shard_pool.cpp"])
         self.assertEqual([e.path for e in unused

@@ -43,14 +43,6 @@
 // scripts/nurd_lint.py fails the build when a declaration and the table
 // drift apart (missing entry OR stale entry).
 //
-//   [mutex] common/thread_pool.h::mutex_
-//       ThreadPool. Leaf. Workers pop a parallel_for share under the lock
-//       and run it unlocked; parallel_for() enqueues its shares under the
-//       lock and notifies after it.
-//   [mutex] common/thread_pool.cpp::mutex
-//       ThreadPool LoopState. Leaf. Per-parallel_for completion/error
-//       channel; only ever held around error recording and the completion
-//       notify/wait.
 //   [mutex] core/task_dag.cpp::mutex_
 //       core::TaskDag (Impl). Leaf. Guards the per-job chains (admitted
 //       range, running/cancelled flags) and the ready queue only. The
@@ -75,13 +67,17 @@
 // The cluster simulator (sched/cluster.h) has no lock: each simulation is
 // owned by the one thread that runs it.
 //
+// ThreadPool::run_indexed holds no lock either: its lanes claim indices from
+// an atomic counter, and its joins order every lane's error slot before the
+// caller reads them.
+//
 // Every mutex above is a leaf, so a thread holds at most one lock at a
 // time, and the pool → DAG → serving-fleet layering can never deadlock:
-// moving DOWN the layering (a lane runs a stage, a stage runs a
-// parallel_for or emits to the sink) is always done lock-free, and no code
-// calls back UP (a sink must not call into the monitor). Any nesting added
-// later must be recorded here — the thread-safety CI leg plus this table is
-// the contract TSan spot-checks.
+// moving DOWN the layering (a lane runs a stage, a stage emits to the sink)
+// is always done lock-free, no stage fans out again (none runs a
+// run_indexed), and no code calls back UP (a sink must not call into the
+// monitor). Any nesting added later must be recorded here — the
+// thread-safety CI leg plus this table is the contract TSan spot-checks.
 #pragma once
 
 #include <condition_variable>

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 
 namespace nurd::core {
 
@@ -53,16 +52,11 @@ struct TaskDag::Impl {
         on_error_(std::move(error)),
         jobs_(jobs) {
     NURD_CHECK(run_ != nullptr, "TaskDag needs a checkpoint runner");
-    // Every field a lane reads is initialized above. A lane holds a
-    // SerialScope for its lifetime: it is one core of the executor, so a
-    // parallel_for inside a checkpoint stays on it.
+    // Every field a lane reads is initialized above.
     try {
       lanes_.reserve(lanes);
       for (std::size_t w = 0; w < lanes; ++w) {
-        lanes_.emplace_back([this] {
-          const ThreadPool::SerialScope serial;
-          pump(/*block=*/true);
-        });
+        lanes_.emplace_back([this] { pump(/*block=*/true); });
       }
     } catch (...) {
       shutdown();  // join the lanes already started before unwinding

@@ -18,11 +18,10 @@
 //
 // It owns its execution lanes: with `lanes` > 0 it spawns and joins that
 // many threads; with 0 lanes the thread that admits a checkpoint runs it
-// before admit() returns. Each lane holds a ThreadPool::SerialScope, so a
-// parallel_for inside a checkpoint (a tree fit's feature fan-out) stays on
-// its lane. Bookkeeping (admission, ready queue, retirement) runs under one
-// mutex; checkpoint bodies are model fits, milliseconds long, so the lock is
-// noise.
+// before admit() returns. A checkpoint runs serially on its lane: no stage
+// fans out again, so each lane is one core. Bookkeeping (admission, ready
+// queue, retirement) runs under one mutex; checkpoint bodies are model fits,
+// milliseconds long, so the lock is noise.
 //
 // Errors: a checkpoint that throws reports through on_error and cancels its
 // job for good — the job's remaining admitted checkpoints (the failing one

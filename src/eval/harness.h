@@ -146,8 +146,9 @@ struct MethodResult {
 
 /// Evaluates one registry entry over all jobs (a fresh predictor per job).
 ///
-/// Jobs are independent, so they fan out over `threads` pool lanes
-/// (0 = hardware concurrency, 1 = fully serial). Each job gets its own
+/// Jobs are independent, so they run across `threads` ThreadPool::run_indexed
+/// lanes (0 = hardware concurrency, 1 = fully serial), each job's fits
+/// serially on its lane. Each job gets its own
 /// predictor instance and writes to its own result slot, and the final
 /// aggregation walks jobs in input order — metrics are bit-identical for
 /// every thread count.

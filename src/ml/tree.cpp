@@ -5,7 +5,6 @@
 
 #include "common/aligned.h"
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "kernel/kernel.h"
 
 namespace nurd::ml {
@@ -59,9 +58,6 @@ void check_rows_in_range(const Matrix& x, std::span<const std::size_t> rows) {
   NURD_CHECK(in_range, "row index out of range of the feature matrix");
 }
 
-/// Work is fanned out over the pool only when it dwarfs task overhead.
-constexpr std::size_t kParallelWorkCutoff = 8192;
-
 /// Quantile-sketch edges for one sorted value array: greedy bin packing at
 /// ~n/max_bins rows per bin, cutting only between distinct values. With at
 /// most `max_bins` distinct values the target is 0, so every boundary gets an
@@ -109,7 +105,7 @@ FeatureBinner::FeatureBinner(const Matrix& x, int max_bins) {
   edges_.resize(n_cols_);
   bins_.resize(n_cols_ * n_rows_);
 
-  const auto bin_feature = [&](std::size_t f) {
+  for (std::size_t f = 0; f < n_cols_; ++f) {
     const auto col = x.col_view(f);
     std::vector<double> vals(col.begin(), col.end());
     std::sort(vals.begin(), vals.end());
@@ -119,12 +115,6 @@ FeatureBinner::FeatureBinner(const Matrix& x, int max_bins) {
     for (std::size_t r = 0; r < n_rows_; ++r) {
       out[r] = bin_of(edges_[f], col[r]);
     }
-  };
-
-  if (n_rows_ * n_cols_ >= kParallelWorkCutoff) {
-    ThreadPool::global().parallel_for(n_cols_, bin_feature);
-  } else {
-    for (std::size_t f = 0; f < n_cols_; ++f) bin_feature(f);
   }
 }
 
@@ -336,24 +326,17 @@ struct RegressionTree::Grower {
     return best;
   }
 
-  // The (G, H, count) histogram of a segment for every feature, fanning
-  // features out over the shared pool when the segment is large. Each
-  // feature writes a disjoint range and accumulates in row order through the
-  // kernel layer, so the result is bit-identical for any pool size AND any
-  // backend (per-bin adds are serial in row order; see kernel.h).
+  // The (G, H, count) histogram of a segment for every feature. Each
+  // feature accumulates in row order through the kernel layer, so the result
+  // is bit-identical on any backend (per-bin adds are serial in row order;
+  // see kernel.h).
   AlignedVector<double> histogram(std::size_t begin, std::size_t end) const {
-    const std::size_t d = binner->cols();
     AlignedVector<double> hist(offset.back() * kernel::kHistBinStride, 0.0);
-    const auto accumulate_feature = [&](std::size_t f) {
+    for (std::size_t f = 0; f < binner->cols(); ++f) {
       kops.hist_accumulate(
           hist.data() + offset[f] * kernel::kHistBinStride,
           binner->bin_column(f), rows.data() + begin, end - begin,
           grad.data(), hess.data());
-    };
-    if ((end - begin) * d >= kParallelWorkCutoff) {
-      ThreadPool::global().parallel_for(d, accumulate_feature);
-    } else {
-      for (std::size_t f = 0; f < d; ++f) accumulate_feature(f);
     }
     return hist;
   }

@@ -24,8 +24,9 @@
 //   * histogram (a FeatureBinner, LightGBM-style) — accumulates per-bin
 //     (G, H) sums per node and scans bin boundaries; O(d · n) per tree level,
 //     with the sibling-subtraction trick (child histogram = parent − other
-//     child) halving construction cost. Per-feature histogram builds fan out
-//     over the shared ThreadPool.
+//     child) halving construction cost.
+// A fit runs serially on its calling thread: parallel work spans jobs and
+// executor lanes, never one tree's features.
 // Between adjacent distinct values v < v', both place the threshold at the
 // midpoint, or at v when the midpoint rounds onto v' or overflows.
 // A leaf knows its rows, so fit() can hand back every fitted row's leaf value

@@ -49,9 +49,10 @@
 // function of (jobs, flags, arrival process, injection config) only:
 // sweeping machine counts or observing events never perturbs the draws, and
 // every injection knob consumes ZERO draws when disabled — legacy streams
-// are bit-identical. simulate_cluster_replicated fans replications out over
-// the ThreadPool with per-replication Rng::fork streams and is bit-identical
-// at any thread count, matching the evaluate_method contract.
+// are bit-identical. simulate_cluster_replicated runs replications across
+// ThreadPool::run_indexed lanes with per-replication Rng::fork streams and
+// is bit-identical at any thread count, matching the evaluate_method
+// contract; each replication runs serially on its lane.
 #pragma once
 
 #include <cstdint>

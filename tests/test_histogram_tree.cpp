@@ -1,18 +1,15 @@
-// Coverage for the histogram split-finding backend, the feature binner, the
-// thread pool, and the parallel evaluation harness's determinism contract.
+// Coverage for the histogram split-finding backend, the feature binner, and
+// the parallel evaluation harness's determinism contract.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/registry.h"
 #include "eval/harness.h"
 #include "ml/tree.h"
@@ -232,41 +229,6 @@ TEST(ParallelEval, ThreadCountDoesNotChangeMetrics) {
   for (std::size_t j = 0; j < runs1.size(); ++j) {
     EXPECT_EQ(runs1[j].flagged_at, runs8[j].flagged_at);
   }
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ZeroWorkerPoolRunsSerially) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 0u);
-  std::vector<int> hits(64, 0);
-  pool.parallel_for(64, [&](std::size_t i) { hits[i] = 1; });  // no races
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPool, NestedParallelForCompletes) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  pool.parallel_for(4, [&](std::size_t) {
-    ThreadPool::global().parallel_for(8, [&](std::size_t) { ++total; });
-  });
-  EXPECT_EQ(total.load(), 32);
-}
-
-TEST(ThreadPool, PropagatesTaskException) {
-  ThreadPool pool(3);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [](std::size_t i) {
-                                   if (i == 42) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                 }),
-               std::runtime_error);
 }
 
 TEST(MatrixColView, StridedAccessMatchesCopy) {

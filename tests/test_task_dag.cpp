@@ -8,7 +8,7 @@
 //   * a throwing checkpoint cancels its own job only: the job's remaining
 //     checkpoints retire as cancelled and its later admits are refused;
 //   * at 0 lanes admit() runs each checkpoint to retirement on the calling
-//     thread; on a lane, a nested parallel_for stays on the lane.
+//     thread.
 #include "core/task_dag.h"
 
 #include <gtest/gtest.h>
@@ -25,8 +25,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "common/thread_pool.h"
 
 namespace nurd::core {
 namespace {
@@ -302,41 +300,6 @@ TEST(TaskDag, ZeroLanesRetireEachAdmitOnTheCallingThread) {
   EXPECT_FALSE(foreign_thread) << "a checkpoint or retirement left the caller";
   dag.close();
   dag.wait();
-}
-
-// A lane owns one core: a parallel_for issued inside a checkpoint on a lane
-// (a tree fit's feature fan-out) runs every index on that lane, even on a
-// pool whose workers are idle.
-TEST(TaskDag, NestedParallelForStaysOnTheLane) {
-  constexpr std::size_t kCkpts = 3;
-  constexpr std::size_t kIndices = 32;
-  ThreadPool pool(3);
-  std::mutex mu;
-  std::size_t ran = 0;
-  std::size_t off_lane = 0;
-  std::size_t on_caller = 0;
-  const auto caller = std::this_thread::get_id();
-  TaskDag dag(1, /*lanes=*/2, [&](std::size_t, std::size_t) {
-    const auto lane = std::this_thread::get_id();
-    std::vector<std::thread::id> ran_on(kIndices);
-    pool.parallel_for(kIndices, [&](std::size_t i) {
-      // Long enough that idle pool workers would claim indices if allowed.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      ran_on[i] = std::this_thread::get_id();
-    });
-    std::lock_guard<std::mutex> lock(mu);
-    ++ran;
-    if (lane == caller) ++on_caller;
-    off_lane += static_cast<std::size_t>(
-        std::count_if(ran_on.begin(), ran_on.end(),
-                      [&](std::thread::id id) { return id != lane; }));
-  });
-  for (std::size_t t = 0; t < kCkpts; ++t) ASSERT_TRUE(dag.admit(0, t));
-  dag.close();
-  dag.wait();
-  EXPECT_EQ(ran, kCkpts);
-  EXPECT_EQ(on_caller, 0u) << "a checkpoint ran on the admitting thread";
-  EXPECT_EQ(off_lane, 0u) << "parallel_for indices left their lane";
 }
 
 // After its first admission a job's checkpoints must be consecutive.

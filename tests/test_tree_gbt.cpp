@@ -412,7 +412,7 @@ TEST(GradientBoosting, ContinueFitWholeBlockDigestPinned) {
 }
 
 // Repeated fits are bit-identical on both backends: exact greedy (n = 100)
-// and histogram (n = 600, whose per-feature builds fan out over the pool).
+// and histogram (n = 600).
 TEST(GradientBoosting, DeterministicOnBothBackends) {
   Rng rng(15);
   for (const std::size_t n : {100u, 600u}) {
