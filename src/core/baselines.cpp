@@ -21,6 +21,18 @@ std::vector<ml::Target> censored_targets(const trace::CheckpointView& view) {
   return t;
 }
 
+// The candidates whose block score (one per candidate, in order) is at or
+// above tau.
+std::vector<std::size_t> flag_at_or_above(
+    const std::vector<double>& score, std::span<const std::size_t> candidates,
+    double tau) {
+  std::vector<std::size_t> flagged;
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    if (score[k] >= tau) flagged.push_back(candidates[k]);
+  }
+  return flagged;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- GBTR ----
@@ -53,11 +65,9 @@ std::vector<std::size_t> GbtrPredictor::predict_stragglers(
     session_.observe(view);
     refit_finished_gbt(session_, params_, &model_);
   }
-  std::vector<std::size_t> flagged;
-  for (auto i : candidates) {
-    if (model_.model->predict(view.row(i)) >= tau_stra_) flagged.push_back(i);
-  }
-  return flagged;
+  view.gather_rows(candidates, &candidate_rows_);
+  return flag_at_or_above(model_.model->predict(candidate_rows_), candidates,
+                          tau_stra_);
 }
 
 // ------------------------------------------------------ outlier family ----
@@ -135,11 +145,11 @@ std::vector<std::size_t> PuEnPredictor::predict_stragglers(
   view.gather_rows(view.running(), &unlabeled_);
   pu::PuElkanNoto model(params_);
   model.fit(labeled, unlabeled_);
+  view.gather_rows(candidates, &unlabeled_);  // the fit has copied it
+  const auto prob = model.prob_labeled_class(unlabeled_);
   std::vector<std::size_t> flagged;
-  for (auto i : candidates) {
-    if (model.prob_labeled_class(view.row(i)) < 0.5) {
-      flagged.push_back(i);
-    }
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    if (prob[k] < 0.5) flagged.push_back(candidates[k]);
   }
   return flagged;
 }
@@ -210,11 +220,9 @@ std::vector<std::size_t> GrabitPredictor::predict_stragglers(
   const double sigma = std::max(stddev(session_.y_fin()), 1e-3);
   auto model = ml::GradientBoosting::grabit(sigma, params_);
   model.fit(session_.snapshot(), targets);
-  std::vector<std::size_t> flagged;
-  for (auto i : candidates) {
-    if (model.predict(view.row(i)) >= tau_stra_) flagged.push_back(i);
-  }
-  return flagged;
+  view.gather_rows(candidates, &candidate_rows_);
+  return flag_at_or_above(model.predict(candidate_rows_), candidates,
+                          tau_stra_);
 }
 
 // --------------------------------------------------------------- CoxPH ----

@@ -56,6 +56,7 @@ class GbtrPredictor final : public StragglerPredictor {
   FitSession session_;
   GbtRefitState model_;
   std::size_t fitted_checkpoint_ = trace::kNoCheckpoint;
+  Matrix candidate_rows_;  ///< scored as one block; reused
 };
 
 /// Generic adapter for the 13 unsupervised detectors: at each checkpoint the
@@ -172,6 +173,7 @@ class GrabitPredictor final : public StragglerPredictor {
   ml::GbtParams params_;
   double tau_stra_ = 0.0;
   FitSession session_;
+  Matrix candidate_rows_;  ///< scored as one block; reused
 };
 
 /// CoxPH adapter: completion is the event; flags when the predicted

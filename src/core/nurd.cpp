@@ -119,13 +119,15 @@ std::vector<std::size_t> NurdPredictor::predict_stragglers(
                           ? fitted_models_
                           : fit_models(view);
 
+  // Both models score the candidates as one gathered block.
+  view.gather_rows(candidates, &candidate_rows_);
+  const auto y_hat = models.ht->predict(candidate_rows_);
+  const auto z = models.gt ? models.gt->predict_proba(candidate_rows_)
+                           : std::vector<double>(candidates.size(), 1.0);
   std::vector<std::size_t> flagged;
-  for (auto i : candidates) {
-    const auto row = view.row(i);
-    const double y_hat = models.ht->predict(row);
-    const double z = models.gt ? models.gt->predict_proba(row) : 1.0;
-    const double y_adj = y_hat / weight(z);
-    if (y_adj >= tau_stra_) flagged.push_back(i);
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    const double y_adj = y_hat[k] / weight(z[k]);
+    if (y_adj >= tau_stra_) flagged.push_back(candidates[k]);
   }
   return flagged;
 }

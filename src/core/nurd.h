@@ -31,6 +31,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/matrix.h"
 #include "core/fit_session.h"
 #include "core/predictor.h"
 #include "ml/gbt.h"
@@ -123,6 +124,10 @@ class NurdPredictor final : public StragglerPredictor {
   /// refitting.
   std::size_t fitted_checkpoint_ = trace::kNoCheckpoint;
   CheckpointModels fitted_models_;
+
+  /// The checkpoint's candidate rows, gathered once and scored by both
+  /// models; reused across checkpoints.
+  Matrix candidate_rows_;
 };
 
 }  // namespace nurd::core

@@ -148,6 +148,39 @@ void ref_split_scan4(const SplitScan4& scan, double* best_gain,
   }
 }
 
+void ref_hist_split4(const HistSplit4& split, double* best_gain,
+                     std::size_t* best_bin) {
+  const auto objective = [&](double g, double h) {
+    return -0.5 * g * g / (h + split.lambda);
+  };
+  for (std::size_t k = 0; k < 4; ++k) {
+    const double* bins = split.bins[k];
+    double g_left = 0.0, h_left = 0.0, n_left = 0.0;
+    double best = -std::numeric_limits<double>::infinity();
+    std::size_t at = 0;
+    for (std::size_t b = 0; b + 1 < split.nb[k]; ++b) {
+      g_left += bins[b * kHistBinStride];
+      h_left += bins[b * kHistBinStride + 1];
+      n_left += bins[b * kHistBinStride + 2];
+      if (n_left == 0.0) continue;        // empty prefix: same as no split
+      if (n_left == split.n_node) break;  // empty suffix: no more candidates
+      const double g_right = split.g_total - g_left;
+      const double h_right = split.h_total - h_left;
+      const double gain =
+          h_left < split.min_child_weight || h_right < split.min_child_weight
+              ? -std::numeric_limits<double>::infinity()
+              : split.parent_obj - objective(g_left, h_left) -
+                    objective(g_right, h_right);
+      if (gain > best) {
+        best = gain;
+        at = b;
+      }
+    }
+    best_gain[k] = best;
+    best_bin[k] = at;
+  }
+}
+
 void ref_sigmoid(const double* z, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = nurd::sigmoid(z[i]);
 }
@@ -160,7 +193,7 @@ constexpr KernelOps kReferenceOps = {
     ref_syrk_rank1_upper, ref_squared_l2_rows,
     ref_hist_accumulate, ref_hist_subtract,
     ref_bin_index,      ref_split_scan4,
-    ref_sigmoid,
+    ref_hist_split4,    ref_sigmoid,
 };
 
 // ---- dispatch --------------------------------------------------------------

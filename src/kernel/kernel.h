@@ -15,19 +15,19 @@
 // FMA, no vector exp. NURD's flags come from boosted-tree refits that are
 // chaotic in their inputs, so a last-ulp difference in one reduction changes
 // the paper's own output; the reductions and sigmoid therefore stay scalar
-// in every table. The one exception in kind is split_scan4, whose vector
-// lanes are features, not elements: each lane runs one feature's whole
-// scalar scan (its prefix sums in the reference's order), so four lanes are
-// four independent reference loops in lockstep. tests/test_kernel.cpp pins
-// each replaced entry bitwise and re-runs every Table-3 method under each
-// table with exact equality.
+// in every table. The exceptions in kind are split_scan4 and hist_split4,
+// whose vector lanes are features, not elements: each lane runs one
+// feature's whole scalar scan (its prefix sums in the reference's order), so
+// four lanes are four independent reference loops in lockstep.
+// tests/test_kernel.cpp pins each replaced entry bitwise and re-runs every
+// Table-3 method under each table with exact equality.
 //
 // Tables:
 //   * reference — portable scalar code, the golden path.
-//   * avx2 — the reference table with seven primitives swapped for AVX2
+//   * avx2 — the reference table with eight primitives swapped for AVX2
 //     intrinsics: the six elementwise ones (axpy, vsub, syrk_rank1_upper,
-//     hist_accumulate, hist_subtract, bin_index) and the feature-lane
-//     split_scan4; x86-64 builds only.
+//     hist_accumulate, hist_subtract, bin_index) and the two feature-lane
+//     split scans, split_scan4 and hist_split4; x86-64 builds only.
 //
 // ops() picks the table once from the CPU: avx2 when it is compiled in and
 // CPUID reports AVX2, the reference table otherwise. The tables agree
@@ -57,6 +57,25 @@ struct SplitScan4 {
   /// Per-row gradient and Hessian, indexed by row id.
   const double* grad;
   const double* hess;
+  /// Σ grad and Σ hess over the node.
+  double g_total;
+  double h_total;
+  /// ℓ(g_total, h_total), see split_scan4.
+  double parent_obj;
+  double lambda;
+  double min_child_weight;
+};
+
+/// Input of hist_split4: one histogram tree node and four of its features,
+/// lane k scanning the bins of one feature.
+struct HistSplit4 {
+  /// Lane k's nb[k] bins, kHistBinStride doubles each: (G, H, count, pad).
+  const double* bins[4];
+  /// Lane k's bin count; a lane with nb[k] < 2 has no candidate and reads
+  /// nothing through bins[k].
+  std::size_t nb[4];
+  /// Rows in the node (the sum of every lane's counts), as a double.
+  double n_node;
   /// Σ grad and Σ hess over the node.
   double g_total;
   double h_total;
@@ -132,6 +151,19 @@ struct KernelOps {
   /// or −inf and 0 when no candidate beats −inf. Lanes may repeat a feature.
   void (*split_scan4)(const SplitScan4& scan, double* best_gain,
                       std::size_t* best_pos);
+
+  // ---- histogram split scan (lanes are features) ----
+  /// For each lane k and each b + 1 < nb[k], in order: add bin b's G, H and
+  /// count to the lane's prefix (G_L, H_L, N_L); then, unless N_L == 0 (an
+  /// empty left child) or N_L == n_node (an empty right child, which ends
+  /// the lane's candidates: counts are exact non-negative integers), score
+  /// the candidate "split after bin b" with split_scan4's gain. best_gain[k]
+  /// and best_bin[k] receive the lane's first strict maximum, or −inf and 0
+  /// when no candidate beats −inf. Every bin before the last is read: a
+  /// count-0 bin of a subtracted histogram may carry a rounding residue in
+  /// G and H, which the prefix keeps.
+  void (*hist_split4)(const HistSplit4& split, double* best_gain,
+                      std::size_t* best_bin);
 
   // ---- nonlinear ----
   /// out[i] = 1/(1+e^(−z[i])), bit-identical to common/stats.h sigmoid().

@@ -1,15 +1,15 @@
-// AVX2 kernel table: the reference table with seven primitives swapped for
+// AVX2 kernel table: the reference table with eight primitives swapped for
 // AVX2 intrinsics — the six elementwise ones (axpy, vsub, syrk_rank1_upper,
-// hist_accumulate, hist_subtract, bin_index) and split_scan4, whose lanes are
-// four features scanned in lockstep. Every function carries a
-// per-function __attribute__((target("avx2"))) so this translation unit
-// compiles under the library's ordinary flags; ops() only installs this table
-// after runtime CPUID detection (kernel.cpp), so no AVX2 instruction executes
-// on a CPU without it.
+// hist_accumulate, hist_subtract, bin_index) and the split scans split_scan4
+// and hist_split4, whose lanes are four features scanned in lockstep. Every
+// function carries a per-function __attribute__((target("avx2"))) so this
+// translation unit compiles under the library's ordinary flags; ops() only
+// installs this table after runtime CPUID detection (kernel.cpp), so no AVX2
+// instruction executes on a CPU without it.
 //
 // Determinism contract (see kernel.h): each swapped primitive is bitwise
 // identical to the reference — vector lanes perform exactly the scalar
-// operations, one per element (for split_scan4, one per feature-step), no
+// operations, one per element (for the split scans, one per feature-step), no
 // reassociation and no FMA. Reductions and sigmoid cannot be vectorized
 // under that rule and stay the reference's.
 #include "kernel/kernel.h"
@@ -223,6 +223,96 @@ NURD_AVX2 void avx2_split_scan4(const SplitScan4& scan, double* best_gain,
   }
 }
 
+NURD_AVX2 void avx2_hist_split4(const HistSplit4& split, double* best_gain,
+                                std::size_t* best_bin) {
+  // A lane past its last candidate reads this zero bin, never past its own
+  // histogram, and its candidates are masked off.
+  alignas(32) static constexpr double kZeroBin[kHistBinStride] = {};
+  const double* const* bins = split.bins;
+  std::size_t last[4];  // the lane's candidates are bins 0 .. last − 1
+  std::size_t steps = 0;
+  for (std::size_t k = 0; k < 4; ++k) {
+    last[k] = split.nb[k] > 1 ? split.nb[k] - 1 : 0;
+    steps = last[k] > steps ? last[k] : steps;
+  }
+
+  const __m256d neg_half = _mm256_set1_pd(-0.5);
+  const __m256d lambda = _mm256_set1_pd(split.lambda);
+  const __m256d min_weight = _mm256_set1_pd(split.min_child_weight);
+  const __m256d parent = _mm256_set1_pd(split.parent_obj);
+  const __m256d g_total = _mm256_set1_pd(split.g_total);
+  const __m256d h_total = _mm256_set1_pd(split.h_total);
+  const __m256d n_node = _mm256_set1_pd(split.n_node);
+  const __m256d vneg_inf =
+      _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d limit = _mm256_set_pd(
+      static_cast<double>(last[3]), static_cast<double>(last[2]),
+      static_cast<double>(last[1]), static_cast<double>(last[0]));
+
+  __m256d g_left = zero;
+  __m256d h_left = zero;
+  __m256d n_left = zero;
+  __m256d best = vneg_inf;
+  __m256d best_at = zero;
+  __m256d at = zero;  // b as a double, exact below 2^53
+  for (std::size_t b = 0; b < steps; ++b) {
+    const std::size_t off = b * kHistBinStride;
+    // One (G, H, count, pad) bin per lane, transposed 4×4 into a G, an H
+    // and a count vector (the pad vector is never formed).
+    const __m256d r0 =
+        _mm256_loadu_pd(b < last[0] ? bins[0] + off : kZeroBin);
+    const __m256d r1 =
+        _mm256_loadu_pd(b < last[1] ? bins[1] + off : kZeroBin);
+    const __m256d r2 =
+        _mm256_loadu_pd(b < last[2] ? bins[2] + off : kZeroBin);
+    const __m256d r3 =
+        _mm256_loadu_pd(b < last[3] ? bins[3] + off : kZeroBin);
+    const __m256d gc01 = _mm256_unpacklo_pd(r0, r1);  // G0 G1 C0 C1
+    const __m256d hp01 = _mm256_unpackhi_pd(r0, r1);  // H0 H1 P0 P1
+    const __m256d gc23 = _mm256_unpacklo_pd(r2, r3);  // G2 G3 C2 C3
+    const __m256d hp23 = _mm256_unpackhi_pd(r2, r3);  // H2 H3 P2 P3
+    g_left = _mm256_add_pd(g_left, _mm256_permute2f128_pd(gc01, gc23, 0x20));
+    h_left = _mm256_add_pd(h_left, _mm256_permute2f128_pd(hp01, hp23, 0x20));
+    n_left = _mm256_add_pd(n_left, _mm256_permute2f128_pd(gc01, gc23, 0x31));
+
+    // The reference's `continue` (N_L == 0) and `break` (N_L == n_node)
+    // both become "no candidate": once a lane's exact integer count reaches
+    // n_node it stays there.
+    const __m256d open = _mm256_and_pd(
+        _mm256_cmp_pd(at, limit, _CMP_LT_OQ),
+        _mm256_and_pd(_mm256_cmp_pd(n_left, zero, _CMP_NEQ_OQ),
+                      _mm256_cmp_pd(n_left, n_node, _CMP_NEQ_OQ)));
+
+    const __m256d g_right = _mm256_sub_pd(g_total, g_left);
+    const __m256d h_right = _mm256_sub_pd(h_total, h_left);
+    const __m256d obj_left =
+        _mm256_div_pd(_mm256_mul_pd(_mm256_mul_pd(neg_half, g_left), g_left),
+                      _mm256_add_pd(h_left, lambda));
+    const __m256d obj_right = _mm256_div_pd(
+        _mm256_mul_pd(_mm256_mul_pd(neg_half, g_right), g_right),
+        _mm256_add_pd(h_right, lambda));
+    const __m256d blocked =
+        _mm256_or_pd(_mm256_cmp_pd(h_left, min_weight, _CMP_LT_OQ),
+                     _mm256_cmp_pd(h_right, min_weight, _CMP_LT_OQ));
+    const __m256d gain = _mm256_blendv_pd(
+        _mm256_sub_pd(_mm256_sub_pd(parent, obj_left), obj_right), vneg_inf,
+        blocked);
+    const __m256d take =
+        _mm256_and_pd(open, _mm256_cmp_pd(gain, best, _CMP_GT_OQ));
+    best = _mm256_blendv_pd(best, gain, take);
+    best_at = _mm256_blendv_pd(best_at, at, take);
+    at = _mm256_add_pd(at, one);
+  }
+  alignas(32) double at_out[4];
+  _mm256_storeu_pd(best_gain, best);
+  _mm256_store_pd(at_out, best_at);
+  for (std::size_t k = 0; k < 4; ++k) {
+    best_bin[k] = static_cast<std::size_t>(at_out[k]);
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -237,6 +327,7 @@ const KernelOps* avx2_ops() {
     t.hist_subtract = avx2_hist_subtract;
     t.bin_index = avx2_bin_index;
     t.split_scan4 = avx2_split_scan4;
+    t.hist_split4 = avx2_hist_split4;
     return t;
   }();
   return &table;

@@ -59,6 +59,7 @@ void GradientBoosting::fit(const Matrix& x, std::span<const Target> targets) {
   const std::size_t n = x.rows();
   trees_.clear();
   tree_rate_.clear();
+  n_features_ = x.cols();
   base_score_ = loss_->init_score(targets);
 
   std::vector<double> score(n, base_score_);
@@ -91,6 +92,7 @@ void GradientBoosting::continue_fit(
              "continue_fit requires warm_start in the params");
   NURD_CHECK(fitted_, "continue_fit requires a prior fit");
   NURD_CHECK(x.rows() == targets.size(), "row/target count mismatch");
+  NURD_CHECK(x.cols() == n_features_, "feature count differs from the fit's");
   NURD_CHECK(x.rows() >= n_trained_, "warm-start fits only grow");
   NURD_CHECK(inserted_rows.size() == x.rows() - n_trained_,
              "inserted_rows must account for every new row");
@@ -244,6 +246,7 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
 
 double GradientBoosting::predict_raw(std::span<const double> row) const {
   NURD_CHECK(fitted_, "model not fitted");
+  NURD_CHECK(row.size() == n_features_, "row width differs from the fit's");
   double s = base_score_;
   for (std::size_t i = 0; i < trees_.size(); ++i) {
     s += tree_rate_[i] * trees_[i].predict(row);
@@ -256,8 +259,18 @@ double GradientBoosting::predict(std::span<const double> row) const {
 }
 
 std::vector<double> GradientBoosting::predict(const Matrix& x) const {
-  std::vector<double> out(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) out[i] = predict(x.row(i));
+  NURD_CHECK(fitted_, "model not fitted");
+  NURD_CHECK(x.cols() == n_features_, "row width differs from the fit's");
+  // Tree-major: each tree's few nodes stay in cache while it scores the
+  // whole block. Every row still gets predict_raw's sequence of
+  // multiply-then-add steps in tree order, so the sums are bitwise equal.
+  std::vector<double> out(x.rows(), base_score_);
+  for (std::size_t i = 0; i < trees_.size(); ++i) {
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      out[r] += tree_rate_[i] * trees_[i].predict(x.row(r));
+    }
+  }
+  for (auto& v : out) v = loss_->transform(v);
   return out;
 }
 

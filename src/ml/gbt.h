@@ -92,10 +92,12 @@ class GradientBoosting {
                     std::span<const std::size_t> inserted_rows = {});
 
   /// Transformed prediction for one row (identity for regression, probability
-  /// for logistic).
+  /// for logistic). The row must be as wide as the fitted matrix.
   double predict(std::span<const double> row) const;
 
-  /// Transformed predictions for every row of `x`.
+  /// Transformed predictions for every row of `x`, which must be as wide as
+  /// the fitted matrix; bitwise equal to predict() row by row. Scores the
+  /// block tree by tree, the fast way to score many rows.
   std::vector<double> predict(const Matrix& x) const;
 
   /// Raw (untransformed) boosted score for one row.
@@ -147,6 +149,7 @@ class GradientBoosting {
   /// so the two can coexist in one ensemble.
   std::vector<double> tree_rate_;
   double base_score_ = 0.0;
+  std::size_t n_features_ = 0;  ///< columns of the fitted matrix
   bool fitted_ = false;
 
   // Warm-start state, retained only when params_.warm_start.

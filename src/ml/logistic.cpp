@@ -203,8 +203,17 @@ double LogisticRegression::predict_proba(std::span<const double> row) const {
 }
 
 std::vector<double> LogisticRegression::predict_proba(const Matrix& x) const {
+  NURD_CHECK(fitted_, "model not fitted");
+  // decision() row by row, scaling each row into one reused buffer.
+  const auto& kops = kernel::ops();
   std::vector<double> out(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) out[i] = predict_proba(x.row(i));
+  std::vector<double> r(x.cols());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const auto row = x.row(i);
+    std::copy(row.begin(), row.end(), r.begin());
+    scaler_.transform_row(r);
+    out[i] = sigmoid(kops.dot(b_, w_.data(), r.data(), w_.size()));
+  }
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/aligned.h"
 #include "common/check.h"
@@ -20,20 +21,6 @@ struct SplitCandidate {
 
 double leaf_objective(double g, double h, double lambda) {
   return -0.5 * g * g / (h + lambda);
-}
-
-/// Gain of splitting a node with sums (g_total, h_total) into a left child
-/// with sums (g_left, h_left) and the rest; −inf when either child's Hessian
-/// sum is below min_child_weight.
-double split_gain(double parent_obj, double g_total, double h_total,
-                  double g_left, double h_left, const TreeParams& params) {
-  const double g_right = g_total - g_left;
-  const double h_right = h_total - h_left;
-  if (h_left < params.min_child_weight || h_right < params.min_child_weight) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  return parent_obj - leaf_objective(g_left, h_left, params.lambda) -
-         leaf_objective(g_right, h_right, params.lambda);
 }
 
 /// Split threshold between adjacent distinct values v < v_next, shared by
@@ -184,22 +171,24 @@ struct RegressionTree::Grower {
   // count, pad), one AVX2 vector each; back() is the total bin count.
   std::vector<std::size_t> offset;
 
-  std::int32_t grow(std::size_t begin, std::size_t end, int depth,
-                    AlignedVector<double>&& hist) {
+  // Grows the node at nodes[slot] from the segment [begin, end): a leaf
+  // fills the slot; a split fills it, appends its two children's slots and
+  // recurses into each.
+  void grow(std::size_t slot, std::size_t begin, std::size_t end, int depth,
+            AlignedVector<double>&& hist) {
     const std::size_t n = end - begin;
     double g_total = 0.0, h_total = 0.0;
     kops.pair_sum_indexed(grad.data(), hess.data(), rows.data() + begin, n,
                           &g_total, &h_total);
 
-    const auto make_leaf = [&]() -> std::int32_t {
+    const auto make_leaf = [&] {
       const double value = -g_total / (h_total + params.lambda);
-      nodes.push_back({.value = value, .depth = depth});
+      nodes[slot] = {.v = value, .feature = -1, .left = 0};
       if (!leaf_value_of_row.empty()) {
         for (std::size_t i = begin; i < end; ++i) {
           leaf_value_of_row[rows[i]] = value;
         }
       }
-      return static_cast<std::int32_t>(nodes.size() - 1);
     };
 
     if (depth >= params.max_depth || n < 2) return make_leaf();
@@ -216,12 +205,11 @@ struct RegressionTree::Grower {
     const std::size_t mid = partition(begin, end, depth, best);
     if (mid == begin || mid == end) return make_leaf();  // only NaN does this
 
-    // Reserve this node's slot before recursing so children land after it.
-    nodes.push_back({.is_leaf = false,
-                     .feature = best.feature,
-                     .threshold = best.threshold,
-                     .depth = depth});
-    const std::size_t self = nodes.size() - 1;
+    const std::size_t left = nodes.size();
+    nodes[slot] = {.v = best.threshold,
+                   .feature = static_cast<std::int32_t>(best.feature),
+                   .left = static_cast<std::int32_t>(left)};
+    nodes.resize(left + 2);
 
     AlignedVector<double> left_hist, right_hist;
     if (binner != nullptr && depth + 1 < params.max_depth) {
@@ -237,11 +225,8 @@ struct RegressionTree::Grower {
     hist.clear();
     hist.shrink_to_fit();
 
-    const auto left = grow(begin, mid, depth + 1, std::move(left_hist));
-    const auto right = grow(mid, end, depth + 1, std::move(right_hist));
-    nodes[self].left = left;
-    nodes[self].right = right;
-    return static_cast<std::int32_t>(self);
+    grow(left, begin, mid, depth + 1, std::move(left_hist));
+    grow(left + 1, mid, end, depth + 1, std::move(right_hist));
   }
 
   // Exact greedy: every distinct-value boundary of every feature, scanned in
@@ -296,32 +281,49 @@ struct RegressionTree::Grower {
   }
 
   // Histogram: every bin boundary of every feature, off the node's
-  // (G, H, count) histogram.
+  // (G, H, count) histogram. hist_split4 scans four non-constant features at
+  // once, each lane returning its first strict maximum; folding the lanes in
+  // feature order with a strict > keeps the first strict maximum over
+  // (feature, bin), the candidate a one-feature-at-a-time scan picks.
   SplitCandidate hist_split(const AlignedVector<double>& hist, std::size_t n,
                             double g_total, double h_total) const {
-    const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
-    const double n_node = static_cast<double>(n);
+    kernel::HistSplit4 split{.bins = {},
+                             .nb = {},
+                             .n_node = static_cast<double>(n),
+                             .g_total = g_total,
+                             .h_total = h_total,
+                             .parent_obj = leaf_objective(g_total, h_total,
+                                                          params.lambda),
+                             .lambda = params.lambda,
+                             .min_child_weight = params.min_child_weight};
     SplitCandidate best;
+    std::size_t lane_feature[4];
+    std::size_t lanes = 0;
+    const auto scan = [&] {
+      for (std::size_t k = lanes; k < 4; ++k) split.nb[k] = 0;
+      double gain[4];
+      std::size_t bin[4];
+      kops.hist_split4(split, gain, bin);
+      for (std::size_t k = 0; k < lanes; ++k) {
+        if (gain[k] > best.gain) {
+          best.gain = gain[k];
+          best.feature = lane_feature[k];
+          best.bin = bin[k];
+        }
+      }
+      lanes = 0;
+    };
     for (std::size_t f = 0; f < binner->cols(); ++f) {
       const std::size_t nb = binner->bin_count(f);
       if (nb < 2) continue;  // constant feature
-      const double* bins = hist.data() + offset[f] * kernel::kHistBinStride;
-      double g_left = 0.0, h_left = 0.0, n_left = 0.0;
-      for (std::size_t b = 0; b + 1 < nb; ++b) {
-        g_left += bins[b * kernel::kHistBinStride];
-        h_left += bins[b * kernel::kHistBinStride + 1];
-        n_left += bins[b * kernel::kHistBinStride + 2];
-        if (n_left == 0.0) continue;  // empty prefix: same as no split
-        if (n_left == n_node) break;  // empty suffix: no more candidates
-        const double gain =
-            split_gain(parent_obj, g_total, h_total, g_left, h_left, params);
-        if (gain > best.gain) {
-          best.gain = gain;
-          best.feature = f;
-          best.threshold = binner->edge(f, b);
-          best.bin = b;
-        }
-      }
+      split.bins[lanes] = hist.data() + offset[f] * kernel::kHistBinStride;
+      split.nb[lanes] = nb;
+      lane_feature[lanes] = f;
+      if (++lanes == 4) scan();
+    }
+    if (lanes > 0) scan();
+    if (best.gain > -std::numeric_limits<double>::infinity()) {
+      best.threshold = binner->edge(best.feature, best.bin);
     }
     return best;
   }
@@ -422,7 +424,18 @@ void RegressionTree::fit(const Matrix& x, const FeatureBinner* binner,
              "presorted orders must be exact greedy's, cols x rows in shape");
   NURD_CHECK(leaf_value_of_row.empty() || leaf_value_of_row.size() == x.rows(),
              "leaf_value_of_row must be empty or hold one slot per row");
+  NURD_CHECK(x.cols() <= std::numeric_limits<std::int32_t>::max(),
+             "feature count must fit a node's 32-bit feature index");
+  // A binary tree of depth ≤ max_depth on n rows has at most
+  // min(2^(max_depth+1), 2n) − 1 nodes.
+  std::size_t capacity = 2 * rows.size() - 1;
+  if (params.max_depth < 30) {
+    capacity = std::min(
+        capacity, (std::size_t{2} << std::max(params.max_depth, 0)) - 1);
+  }
   nodes_.clear();
+  nodes_.reserve(capacity);
+  nodes_.resize(1);
   Grower grower{.nodes = nodes_,
                 .kops = kernel::ops(),
                 .x = x,
@@ -446,30 +459,30 @@ void RegressionTree::fit(const Matrix& x, const FeatureBinner* binner,
   } else {
     grower.sorted.assign(presorted.begin(), presorted.end());
   }
-  grower.grow(0, rows.size(), 0, {});
-}
-
-double RegressionTree::predict(std::span<const double> row) const {
-  if (nodes_.empty()) return 0.0;
-  std::size_t i = 0;
-  while (!nodes_[i].is_leaf) {
-    const auto& n = nodes_[i];
-    i = static_cast<std::size_t>(row[n.feature] <= n.threshold ? n.left
-                                                               : n.right);
-  }
-  return nodes_[i].value;
+  grower.grow(0, 0, rows.size(), 0, {});
 }
 
 std::size_t RegressionTree::leaf_count() const {
   std::size_t c = 0;
-  for (const auto& n : nodes_) c += n.is_leaf ? 1 : 0;
+  for (const auto& n : nodes_) c += n.feature < 0 ? 1 : 0;
   return c;
 }
 
 int RegressionTree::depth() const {
-  int d = 0;
-  for (const auto& n : nodes_) d = std::max(d, n.depth);
-  return d;
+  if (nodes_.empty()) return 0;
+  int deepest = 0;
+  std::vector<std::pair<std::size_t, int>> stack = {{0, 0}};
+  while (!stack.empty()) {
+    const auto [i, d] = stack.back();
+    stack.pop_back();
+    deepest = std::max(deepest, d);
+    if (nodes_[i].feature >= 0) {
+      const auto left = static_cast<std::size_t>(nodes_[i].left);
+      stack.push_back({left, d + 1});
+      stack.push_back({left + 1, d + 1});
+    }
+  }
+  return deepest;
 }
 
 }  // namespace nurd::ml

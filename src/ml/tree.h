@@ -22,9 +22,10 @@
 //     its rounds. A split whose children are at max_depth partitions only
 //     the rows, since leaves never scan. Best for tiny fits;
 //   * histogram (a FeatureBinner, LightGBM-style) — accumulates per-bin
-//     (G, H) sums per node and scans bin boundaries; O(d · n) per tree level,
-//     with the sibling-subtraction trick (child histogram = parent − other
-//     child) halving construction cost.
+//     (G, H) sums per node and scans bin boundaries, four features at a time
+//     through the kernel layer's hist_split4; O(d · n) per tree level, with
+//     the sibling-subtraction trick (child histogram = parent − other child)
+//     halving construction cost.
 // A fit runs serially on its calling thread: parallel work spans jobs and
 // executor lanes, never one tree's features.
 // Between adjacent distinct values v < v', both place the threshold at the
@@ -36,6 +37,13 @@
 // fit()).
 // Both backends are deterministic: identical inputs produce a bit-identical
 // tree regardless of thread count.
+//
+// A fitted tree is a flat array of 16-byte nodes {v, feature, left}, root
+// first. A leaf has feature −1 and its value in v; an internal node keeps its
+// threshold in v, and its children sit side by side at left and left + 1, so
+// predict() steps to left + !(x[feature] <= v): a NaN feature value goes
+// right. The grower writes this layout as it recurses, into one reservation
+// per fit.
 #pragma once
 
 #include <cstddef>
@@ -139,8 +147,17 @@ class RegressionTree {
   static std::vector<std::size_t> presort(const Matrix& x,
                                           std::span<const std::size_t> rows);
 
-  /// Leaf value for a single feature row.
-  double predict(std::span<const double> row) const;
+  /// Leaf value for a single feature row, which must be at least as wide as
+  /// the fitted matrix (the caller checks; see GradientBoosting). Defined
+  /// here so that GradientBoosting's tree-major block loop inlines it.
+  double predict(std::span<const double> row) const {
+    if (nodes_.empty()) return 0.0;
+    const Node* n = nodes_.data();
+    while (n->feature >= 0) {
+      n = nodes_.data() + n->left + !(row[n->feature] <= n->v);
+    }
+    return n->v;
+  }
 
   /// Number of nodes (internal + leaves); 0 before fit.
   std::size_t node_count() const { return nodes_.size(); }
@@ -153,14 +170,11 @@ class RegressionTree {
 
  private:
   struct Node {
-    bool is_leaf = true;
-    double value = 0.0;       // leaf value
-    std::size_t feature = 0;  // split feature (internal nodes)
-    double threshold = 0.0;   // go left if x[feature] <= threshold
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    std::int32_t depth = 0;
+    double v = 0.0;             // leaf value, or the split threshold
+    std::int32_t feature = -1;  // split feature; −1 marks a leaf
+    std::int32_t left = 0;      // left child; the right one is left + 1
   };
+  static_assert(sizeof(Node) == 16);
 
   struct Grower;  // per-fit node recursion (tree.cpp)
 

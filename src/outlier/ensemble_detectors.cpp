@@ -113,8 +113,7 @@ void XgbodDetector::fit(const Matrix& x, std::span<const double> y) {
 
   auto clf = ml::GradientBoosting::classifier(params_.gbt);
   clf.fit(aug, y);
-  scores_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) scores_[i] = clf.predict(aug.row(i));
+  scores_ = clf.predict(aug);
 }
 
 }  // namespace nurd::outlier

@@ -48,14 +48,16 @@ void PuElkanNoto::fit(const Matrix& labeled, const Matrix& unlabeled) {
   // c = average classifier output on held-out labeled examples (estimator e1
   // from Elkan & Noto §3).
   double sum = 0.0;
-  for (auto i : hold) sum += clf_.predict(labeled.row(i));
+  for (const double g : clf_.predict(labeled.select_rows(hold))) sum += g;
   c_ = std::clamp(sum / static_cast<double>(hold.size()), 1e-3, 1.0);
   fitted_ = true;
 }
 
-double PuElkanNoto::prob_labeled_class(std::span<const double> row) const {
+std::vector<double> PuElkanNoto::prob_labeled_class(const Matrix& rows) const {
   NURD_CHECK(fitted_, "model not fitted");
-  return std::clamp(clf_.predict(row) / c_, 0.0, 1.0);
+  auto prob = clf_.predict(rows);
+  for (auto& p : prob) p = std::clamp(p / c_, 0.0, 1.0);
+  return prob;
 }
 
 }  // namespace nurd::pu

@@ -13,7 +13,6 @@
 // NURD; we reproduce the method faithfully, violation included.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "common/matrix.h"
@@ -39,9 +38,9 @@ class PuElkanNoto {
   /// Fits on labeled rows (the known class) and unlabeled rows (mixture).
   void fit(const Matrix& labeled, const Matrix& unlabeled);
 
-  /// Calibrated probability that `row` belongs to the labeled class,
-  /// g(x)/c clipped to [0,1].
-  double prob_labeled_class(std::span<const double> row) const;
+  /// Calibrated probability that each row of `rows` belongs to the labeled
+  /// class, g(x)/c clipped to [0,1]; the rows are scored as one block.
+  std::vector<double> prob_labeled_class(const Matrix& rows) const;
 
   /// Estimated label frequency c = E[g(x)|labeled].
   double c_estimate() const { return c_; }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -168,6 +169,73 @@ TEST(KernelReference, SplitScan4SkipsTiesAndKeepsFirstStrictMaximum) {
   ref().split_scan4(one_feature_scan(x, order, grad, hess, 2.5), gain, pos);
   EXPECT_EQ(gain[1], -kInf);
   EXPECT_EQ(pos[1], 0u);
+}
+
+// Lane k of a hist_split4 input: (G, H, count) per bin, pad 0.
+std::vector<double> hist_bins(
+    const std::vector<std::array<double, 3>>& g_h_count) {
+  std::vector<double> bins;
+  for (const auto& [g, h, count] : g_h_count) {
+    bins.insert(bins.end(), {g, h, count, 0.0});
+  }
+  return bins;
+}
+
+TEST(KernelReference, HistSplit4SkipsEmptySidesAndKeepsFirstStrictMaximum) {
+  // Lane 0: bin 0 is empty (count 0) but carries a residue in G, as a
+  // subtracted histogram's can. Splitting after it would score 40, yet an
+  // empty left child is no split; the candidate after bin 1 (4/3) wins.
+  const auto empty_prefix =
+      hist_bins({{10.0, 0.0, 0.0}, {-2.0, 2.0, 2.0}, {2.0, 2.0, 2.0}});
+  // Lane 1: the prefix holds every row after bin 1, which ends the lane's
+  // candidates; the residue bins after it would score 60.
+  const auto full_prefix = hist_bins(
+      {{1.0, 2.0, 2.0}, {-1.0, 2.0, 2.0}, {10.0, 0.0, 0.0}, {-10.0, 0.0, 0.0}});
+  // Lane 2: the splits after bins 0 and 2 tie exactly at 0.375; the first
+  // one wins.
+  const auto tie = hist_bins(
+      {{1.0, 1.0, 1.0}, {-1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}, {-1.0, 1.0, 1.0}});
+  HistSplit4 split{};
+  split.bins[0] = empty_prefix.data();
+  split.bins[1] = full_prefix.data();
+  split.bins[2] = tie.data();
+  split.bins[3] = nullptr;  // nb 1: never read
+  split.nb[0] = 3;
+  split.nb[1] = 4;
+  split.nb[2] = 4;
+  split.nb[3] = 1;
+  split.n_node = 4.0;
+  split.lambda = 1.0;
+  split.min_child_weight = 0.0;
+  double gain[4];
+  std::size_t bin[4];
+
+  // Each lane's totals: lane 0's, then lane 1's and lane 2's (both 0, 4).
+  split.g_total = 10.0;
+  split.h_total = 4.0;
+  split.parent_obj = -0.5 * 10.0 * 10.0 / 5.0;
+  ref().hist_split4(split, gain, bin);
+  EXPECT_EQ(bin[0], 1u);
+  EXPECT_EQ(gain[0],
+            -10.0 - (-0.5 * 8.0 * 8.0 / 3.0) - (-0.5 * 2.0 * 2.0 / 3.0));
+  EXPECT_EQ(gain[3], -kInf);
+  EXPECT_EQ(bin[3], 0u);
+
+  split.g_total = 0.0;
+  split.parent_obj = 0.0;
+  ref().hist_split4(split, gain, bin);
+  EXPECT_EQ(bin[1], 0u);
+  EXPECT_EQ(gain[1], 1.0 / 3.0);
+  EXPECT_EQ(bin[2], 0u);
+  EXPECT_EQ(gain[2], 0.375);
+
+  // min_child_weight blocks every candidate: −inf at bin 0.
+  split.min_child_weight = 5.0;
+  ref().hist_split4(split, gain, bin);
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(gain[k], -kInf) << "lane " << k;
+    EXPECT_EQ(bin[k], 0u) << "lane " << k;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -348,6 +416,81 @@ TEST(KernelAvx2Parity, SplitScan4BitIdentical) {
   }
 }
 
+TEST(KernelAvx2Parity, HistSplit4BitIdentical) {
+  SKIP_WITHOUT_AVX2();
+  // Each trial is one histogram node: the parent rows a random sibling did
+  // not take, with every lane's histogram formed as the tree forms a larger
+  // child's (parent − sibling), so a bin the sibling emptied keeps a
+  // rounding residue in G and H beside its exact count of 0. Lanes have
+  // unequal bin counts, among them nb = 0, 1 and 2; on every fifth trial
+  // lane 0 puts every row in one bin.
+  const std::vector<std::array<std::size_t, 4>> lane_nb = {
+      {2, 2, 2, 2}, {1, 2, 7, 64}, {64, 3, 1, 2}, {5, 0, 0, 0},
+      {33, 17, 2, 9}, {1, 1, 1, 1}, {3, 64, 64, 40}};
+  std::uint64_t s = 202;
+  for (std::size_t trial = 0; trial < 350; ++trial) {
+    const auto& nb = lane_nb[trial % lane_nb.size()];
+    const std::size_t n_parent = 1 + (trial * 37) % 300;
+    std::vector<double> grad(n_parent), hess(n_parent);
+    std::vector<std::size_t> parent_rows, sibling_rows, node_rows;
+    for (std::size_t r = 0; r < n_parent; ++r) {
+      grad[r] = lcg(s);
+      hess[r] = trial % 2 == 0 ? 1.0 : 0.25 + std::abs(lcg(s));
+      parent_rows.push_back(r);
+      (lcg(s) > 1.0 ? sibling_rows : node_rows).push_back(r);
+    }
+    std::array<std::vector<double>, 4> hist;
+    HistSplit4 split{};
+    for (std::size_t k = 0; k < 4; ++k) {
+      std::vector<std::uint16_t> bin_of_row(n_parent, 0);
+      for (auto& b : bin_of_row) {
+        const bool one_bin = k == 0 && trial % 5 == 0;
+        b = one_bin || nb[k] == 0
+                ? 0
+                : static_cast<std::uint16_t>(
+                      static_cast<std::uint64_t>(std::abs(lcg(s)) * 1e6) %
+                      nb[k]);
+      }
+      hist[k].assign(std::max<std::size_t>(nb[k], 1) * kHistBinStride, 0.0);
+      std::vector<double> sibling(hist[k].size(), 0.0);
+      ref().hist_accumulate(hist[k].data(), bin_of_row.data(),
+                            parent_rows.data(), parent_rows.size(),
+                            grad.data(), hess.data());
+      ref().hist_accumulate(sibling.data(), bin_of_row.data(),
+                            sibling_rows.data(), sibling_rows.size(),
+                            grad.data(), hess.data());
+      ref().hist_subtract(hist[k].data(), sibling.data(), hist[k].size());
+      split.bins[k] = nb[k] == 0 ? nullptr : hist[k].data();
+      split.nb[k] = nb[k];
+    }
+    split.n_node = static_cast<double>(node_rows.size());
+    for (const auto r : node_rows) {
+      split.g_total += grad[r];
+      split.h_total += hess[r];
+    }
+    split.lambda = 1.0;
+    split.parent_obj =
+        -0.5 * split.g_total * split.g_total / (split.h_total + 1.0);
+    for (const double min_child_weight : {0.0, 1.0, 1e9}) {
+      split.min_child_weight = min_child_weight;
+      double gain_r[4], gain_v[4];
+      std::size_t bin_r[4], bin_v[4];
+      ref().hist_split4(split, gain_r, bin_r);
+      avx().hist_split4(split, gain_v, bin_v);
+      for (std::size_t k = 0; k < 4; ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(gain_r[k]),
+                  std::bit_cast<std::uint64_t>(gain_v[k]))
+            << "trial=" << trial << " lane=" << k << " nb=" << nb[k];
+        EXPECT_EQ(bin_r[k], bin_v[k])
+            << "trial=" << trial << " lane=" << k << " nb=" << nb[k];
+        if (nb[k] < 2 || min_child_weight > 1.0) {
+          EXPECT_EQ(gain_r[k], -kInf) << "trial=" << trial << " lane=" << k;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // NaN / inf propagation.
 // ---------------------------------------------------------------------------
@@ -395,7 +538,7 @@ TEST(KernelSpecials, ElementwisePropagateNaN) {
 // A new KernelOps member must be classified in
 // Avx2TableSwapsOnlyBitIdenticalPrimitives below before this compiles again.
 static_assert(sizeof(KernelOps) ==
-              sizeof(const char*) + 14 * sizeof(void (*)()));
+              sizeof(const char*) + 15 * sizeof(void (*)()));
 
 TEST(KernelDispatch, TablesAreNamed) {
   EXPECT_STREQ(reference_ops().name, "reference");
@@ -420,9 +563,9 @@ TEST(KernelDispatch, Avx2TableSwapsOnlyBitIdenticalPrimitives) {
   EXPECT_EQ(a.squared_l2_rows, r.squared_l2_rows);
   EXPECT_EQ(a.sigmoid, r.sigmoid);
   // axpy, vsub, syrk_rank1_upper, hist_accumulate, hist_subtract and
-  // bin_index may be swapped, and so may split_scan4, whose lanes are
-  // features each running the reference's scalar scan: the *BitIdentical
-  // tests above pin them.
+  // bin_index may be swapped, and so may split_scan4 and hist_split4, whose
+  // lanes are features each running the reference's scalar scan: the
+  // *BitIdentical tests above pin all eight.
 }
 
 TEST(KernelDispatch, OpsFollowsCpuid) {

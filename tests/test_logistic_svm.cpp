@@ -54,6 +54,21 @@ TEST(LogisticRegression, ProbabilitiesInUnitInterval) {
   }
 }
 
+TEST(LogisticRegression, BlockProbabilitiesMatchPerRowBitwise) {
+  const auto p = separated_classes(120, 1.0, 29);
+  LogisticRegression lr;
+  lr.fit(p.x, p.y);
+  const auto block = lr.predict_proba(p.x);
+  ASSERT_EQ(block.size(), p.x.rows());
+  for (std::size_t i = 0; i < p.x.rows(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(block[i]),
+              std::bit_cast<std::uint64_t>(lr.predict_proba(p.x.row(i))))
+        << "row " << i;
+  }
+  EXPECT_TRUE(lr.predict_proba(Matrix(0, 3)).empty());
+  EXPECT_THROW(lr.predict_proba(Matrix(2, 2)), std::invalid_argument);
+}
+
 TEST(LogisticRegression, ConstantLabelsYieldExtremeBase) {
   Matrix x{{0.0}, {1.0}, {2.0}};
   const std::vector<double> y{1.0, 1.0, 1.0};

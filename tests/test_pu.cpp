@@ -54,8 +54,9 @@ TEST(PuElkanNoto, SameClassRowsScoreHigher) {
   model.fit(p.labeled, p.unlabeled);
   double mean_same = 0.0, mean_other = 0.0;
   std::size_t n_same = 0, n_other = 0;
+  const auto prob = model.prob_labeled_class(p.unlabeled);
   for (std::size_t i = 0; i < p.unlabeled.rows(); ++i) {
-    const double pr = model.prob_labeled_class(p.unlabeled.row(i));
+    const double pr = prob[i];
     EXPECT_GE(pr, 0.0);
     EXPECT_LE(pr, 1.0);
     if (p.truth[i] == 0) {
@@ -76,9 +77,9 @@ TEST(PuElkanNoto, ThresholdSeparatesMostOtherClass) {
   PuElkanNoto model;
   model.fit(p.labeled, p.unlabeled);
   std::size_t correct = 0;
+  const auto prob = model.prob_labeled_class(p.unlabeled);
   for (std::size_t i = 0; i < p.unlabeled.rows(); ++i) {
-    const int pred =
-        model.prob_labeled_class(p.unlabeled.row(i)) < 0.5 ? 1 : 0;
+    const int pred = prob[i] < 0.5 ? 1 : 0;
     if (pred == p.truth[i]) ++correct;
   }
   EXPECT_GT(correct, p.unlabeled.rows() * 85 / 100);

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -1068,6 +1069,105 @@ TEST(GradientBoosting, LazyContinuationScoresMatchEagerReference) {
       }
     }
   }
+}
+
+// Block scoring walks the ensemble tree by tree over all rows; it must give
+// every row predict()'s bits. Ensembles grown by continuations at a rate
+// other than the fit's, on both tree backends (exact greedy below
+// kHistogramMinRows, histogram above), stumps (depth 0: single-leaf trees),
+// an empty block, and NaN in a split feature and in a feature no tree splits
+// on (column 3 is constant). A NaN goes right at every split.
+TEST(GradientBoosting, BlockPredictMatchesPerRowBitwise) {
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const auto expect_block_matches = [&](const GradientBoosting& model,
+                                        const Matrix& x) {
+    const auto block = model.predict(x);
+    ASSERT_EQ(block.size(), x.rows());
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      ASSERT_TRUE(same_bits(block[r], model.predict(x.row(r)))) << "row " << r;
+    }
+  };
+  constexpr std::size_t kCols = 4;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto draw = [&](Rng& rng, std::size_t n) {
+    Matrix x(n, kCols);
+    std::vector<double> y(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t j = 0; j + 1 < kCols; ++j) {
+        x(r, j) = rng.uniform(-1.0, 1.0);
+      }
+      x(r, kCols - 1) = 1.0;
+      y[r] = x(r, 0) - 2.0 * x(r, 2) + rng.uniform(-0.5, 0.5);
+    }
+    return std::pair{x, y};
+  };
+  for (const std::size_t n0 : {std::size_t{120}, std::size_t{300}}) {
+    for (const int depth : {0, 3}) {
+      SCOPED_TRACE("n0=" + std::to_string(n0) +
+                   " depth=" + std::to_string(depth));
+      Rng rng(70 + n0 + static_cast<std::size_t>(depth));
+      GbtParams params;
+      params.n_rounds = 6;
+      params.tree.max_depth = depth;
+      params.warm_start = true;
+      params.warm_rate_factor = 2.5;
+      auto [x, y] = draw(rng, n0);
+      auto model = GradientBoosting::regressor(params);
+      model.fit(x, y);
+      for (int step = 0; step < 3; ++step) {
+        auto [more_x, more_y] = draw(rng, 10);
+        std::vector<std::size_t> inserted;
+        for (std::size_t r = 0; r < more_x.rows(); ++r) {
+          inserted.push_back(x.rows());
+          x.push_row(more_x.row(r));
+          y.push_back(more_y[r]);
+        }
+        model.continue_fit(x, y, 4, inserted);
+      }
+      ASSERT_EQ(model.tree_count(), 18u);
+
+      Matrix probe = x;
+      for (std::size_t r = 0; r < 24; ++r) {
+        std::vector<double> row(x.row(r).begin(), x.row(r).end());
+        if (r % 3 != 1) row[0] = nan;
+        if (r % 3 != 0) row[kCols - 1] = nan;
+        probe.push_row(row);
+      }
+      expect_block_matches(model, probe);
+      EXPECT_TRUE(model.predict(Matrix(0, kCols)).empty());
+    }
+  }
+
+  // A transformed (logistic) score, applied after the tree-major sum.
+  Rng rng(77);
+  auto [x, y] = draw(rng, 90);
+  for (auto& v : y) v = v > 0.0 ? 1.0 : 0.0;
+  auto clf = GradientBoosting::classifier();
+  clf.fit(x, y);
+  x(5, 0) = nan;
+  expect_block_matches(clf, x);
+}
+
+// Scoring reads row[feature] for every split feature, so a model accepts
+// only rows exactly as wide as the matrix it was fitted on: a shorter row
+// would be read past its end.
+TEST(GradientBoosting, RejectsRowsOfAnotherWidth) {
+  Rng rng(78);
+  Matrix x(40, 4);
+  std::vector<double> y(40);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t j = 0; j < x.cols(); ++j) x(r, j) = rng.uniform(-1, 1);
+    y[r] = x(r, 3);
+  }
+  auto model = GradientBoosting::regressor();
+  model.fit(x, y);
+  const std::vector<double> short_row(2, 0.5);
+  EXPECT_THROW(model.predict(short_row), std::invalid_argument);
+  EXPECT_THROW(model.predict_raw(short_row), std::invalid_argument);
+  EXPECT_THROW(model.predict(Matrix(3, 2)), std::invalid_argument);
+  EXPECT_THROW(model.predict(Matrix(3, 5)), std::invalid_argument);
 }
 
 TEST(GradientBoosting, PredictBeforeFitThrows) {
